@@ -393,9 +393,51 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+# options a subcommand needs for a given positional choice, which argparse's
+# `required` cannot express
+_NEEDS = {
+    ("distance", "dab"): ("a", "b"),
+    ("ball", "cstar"): ("z", "w"),
+    ("ball", "auto"): ("base", "z"),
+    ("ball", "extremal"): ("base", "direction"),
+    ("ball", "F"): ("z",),
+    ("ball", "locus"): ("z",),
+}
+
+# vector options that must have the same number of entries
+_SAME_LENGTH = {
+    ("distance", "dab"): ("z", "w"),
+    ("ball", "cstar"): ("z", "w"),
+    ("ball", "auto"): ("base", "z"),
+    ("ball", "extremal"): ("base", "direction"),
+}
+
+
+def _argument_problem(args) -> str | None:
+    """Why the parsed arguments cannot run, or None: the validation argparse
+    leaves to the subcommand."""
+    key = (args.command, getattr(args, "domain", None) or getattr(args, "kind", None))
+    missing = [f"--{n}" for n in _NEEDS.get(key, ()) if getattr(args, n) is None]
+    if args.command == "universal" and args.X is None:
+        missing = [f"--{n}" for n in ("z", "w") if getattr(args, n) is None]
+    if missing:
+        return f"{' '.join(k for k in key if k)} requires {' and '.join(missing)}"
+    if key == ("distance", "dab") and len(args.z) != 2:
+        return "distance dab takes points of two coordinates"
+    if args.command == "geodesic" and len(args.z) not in (2, 3):
+        return "geodesic --z takes a domain pair or a lifted triple"
+    names = _SAME_LENGTH.get(key, ())
+    if len({len(getattr(args, n)) for n in names}) > 1:
+        return f"{' '.join(key)}: {' and '.join('--' + n for n in names)} differ in length"
+    return None
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    problem = _argument_problem(args)
+    if problem:
+        parser.error(problem)
     try:
         return args.fn(args)
     except GeodiscError as exc:

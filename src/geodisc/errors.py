@@ -65,6 +65,10 @@ class ConvergenceFailure(GeodiscError):
         self.best_residual = best_residual
 
 
+class SamplingExhausted(GeodiscError):
+    """Rejection sampling drew no admissible point within its budget."""
+
+
 class NoIntersection(GeodiscError):
     """A complex line misses the open unit ball."""
 

@@ -28,7 +28,9 @@ import cmath
 import math
 from dataclasses import dataclass, field
 
-from .discgeom import BOUNDARY_TOL, MobiusMap, Quadratic, rho, schur_roots_outside
+import numpy as np
+
+from .discgeom import BOUNDARY_TOL, MobiusMap, Quadratic, require_disc_point, rho, schur_roots_outside
 from .errors import (
     BranchCollision,
     DegenerateDirection,
@@ -278,21 +280,45 @@ class AnalyticDisc:
         )
 
 
-def _certify_disc(disc: AnalyticDisc, a: float, b: float, tol: float = RESIDUAL_TOL, n: int = 32):
-    """Residual check on the (a, b, 1) variety plus Schur check of denominators."""
-    from .varieties import Alpha, membership_residual
+def _certify_node(k: int, n: int) -> complex:
+    return 0.97 * cmath.exp(2j * math.pi * k / n) * (0.15 + 0.85 * ((k * 23) % n) / n)
 
-    alpha = Alpha(complex(a), complex(b), 1.0 + 0.0j)
+
+# Fixed probe points of the residual check, spread over radii and angles
+# inside the disc of radius 0.97.
+CERTIFY_NODES = np.array([_certify_node(k, 32) for k in range(32)])
+
+
+def _certify_disc(disc: AnalyticDisc, a: float, b: float, tol: float = RESIDUAL_TOL):
+    """Residual check on the (a, b, 1) variety plus Schur check of denominators.
+
+    Every component is evaluated by Horner over all of CERTIFY_NODES at once;
+    each value must be a finite point of the open disc, and the defining
+    equation must hold there to within `tol`.
+    """
+    from .varieties import Alpha, surface_residual
+
     for comp in disc.components:
         dcs = comp.den[-3:] if len(comp.den) >= 3 else (0.0j,) * (3 - len(comp.den)) + comp.den
         if len(comp.den) > 3 and any(abs(c) > 1e-14 for c in comp.den[:-3]):
             raise DomainError("denominator degree exceeds two")
         if not schur_roots_outside(Quadratic(*dcs)):
             raise DomainError("component denominator has a root in the closed disc")
-    worst = 0.0
-    for k in range(n):
-        lam = 0.97 * cmath.exp(2j * math.pi * k / n) * (0.15 + 0.85 * ((k * 23) % n) / n)
-        worst = max(worst, abs(membership_residual(alpha, disc(lam))))
+    polys = [cs for comp in disc.components for cs in (comp.num, comp.den)]
+    width = max(len(cs) for cs in polys)
+    coeffs = np.array([(0.0j,) * (width - len(cs)) + tuple(cs) for cs in polys], dtype=complex)
+    with np.errstate(all="ignore"):
+        acc = np.zeros((len(polys), CERTIFY_NODES.size), dtype=complex)
+        for col in coeffs.T:
+            acc = acc * CERTIFY_NODES + col[:, None]
+        vals = acc[0::2] / acc[1::2]  # one row per component
+    outside = ~(np.isfinite(vals) & (np.abs(vals) < 1.0))
+    if outside.any():
+        # first offending value in node order, as a point-by-point check meets it
+        k, j = np.argwhere(outside.T)[0]
+        require_disc_point(vals[j, k])
+    alpha = Alpha(complex(a), complex(b), 1.0 + 0.0j)
+    worst = float(np.abs(surface_residual(alpha, *vals)).max())
     if worst > tol:
         raise DomainError(f"constructed disc misses the variety by {worst:.3e}")
     return disc

@@ -4,7 +4,9 @@ Distances from the origin on the variety of (a, b, 1) and on the planar-pair
 domain reduce to coordinate maxima of disc distances; the certificate that
 the maximum is attained is an explicit analytic disc through the target,
 produced by inverting the tangent-to-point map with damped Gauss-Newton in
-the lens coordinate.
+the lens coordinate.  Newton starts from the closed-form preimage
+candidates; the deterministic lens grid is a fallback, built (once per lens)
+only when those starts fail.
 """
 
 from __future__ import annotations
@@ -21,9 +23,11 @@ from .discgeom import MobiusMap, gamma_disc, rho
 from .errors import (
     ConvergenceFailure,
     DomainError,
+    EmptyLens,
     EvaluationOutOfDisc,
     NotInDomain,
     NotOnVariety,
+    SamplingExhausted,
     Tangent,
     Infeasible,
 )
@@ -363,10 +367,13 @@ def geodesic_through(
 
     Requires the third coordinate to dominate in modulus (permute first).
     Inverts the slice map by damped Gauss-Newton over the lens coordinate,
-    multistarting from the small-parameter limit gamma ~ z1/z3 and a
-    deterministic lens grid, over both branches; targets whose preimage
-    hugs the lens boundary fall back to a one-dimensional search along the
-    hyperbolic circle on which the preimage must lie.
+    on each branch in turn.  Newton starts from the closed-form intersection
+    candidates and the small-parameter limit gamma ~ z1/z3; only when none
+    of these converges on a branch does it go on to `multistart` points of a
+    deterministic lens grid, which is built then and cached per lens.
+    Targets whose preimage hugs the lens boundary fall back to a
+    one-dimensional search along the hyperbolic circle on which the
+    preimage must lie.
     """
     z = tuple(complex(w) for w in z)
     alpha = Alpha(complex(a), complex(b), 1.0 + 0.0j)
@@ -381,15 +388,22 @@ def geodesic_through(
     t1, t2 = z1 / x, z2 / x
     L = Lens(a, b)
 
-    starts: list[complex] = list(_intersection_candidates(L, x, t1, t2))
+    if not L.nonempty:
+        raise EmptyLens(f"lens of ({L.a}, {L.b}) is empty")
+    cheap: list[complex] = list(_intersection_candidates(L, x, t1, t2))
     if L.contains(t1, tol=1e-6):
-        starts.append(t1)
-    starts.extend(L.interior_points(multistart, seed=11))
+        cheap.append(t1)
+
+    def starts():
+        yield from cheap
+        # the lens grid is built (and cached per lens) only when a branch
+        # gets past every closed-form start
+        yield from L.interior_points(multistart, seed=11)
 
     best_res = float("inf")
     found: list[tuple[str, complex, float]] = []
     for branch in (PLUS, MINUS):
-        for g0 in starts:
+        for g0 in starts():
             g, res = _gauss_newton(L, g0, branch, x, t1, t2, tol)
             best_res = min(best_res, res)
             if g is not None and res < tol:
@@ -474,9 +488,12 @@ class LempertReport:
         return json.dumps(self.to_json(), sort_keys=True)
 
 
+SAMPLE_DRAWS = 100_000
+
+
 def _sample_dab(d: DomainDab, seed: int, index: int) -> tuple[complex, complex]:
     rng = rng_for(seed, index)
-    for _ in range(100000):
+    for _ in range(SAMPLE_DRAWS):
         z1 = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
         z2 = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
         if abs(z1) >= 0.995 or abs(z2) >= 0.995:
@@ -485,7 +502,7 @@ def _sample_dab(d: DomainDab, seed: int, index: int) -> tuple[complex, complex]:
             continue
         if dab_contains(d, (z1, z2)):
             return (z1, z2)
-    raise RuntimeError("domain sampling failed")
+    raise SamplingExhausted(f"no point of D({d.a}, {d.b}) in {SAMPLE_DRAWS} draws")
 
 
 def _verify_one(d: DomainDab, seed: int, index: int, tol: float):

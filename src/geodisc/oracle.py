@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -151,51 +150,8 @@ def finite_diff_derivative(f, z, direction, h: float = 1e-6) -> complex:
     return (f(zp) - f(zm)) / (2.0 * h)
 
 
-@dataclass(frozen=True)
-class SampleGrid:
-    """Deterministic sample stream over a named region."""
-
-    seed: int
-    count: int
-    region: str  # lens | polydisc | ball | circle
-
-    def points(self, **kw):
-        gen = {
-            "lens": _sample_lens,
-            "polydisc": _sample_polydisc,
-            "ball": _sample_ball,
-            "circle": _sample_circle,
-        }[self.region]
-        return [gen(self.seed, i, **kw) for i in range(self.count)]
-
-
-def _sample_lens(seed, i, a=0.8, b=0.8, margin=0.0):
-    """Rejection sampling of gamma1 in the bounding box of the lens."""
-    rng = rng_for(seed, i)
-    for _ in range(10000):
-        g = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
-        if abs(g) < 1.0 - margin and abs(a * g + 1.0) < b * (1.0 - margin):
-            return g
-    raise RuntimeError("lens sampling failed; lens empty or margin too large")
-
-
-def _sample_polydisc(seed, i, n=3, radius=1.0):
-    rng = rng_for(seed, i)
-    out = []
-    while len(out) < n:
-        z = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
-        if abs(z) < radius:
-            out.append(z)
-    return tuple(out)
-
-
 def _sample_ball(seed, i, n=2, radius=1.0):
     rng = rng_for(seed, i)
     v = rng.normal(size=n) + 1j * rng.normal(size=n)
     r = radius * rng.uniform() ** (1.0 / (2 * n))
     return tuple(v * (r / np.linalg.norm(v)))
-
-
-def _sample_circle(seed, i):
-    rng = rng_for(seed, i)
-    return cmath.exp(2j * math.pi * rng.uniform())

@@ -88,8 +88,17 @@ def classify(alpha: Alpha) -> TriClass:
 
 def membership_residual(alpha: Alpha, z: tuple[complex, complex, complex]) -> complex:
     """Defining-equation residual; zero iff z lies on the surface."""
-    a1, a2, a3 = alpha.coeffs()
     z1, z2, z3 = (require_disc_point(w) for w in z)
+    return surface_residual(alpha, z1, z2, z3)
+
+
+def surface_residual(alpha: Alpha, z1, z2, z3):
+    """Defining-equation residual without the tridisc check.
+
+    The coordinates may be numpy arrays, which gives the residual at many
+    points at once with the same arithmetic as one point.
+    """
+    a1, a2, a3 = alpha.coeffs()
     return (
         a1 * z1
         + a2 * z2
