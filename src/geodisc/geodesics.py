@@ -312,10 +312,10 @@ def _certify_disc(disc: AnalyticDisc, a: float, b: float, tol: float = RESIDUAL_
         for col in coeffs.T:
             acc = acc * CERTIFY_NODES + col[:, None]
         vals = acc[0::2] / acc[1::2]  # one row per component
-    outside = ~(np.isfinite(vals) & (np.abs(vals) < 1.0))
-    if outside.any():
-        # first offending value in node order, as a point-by-point check meets it
-        k, j = np.argwhere(outside.T)[0]
+    inside = np.abs(vals) < 1.0  # false for non-finite values too
+    if not inside.all():
+        # the first offending value in node order raises the point check's error
+        k, j = np.argwhere(~inside.T)[0]
         require_disc_point(vals[j, k])
     alpha = Alpha(complex(a), complex(b), 1.0 + 0.0j)
     worst = float(np.abs(surface_residual(alpha, *vals)).max())
