@@ -197,6 +197,7 @@ class RationalMap:
     den: tuple[complex, ...]
 
     def __call__(self, lam: complex) -> complex:
+        """Value at lam; a numpy array of points gives the array of values."""
         return _horner(self.num, lam) / _horner(self.den, lam)
 
     def derivative(self, lam: complex) -> complex:
@@ -280,13 +281,11 @@ class AnalyticDisc:
         )
 
 
-def _certify_node(k: int, n: int) -> complex:
-    return 0.97 * cmath.exp(2j * math.pi * k / n) * (0.15 + 0.85 * ((k * 23) % n) / n)
-
-
 # Fixed probe points of the residual check, spread over radii and angles
 # inside the disc of radius 0.97.
-CERTIFY_NODES = np.array([_certify_node(k, 32) for k in range(32)])
+CERTIFY_NODES = np.array(
+    [0.97 * cmath.exp(2j * math.pi * k / 32) * (0.15 + 0.85 * ((k * 23) % 32) / 32) for k in range(32)]
+)
 
 
 def _certify_disc(disc: AnalyticDisc, a: float, b: float, tol: float = RESIDUAL_TOL):
@@ -304,19 +303,13 @@ def _certify_disc(disc: AnalyticDisc, a: float, b: float, tol: float = RESIDUAL_
             raise DomainError("denominator degree exceeds two")
         if not schur_roots_outside(Quadratic(*dcs)):
             raise DomainError("component denominator has a root in the closed disc")
-    polys = [cs for comp in disc.components for cs in (comp.num, comp.den)]
-    width = max(len(cs) for cs in polys)
-    coeffs = np.array([(0.0j,) * (width - len(cs)) + tuple(cs) for cs in polys], dtype=complex)
     with np.errstate(all="ignore"):
-        acc = np.zeros((len(polys), CERTIFY_NODES.size), dtype=complex)
-        for col in coeffs.T:
-            acc = acc * CERTIFY_NODES + col[:, None]
-        vals = acc[0::2] / acc[1::2]  # one row per component
+        vals = [comp(CERTIFY_NODES) for comp in disc.components]
     inside = np.abs(vals) < 1.0  # false for non-finite values too
     if not inside.all():
         # the first offending value in node order raises the point check's error
         k, j = np.argwhere(~inside.T)[0]
-        require_disc_point(vals[j, k])
+        require_disc_point(vals[j][k])
     alpha = Alpha(complex(a), complex(b), 1.0 + 0.0j)
     worst = float(np.abs(surface_residual(alpha, *vals)).max())
     if worst > tol:

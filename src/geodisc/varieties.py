@@ -96,7 +96,7 @@ def surface_residual(alpha: Alpha, z1, z2, z3):
     """Defining-equation residual without the tridisc check.
 
     The coordinates may be numpy arrays, which gives the residual at many
-    points at once with the same arithmetic as one point.
+    points at once by the same formula as at one point.
     """
     a1, a2, a3 = alpha.coeffs()
     return (

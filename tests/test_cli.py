@@ -200,3 +200,31 @@ def test_json_numbers_round_trip(capsys):
                      "--z", "0,0", "0,0", "--w", "0.5,0", "0,0")
     val = json.loads(out)["c"]
     assert json.loads(json.dumps({"c": val}))["c"] == val
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("distance", "dab", "--z", "0,0", "0,0", "--w", "0.5,0", "0,0"),
+        ("distance", "dab", "--a", "0.8", "--z", "0,0", "0,0", "--w", "0.5,0", "0,0"),
+        ("ball", "cstar", "--z", "0.5,0", "0,0"),
+        ("ball", "cstar", "--z", "0.5,0", "0,0", "--w", "0,0", "0,0", "0,0"),
+        ("universal", "--a", "0.8", "--b", "0.8", "--z", "0,0", "0,0"),
+        ("geodesic", "--a", "0.8", "--b", "0.8", "--z", "0.5,0"),
+    ],
+)
+def test_missing_or_mismatched_arguments_exit_code(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
+
+
+def test_sampling_failure_exit_code(capsys, monkeypatch):
+    from geodisc import metrics
+
+    monkeypatch.setattr(metrics, "dab_contains", lambda d, z: False)
+    monkeypatch.setattr(metrics, "SAMPLE_DRAWS", 10)
+    code, out = run_cli(capsys, "verify-lempert", "--a", "0.8", "--b", "0.8", "--samples", "3")
+    assert code == 1
+    assert json.loads(out)["error"]["type"] == "SamplingExhausted"

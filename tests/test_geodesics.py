@@ -2,14 +2,28 @@ import cmath
 import math
 
 import pytest
+from hypothesis import assume, given, reject, settings
+from hypothesis import strategies as st
 
-from geodisc.discgeom import Quadratic, blaschke_degree, rho
-from geodisc.errors import BranchCollision, DegenerateDirection, EmptyLens, Infeasible, Tangent
+from geodisc.discgeom import Quadratic, blaschke_degree, rho, schur_roots_outside
+from geodisc.errors import (
+    BranchCollision,
+    DegenerateDirection,
+    DomainError,
+    EmptyLens,
+    GeodiscError,
+    Infeasible,
+    Tangent,
+)
 from geodisc.geodesics import (
+    CERTIFY_NODES,
     MINUS,
     PLUS,
+    RESIDUAL_TOL,
     AnalyticDisc,
     Lens,
+    RationalMap,
+    _certify_disc,
     admissibility_margin,
     admissible_arc,
     arc_contains,
@@ -314,3 +328,121 @@ def test_disc_json_round_trip():
     for comp in norm.components:
         lead = next(c for c in comp.den if abs(c) > 1e-14)
         assert lead == pytest.approx(1.0, abs=1e-15)
+
+
+def _scalar_certify(disc, a, b, tol=RESIDUAL_TOL, n=32):
+    """Point-by-point reference for _certify_disc: its verdict and the worst
+    residual over the nodes."""
+    alpha = Alpha(complex(a), complex(b), 1.0 + 0.0j)
+    for comp in disc.components:
+        dcs = comp.den[-3:] if len(comp.den) >= 3 else (0.0j,) * (3 - len(comp.den)) + comp.den
+        if len(comp.den) > 3 and any(abs(c) > 1e-14 for c in comp.den[:-3]):
+            return "degree", None
+        if not schur_roots_outside(Quadratic(*dcs)):
+            return "root", None
+    worst = 0.0
+    for k in range(n):
+        lam = 0.97 * cmath.exp(2j * math.pi * k / n) * (0.15 + 0.85 * ((k * 23) % n) / n)
+        try:
+            worst = max(worst, abs(membership_residual(alpha, disc(lam))))
+        except DomainError:
+            return "outside", None
+    return ("off" if worst > tol else "ok"), worst
+
+
+def _verdict(disc, a, b) -> str:
+    try:
+        _certify_disc(disc, a, b)
+    except DomainError as exc:
+        msg = str(exc)
+        for word, verdict in (("degree", "degree"), ("root", "root"),
+                              ("open unit disc", "outside"), ("non-finite", "outside"),
+                              ("misses the variety", "off")):
+            if word in msg:
+                return verdict
+        raise
+    return "ok"
+
+
+def _perturbed(disc, slot, num_scale, den_shift):
+    comps = list(disc.components)
+    c = comps[slot]
+    comps[slot] = RationalMap(
+        num=tuple(x * num_scale for x in c.num),
+        den=(c.den[0] + den_shift,) + tuple(c.den[1:]),
+    )
+    return AnalyticDisc(components=tuple(comps), tag=disc.tag, params=disc.params)
+
+
+@st.composite
+def certified_discs(draw):
+    """(a, b, disc): a phi_gamma or blaschke_family disc at an interior lens point."""
+    a = draw(st.floats(0.05, 20.0))
+    b = a + draw(st.floats(-0.95, 0.95))
+    assume(b > 0.05 and a + b > 1.05)
+    L = Lens(a, b)
+    c_up, c_dn = L.corners()
+    # convex combination of a chord point and a point of the real diameter:
+    # an interior point of the (convex) lens
+    chord = c_dn + draw(st.floats(0.02, 0.98)) * (c_up - c_dn)
+    real = -1.0 + draw(st.floats(0.02, 0.98)) * ((b - 1.0) / a + 1.0)
+    s = draw(st.floats(0.0, 0.98))
+    g = (1.0 - s) * chord + s * real
+    try:
+        if draw(st.booleans()):
+            disc = phi_gamma(L, g, draw(st.sampled_from([PLUS, MINUS])))
+        else:
+            arcs = admissible_arc(L, g)
+            assume(arcs)
+            lo, hi = arcs[0]
+            disc = blaschke_family(L, g, cmath.exp(1j * (lo + draw(st.floats(0.05, 0.95)) * (hi - lo))))
+            assume(disc is not None)
+    except GeodiscError:
+        reject()
+    return a, b, disc
+
+
+def test_certify_nodes_match_formula():
+    n = 32
+    expect = [0.97 * cmath.exp(2j * math.pi * k / n) * (0.15 + 0.85 * ((k * 23) % n) / n)
+              for k in range(n)]
+    assert CERTIFY_NODES.tolist() == expect
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    certified_discs(),
+    st.integers(0, 2),
+    st.sampled_from([1.0, 1.0 + 1e-13, 1.0 + 1e-11, 1.0 + 1e-9, 1.0 + 1e-6, 1.01, 3.0]),
+    st.sampled_from([0.0, 1e-12, 1e-3, 0.5, 4.0]),
+)
+def test_certify_disc_agrees_with_scalar_loop(drawn, slot, num_scale, den_shift):
+    a, b, disc = drawn
+    disc = _perturbed(disc, slot, num_scale, den_shift)
+    expect, worst = _scalar_certify(disc, a, b)
+    # the array evaluation rounds differently in the last bits, so a residual
+    # right at the tolerance may go either way
+    assume(worst is None or abs(worst - RESIDUAL_TOL) > 1e-6 * RESIDUAL_TOL)
+    assert _verdict(disc, a, b) == expect
+
+
+def test_certify_disc_rejects_off_variety():
+    disc = phi_gamma(L88, -0.625)
+    with pytest.raises(DomainError, match="misses the variety"):
+        _certify_disc(_perturbed(disc, 1, 1.0 + 1e-6, 0.0), 0.8, 0.8)
+
+
+def test_certify_disc_rejects_component_leaving_disc():
+    disc = phi_gamma(L88, -0.625)
+    with pytest.raises(DomainError, match="open unit disc"):
+        _certify_disc(_perturbed(disc, 0, 3.0, 0.0), 0.8, 0.8)
+
+
+def test_certify_disc_rejects_denominator_root_in_closed_disc():
+    disc = phi_gamma(L88, -0.625)
+    comps = list(disc.components)
+    for den in ((0.0j, -2.0 + 0.0j, 1.0 + 0.0j), (0.0j, -1.0 + 0.0j, 1.0 + 0.0j)):  # roots 1/2, 1
+        comps[0] = RationalMap(num=comps[0].num, den=den)
+        bad = AnalyticDisc(components=tuple(comps), tag=disc.tag, params=disc.params)
+        with pytest.raises(DomainError, match="root in the closed disc"):
+            _certify_disc(bad, 0.8, 0.8)

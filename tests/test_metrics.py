@@ -4,8 +4,9 @@ import math
 import pytest
 
 from geodisc.discgeom import MobiusMap, rho
-from geodisc.errors import DomainError, NotInDomain, NotOnVariety
-from geodisc.geodesics import MINUS, PLUS, Lens, phi_gamma
+from geodisc import metrics
+from geodisc.errors import ConvergenceFailure, DomainError, NotInDomain, NotOnVariety
+from geodisc.geodesics import MINUS, PLUS, Lens, _lens_grid, phi_gamma
 from geodisc.metrics import (
     UniversalMember,
     UniversalSet,
@@ -22,6 +23,7 @@ from geodisc.metrics import (
     linear_convexity_quadratic,
     permuted_parameters,
     psi_x_forward,
+    _sample_dab,
     universal_c,
     universal_embed,
     universal_gamma,
@@ -280,3 +282,57 @@ def test_geodesic_certificate_json():
     assert obj["residual"] < 1e-9
     assert obj["caratheodory_value"] == pytest.approx(math.atanh(2.0 / 3.0), abs=1e-13)
     assert len(obj["disc"]["components"]) == 3
+
+
+def _permuted_target(d, seed, index):
+    z = lift_to_M(d, _sample_dab(d, seed, index))
+    perm = dominant_permutation(z)
+    return perm, permuted_parameters(d.a, d.b, perm), tuple(z[p] for p in perm)
+
+
+def test_closed_form_target_builds_no_lens_grid():
+    # (20, 20.5) with z1 or z2 dominant: thin permuted lenses, where building
+    # the grid costs the most
+    d = DomainDab(20.0, 20.5)
+    seen = set()
+    for i in range(400):
+        perm, (ap, bp), zp = _permuted_target(d, 41, i)
+        if perm == (0, 1, 2) or perm in seen:
+            continue
+        seen.add(perm)
+        _lens_grid.cache_clear()
+        cert = geodesic_through(ap, bp, zp)
+        assert _lens_grid.cache_info().currsize == 0
+        vals = cert.disc(cert.param_at_target)
+        assert max(abs(u - v) for u, v in zip(vals, zp)) < 1e-9
+    assert seen == {(2, 1, 0), (0, 2, 1)}
+
+
+def test_failed_closed_form_falls_back_to_lens_grid(monkeypatch):
+    # index 4 of seed 5 at (0.8, 0.8): the small-parameter start z1/z3 lies
+    # outside the lens, so without the closed-form candidates only the grid
+    # can start Newton
+    _, (ap, bp), zp = _permuted_target(D88, 5, 4)
+    assert not Lens(ap, bp).contains(zp[0] / zp[2], tol=1e-6)
+    closed = geodesic_through(ap, bp, zp)
+    monkeypatch.setattr(metrics, "_intersection_candidates", lambda *args: [])
+    _lens_grid.cache_clear()
+    cert = geodesic_through(ap, bp, zp)
+    assert _lens_grid.cache_info().currsize == 1
+    assert cert.branch == closed.branch
+    assert abs(cert.gamma1 - closed.gamma1) < 1e-7
+    assert cert.residual < 1e-9
+
+
+def test_unsolvable_target_still_fails_after_lens_grid():
+    # a lifted point with |z3| within 1e-5 of 1: every start fails, as it
+    # did when the grid was built up front
+    z1 = 0.8035035523696945 - 0.28547648879861764j
+    z2 = 0.07984285114202017 - 0.7532957631102906j
+    zp = lift_to_M(D88, (z1, z2))
+    assert dominant_permutation(zp) == (0, 1, 2)
+    _lens_grid.cache_clear()
+    with pytest.raises(ConvergenceFailure):
+        geodesic_through(0.8, 0.8, zp)
+    assert _lens_grid.cache_info().currsize == 1
+
