@@ -291,8 +291,8 @@ def _permuted_target(d, seed, index):
 
 
 def test_closed_form_target_builds_no_lens_grid():
-    # (20, 20.5) with z1 or z2 dominant: thin permuted lenses, where building
-    # the grid costs the most
+    # (20, 20.5) with z1 or z2 dominant: permuted lenses whose grid takes
+    # up to seconds to build
     d = DomainDab(20.0, 20.5)
     seen = set()
     for i in range(400):
@@ -325,8 +325,8 @@ def test_failed_closed_form_falls_back_to_lens_grid(monkeypatch):
 
 
 def test_unsolvable_target_still_fails_after_lens_grid():
-    # a lifted point with |z3| within 1e-5 of 1: every start fails, as it
-    # did when the grid was built up front
+    # a lifted point with |z3| within 1e-5 of 1: every start fails, the grid
+    # included, and the search ends in ConvergenceFailure
     z1 = 0.8035035523696945 - 0.28547648879861764j
     z2 = 0.07984285114202017 - 0.7532957631102906j
     zp = lift_to_M(D88, (z1, z2))
