@@ -24,8 +24,6 @@ from .geodesics import (
     balanced_pair,
     blaschke_family,
     branch_track,
-    lens_contains,
-    lens_corners,
     phi_gamma,
     solve_omega_eta,
 )

@@ -181,7 +181,7 @@ def universal_member_linear(a1: float, a2: complex):
 
 def F_left_inverse(z) -> complex:
     """The scalar map (2 z1 (1-z1) - z2^2) / (2 (1-z1) - z2^2) on the two-ball."""
-    z = _vec(z)
+    z = require_ball_point(z)
     if z.size != 2:
         raise DomainError("defined on dimension 2")
     z1, z2 = complex(z[0]), complex(z[1])

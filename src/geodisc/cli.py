@@ -404,13 +404,25 @@ _NEEDS = {
     ("ball", "locus"): ("z",),
 }
 
-# vector options that must have the same number of entries
+# vector options that must have the same number of entries when given
 _SAME_LENGTH = {
     ("distance", "dab"): ("z", "w"),
+    ("distance", "polydisc"): ("z", "w"),
     ("ball", "cstar"): ("z", "w"),
     ("ball", "auto"): ("base", "z"),
-    ("ball", "extremal"): ("base", "direction"),
+    ("ball", "extremal"): ("base", "direction", "z"),
 }
+
+
+# subcommands whose --z has a fixed number of coordinates
+_Z_LENGTH = {
+    ("distance", "dab"): 2,
+    ("ball", "F"): 2,
+    ("ball", "locus"): 2,
+}
+
+# count options that must be at least 1 when present
+_COUNTS = ("samples", "a_steps", "b_steps", "n", "workers")
 
 
 def _argument_problem(args) -> str | None:
@@ -422,11 +434,15 @@ def _argument_problem(args) -> str | None:
         missing = [f"--{n}" for n in ("z", "w") if getattr(args, n) is None]
     if missing:
         return f"{' '.join(k for k in key if k)} requires {' and '.join(missing)}"
-    if key == ("distance", "dab") and len(args.z) != 2:
-        return "distance dab takes points of two coordinates"
+    if key in _Z_LENGTH and len(args.z) != _Z_LENGTH[key]:
+        return f"{' '.join(key)} takes --z of {_Z_LENGTH[key]} coordinates"
+    for name in _COUNTS:
+        value = getattr(args, name, None)
+        if value is not None and value < 1:
+            return f"--{name.replace('_', '-')} must be at least 1"
     if args.command == "geodesic" and len(args.z) not in (2, 3):
         return "geodesic --z takes a domain pair or a lifted triple"
-    names = _SAME_LENGTH.get(key, ())
+    names = [n for n in _SAME_LENGTH.get(key, ()) if getattr(args, n) is not None]
     if len({len(getattr(args, n)) for n in names}) > 1:
         return f"{' '.join(key)}: {' and '.join('--' + n for n in names)} differ in length"
     return None

@@ -127,14 +127,6 @@ def _lens_grid(a: float, b: float, count: int, seed: int, margin: float) -> tupl
         margin *= 0.25  # thin lens: relax the interior margin and retry
 
 
-def lens_contains(L: Lens, gamma1: complex, tol: float = 0.0) -> bool:
-    return L.contains(gamma1, tol=tol)
-
-
-def lens_corners(L: Lens) -> tuple[complex, complex]:
-    return L.corners()
-
-
 @dataclass(frozen=True)
 class OmegaEta:
     omega: complex

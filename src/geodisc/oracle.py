@@ -15,8 +15,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import EvaluationOutOfDisc, NotThrough, ZeroPolynomial
+from .errors import EvaluationOutOfDisc, NotThrough, PoleError, ZeroPolynomial
 from .discgeom import Quadratic
+from .varieties import Alpha, graph_value
 
 
 def rng_for(seed: int, index: int) -> np.random.Generator:
@@ -148,6 +149,41 @@ def finite_diff_derivative(f, z, direction, h: float = 1e-6) -> complex:
         zp = z + h * direction
         zm = z - h * direction
     return (f(zp) - f(zm)) / (2.0 * h)
+
+
+def surface_samples(alpha: Alpha, n: int, seed: int = 20240) -> list:
+    """Deterministic points on the surface via the graph over two coordinates.
+
+    Each draw of (z1, z2) in the disc of radius 0.8 uses its own generator
+    `rng_for(seed, i)`; draws near a pole of the graph or with the third
+    coordinate at modulus >= 0.999 are rejected.
+    """
+    a1, a2, a3 = alpha.coeffs()
+    # permute so the graph denominator is generically well-conditioned
+    if a3 == 0:
+        perm = (2, 0, 1) if a2 != 0 else (1, 2, 0)
+    else:
+        perm = (0, 1, 2)
+    ap = alpha.permuted(perm)
+    pts = []
+    i = 0
+    while len(pts) < n:
+        rng = rng_for(seed, i)
+        i += 1
+        z1 = complex(rng.uniform(-0.8, 0.8), rng.uniform(-0.8, 0.8))
+        z2 = complex(rng.uniform(-0.8, 0.8), rng.uniform(-0.8, 0.8))
+        if abs(z1) >= 0.8 or abs(z2) >= 0.8:
+            continue
+        try:
+            z3 = graph_value(ap, z1, z2)
+        except PoleError:
+            continue
+        if abs(z3) >= 0.999:
+            continue
+        w = (z1, z2, z3)
+        inv = {perm[j]: j for j in range(3)}
+        pts.append(tuple(w[inv[k]] for k in range(3)))
+    return pts
 
 
 def _sample_ball(seed, i, n=2, radius=1.0):

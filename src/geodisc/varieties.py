@@ -196,48 +196,52 @@ class TridiscAutomorphism:
         return cls(perm=perm, maps=tuple(MobiusMap(p[q]) for q in perm))
 
 
-def _surface_samples(alpha: Alpha, n: int, seed: int = 20240) -> list:
-    """Deterministic points on the surface via the graph over two coordinates."""
-    from .oracle import rng_for
-
+def _equation_tensor(alpha: Alpha) -> np.ndarray:
+    """The defining equation as a 2x2x2 tensor: entry [i, j, k] is the
+    coefficient of z1^i z2^j z3^k."""
     a1, a2, a3 = alpha.coeffs()
-    # permute so the graph denominator is generically well-conditioned
-    if a3 == 0:
-        perm = (2, 0, 1) if a2 != 0 else (1, 2, 0)
-    else:
-        perm = (0, 1, 2)
-    ap = alpha.permuted(perm)
-    pts = []
-    i = 0
-    while len(pts) < n:
-        rng = rng_for(seed, i)
-        i += 1
-        z1 = complex(rng.uniform(-0.8, 0.8), rng.uniform(-0.8, 0.8))
-        z2 = complex(rng.uniform(-0.8, 0.8), rng.uniform(-0.8, 0.8))
-        if abs(z1) >= 0.8 or abs(z2) >= 0.8:
-            continue
-        try:
-            z3 = graph_value(ap, z1, z2)
-        except PoleError:
-            continue
-        if abs(z3) >= 0.999:
-            continue
-        w = (z1, z2, z3)
-        inv = {perm[j]: j for j in range(3)}
-        pts.append(tuple(w[inv[k]] for k in range(3)))
-    return pts
+    return np.array(
+        [[[0j, a3], [a2, -a1.conjugate()]], [[a1, -a2.conjugate()], [-a3.conjugate(), 0j]]]
+    )
+
+
+def _inverse_slot_matrix(m: MobiusMap) -> np.ndarray:
+    """How substituting the inverse of m into one coordinate acts on that axis.
+
+    The inverse of lam -> rot (nu - lam)/(1 - conj(nu) lam) is
+    w -> (nu - conj(rot) w)/(1 - conj(nu rot) w).  With its denominator
+    cleared, z^0 becomes 1 - conj(nu rot) w and z^1 becomes nu - conj(rot) w;
+    column a of the matrix holds the coefficients (of w^0, w^1) of z^a.
+    """
+    rc = m.rotation.conjugate()
+    return np.array([[1.0, m.nu], [-m.nu.conjugate() * rc, -rc]])
 
 
 def transport(alpha: Alpha, m: TridiscAutomorphism, tol: float = 1e-9) -> Alpha:
     """Image triple beta with m(surface of alpha) = surface of beta.
 
-    The image is again a graph z3 = (A z1 + B z2 + C z1 z2)/(D z1 + E z2 + F);
-    the six coefficients are fitted as the nullspace of sampled image points,
-    F is normalized to 1, and beta = (c conj(E), c conj(D), -conj(c)) with
-    c^2 = C, branch Re c >= 0 (positive imaginary part on ties).
+    The defining equation is multi-affine, so it is the tensor T of
+    :func:`_equation_tensor`.  A point w lies on the image iff m^-1(w) lies
+    on the surface.  Coordinate perm[j] of m^-1(w) depends on w_j alone, so
+    the permutation transposes the axes of T and each Mobius slot acts on
+    one axis through the 2x2 matrix of its inverse with the denominator
+    cleared (the denominators do not vanish on the closed tridisc):
+
+        Q = einsum("abc,ia,jb,kc->ijk", T.transpose(perm), M1, M2, M3).
+
+    Q is the image equation up to a nonzero factor.  Its constant entry is
+    the equation at m^-1(0), and its w1 w2 w3 entry the equation at the
+    reflection of m^-1(0) in the torus (z -> 1/conj(z)), so both vanish.
+    Read as the graph w3 = (A w1 + B w2 + C w1 w2)/(D w1 + E w2 + F),
+    A = Q100, B = Q010, C = Q110, D = -Q101, E = -Q011 and F = -Q001.  With
+    F normalized to 1, beta = (c conj(E), c conj(D), -conj(c)) where c^2 = C,
+    branch Re c >= 0 (positive imaginary part on ties).
 
     Requires m to send some point of the surface to the origin (checked via
-    the preimage of 0).
+    the preimage of 0).  The result is checked coefficient by coefficient:
+    Q rescaled to beta3 must equal the tensor of beta to within `tol` in the
+    sum of moduli, which bounds the residual of beta on the image at every
+    point of the closed tridisc.
     """
     base = m.inverse_point((0.0j, 0.0j, 0.0j))
     if max(abs(w) for w in base) >= 1.0:
@@ -245,28 +249,22 @@ def transport(alpha: Alpha, m: TridiscAutomorphism, tol: float = 1e-9) -> Alpha:
     if abs(membership_residual(alpha, base)) > tol:
         raise InvalidAutomorphism("m does not move a surface point to the origin")
 
-    pts = _surface_samples(alpha, 12)
-    rows = []
-    for z in pts:
-        w1, w2, w3 = m(z)
-        rows.append([w1, w2, w1 * w2, -w1 * w3, -w2 * w3, -w3])
-    M = np.array(rows, dtype=complex)
-    _, sing, vh = np.linalg.svd(M)
-    if sing[-2] < 1e-6:  # a second relation would mean degenerate sampling
-        raise DegenerateImage("coefficient fit is rank-deficient")
-    A, B, C, D, E, F = vh[-1].conj()
-    if abs(F) < 1e-12:
+    T = _equation_tensor(alpha).transpose(m.perm)
+    Q = np.einsum("abc,ia,jb,kc->ijk", T, *(_inverse_slot_matrix(s) for s in m.maps))
+    F = -complex(Q[0, 0, 1])
+    if abs(F) < 1e-12 * float(np.abs(Q).max()):
         raise DegenerateImage("image surface has F = 0; not a graph over (z1, z2)")
-    A, B, C, D, E, F = (x / F for x in (A, B, C, D, E, F))
+    coeffs = (Q[1, 0, 0], Q[0, 1, 0], Q[1, 1, 0], -Q[1, 0, 1], -Q[0, 1, 1])
+    A, B, C, D, E = (complex(x) / F for x in coeffs)
     if abs(C) < 1e-9:
         raise DegenerateImage("image collapsed to a linear graph z3 = A z1 + B z2")
     c = cmath.sqrt(C)
     if c.real < 0 or (c.real == 0 and c.imag < 0):
         c = -c
     beta = Alpha(c * E.conjugate(), c * D.conjugate(), -c.conjugate())
-    worst = max(abs(membership_residual(beta, m(z))) for z in pts)
-    if worst > tol:
-        raise DegenerateImage(f"transported residual {worst:.3e} exceeds tolerance")
+    worst = float(np.abs(Q * (beta.a3 / -F) - _equation_tensor(beta)).sum())
+    if not worst <= tol:
+        raise DegenerateImage(f"transported coefficients miss by {worst:.3e}, above tolerance")
     return beta
 
 

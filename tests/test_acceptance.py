@@ -41,12 +41,11 @@ from geodisc.metrics import (
     UniversalSet,
 )
 from geodisc.discgeom import MobiusMap
-from geodisc.oracle import quadratic_roots, rng_for, _sample_ball
+from geodisc.oracle import quadratic_roots, rng_for, surface_samples, _sample_ball
 from geodisc.varieties import (
     Alpha,
     DomainDab,
     TridiscAutomorphism,
-    _surface_samples,
     classify,
     membership_residual,
     transport,
@@ -219,7 +218,7 @@ def test_criterion_6_automorphism_transport():
                 if min(abs(c) for c in coeffs) > 0.1:
                     break
             alpha = Alpha(*coeffs)
-            base = _surface_samples(alpha, 1, seed=trial)[0]
+            base = surface_samples(alpha, 1, seed=trial)[0]
             perm = [(0, 1, 2), (1, 2, 0), (2, 0, 1), (0, 2, 1), (1, 0, 2), (2, 1, 0)][
                 int(rng.integers(6))
             ]
@@ -229,7 +228,7 @@ def test_criterion_6_automorphism_transport():
             m = TridiscAutomorphism(perm=perm, maps=maps)
             beta = transport(alpha, m)
             worst = 0.0
-            for z in _surface_samples(alpha, 200, seed=trial + 7000):
+            for z in surface_samples(alpha, 200, seed=trial + 7000):
                 worst = max(worst, abs(membership_residual(beta, m(z))))
             assert worst < 1e-10
             assert classify(beta).retract == classify(alpha).retract

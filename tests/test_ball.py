@@ -159,6 +159,12 @@ def test_F_examples():
         assert abs(F_left_inverse(z)) < 1.0
 
 
+def test_F_rejects_points_outside_ball():
+    for z in ((2.0, 0.0), (0.8, 0.8), (1.0, 0.0), (float("nan"), 0.0)):
+        with pytest.raises(DomainError):
+            F_left_inverse(z)
+
+
 def test_F_composed_with_f1_is_automorphism():
     for k in range(64):
         lam = 0.95 * cmath.exp(2j * math.pi * k / 64) * ((k % 5 + 1) / 5.5)

@@ -220,6 +220,40 @@ def test_missing_or_mismatched_arguments_exit_code(capsys, argv):
     assert capsys.readouterr().out == ""
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("verify-lempert", "--a", "0.8", "--b", "0.8", "--samples", "-1"),
+        ("verify-lempert", "--a", "0.8", "--b", "0.8", "--workers", "-3"),
+        ("sweep", "--a-min", "0.7", "--a-max", "0.9", "--a-steps", "0",
+         "--b-min", "0.7", "--b-max", "0.9"),
+        ("plotdata", "lens", "--n", "-2"),
+        ("distance", "polydisc", "--z", "0,0", "--w", "0,0", "0,0"),
+        ("ball", "locus", "--z", "0.5,0"),
+        ("ball", "F", "--z", "0.9,0.9"),
+        ("ball", "extremal", "--base", "0.5,0", "0,0", "--direction", "0,0", "1,0", "--z", "0.1,0"),
+    ],
+)
+def test_bad_counts_and_dimensions_exit_code(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
+
+
+def test_ball_F_outside_ball_is_computational_error(capsys):
+    code, out = run_cli(capsys, "ball", "F", "--z", "2,0", "0,0")
+    assert code == 1
+    assert json.loads(out)["error"]["type"] == "DomainError"
+
+
+def test_transport_degenerate_image_exit_code(capsys):
+    code, out = run_cli(capsys, "transport", "--alpha", "1,0", "1,0", "0,0",
+                        "--perm", "1", "2", "3", "--nu", "0,0", "0,0", "0,0")
+    assert code == 1
+    assert json.loads(out)["error"]["type"] == "DegenerateImage"
+
+
 def test_sampling_failure_exit_code(capsys, monkeypatch):
     from geodisc import metrics
 

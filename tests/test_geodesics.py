@@ -31,8 +31,6 @@ from geodisc.geodesics import (
     blaschke_factor,
     blaschke_family,
     branch_track,
-    lens_contains,
-    lens_corners,
     phi_gamma,
     solve_omega_eta,
     solvability_gaps,
@@ -54,16 +52,16 @@ def rand_interesting(rng):
 
 
 def test_lens_contains_examples():
-    assert lens_contains(L88, -0.625)
-    assert not lens_contains(L88, 0.0)  # |1| > 0.8
+    assert L88.contains(-0.625)
+    assert not L88.contains(0.0)  # |1| > 0.8
     empty = Lens(0.4, 0.5)  # a + b < 1
     assert not empty.nonempty
     for g in (-0.9, -0.5, 0.0, 0.5j):
-        assert not lens_contains(empty, g)
+        assert not empty.contains(g)
 
 
 def test_lens_corners_example():
-    c_up, c_dn = lens_corners(L88)
+    c_up, c_dn = L88.corners()
     assert c_up == pytest.approx(complex(-0.625, SQ), abs=1e-12)
     assert c_dn == pytest.approx(complex(-0.625, -SQ), abs=1e-12)
     for c in (c_up, c_dn):
@@ -180,7 +178,7 @@ def test_branch_track_constant_and_loop():
 
 
 def test_branch_track_corner_collision():
-    c_up, _ = lens_corners(L88)
+    c_up, _ = L88.corners()
     inner = -0.625
     with pytest.raises((BranchCollision, Tangent, Infeasible)):
         # straight path into the corner

@@ -2,21 +2,23 @@ import cmath
 import math
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from geodisc.discgeom import MobiusMap, IDENTITY_MOBIUS
 from geodisc.errors import (
+    DegenerateImage,
     DomainError,
     InvalidAutomorphism,
     NotInDomain,
     PoleError,
     Unsupported,
 )
-from geodisc.oracle import rng_for
+from geodisc.oracle import rng_for, surface_samples
 from geodisc.varieties import (
     Alpha,
     DomainDab,
     TridiscAutomorphism,
-    _surface_samples,
     classify,
     dab_contains,
     graph_value,
@@ -156,7 +158,7 @@ def test_normalize_rotation_case():
     assert nf.a == pytest.approx(0.8) and nf.b == pytest.approx(0.8)
     assert any(abs(u - 1.0) > 0.1 for u in nf.rotations)
     beta = Alpha(nf.a, nf.b, 1.0)
-    for z in _surface_samples(alpha, 100):
+    for z in surface_samples(alpha, 100):
         assert abs(membership_residual(beta, nf.apply(z))) < 1e-12
 
 
@@ -201,11 +203,11 @@ def test_transport_permutation():
 def test_transport_moving_point_sampled_residual():
     rng = rng_for(11, 0)
     alpha = Alpha(3, 4, 5)
-    p = _surface_samples(alpha, 1, seed=5)[0]
+    p = surface_samples(alpha, 1, seed=5)[0]
     m = TridiscAutomorphism.moving_to_origin(p)
     beta = transport(alpha, m)
     worst = 0.0
-    for z in _surface_samples(alpha, 200, seed=6):
+    for z in surface_samples(alpha, 200, seed=6):
         worst = max(worst, abs(membership_residual(beta, m(z))))
     assert worst < 1e-10
     assert classify(beta).retract == classify(alpha).retract
@@ -217,6 +219,39 @@ def test_transport_rejects_bad_base_point():
     m = TridiscAutomorphism(perm=(0, 1, 2), maps=(MobiusMap(0.5), IDENTITY_MOBIUS, IDENTITY_MOBIUS))
     with pytest.raises(InvalidAutomorphism):
         transport(alpha, m)
+
+
+coefficients = st.complex_numbers(max_magnitude=2.0, allow_nan=False, allow_infinity=False).filter(
+    lambda c: abs(c) > 0.1
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.tuples(coefficients, coefficients, coefficients),
+    st.permutations((0, 1, 2)),
+    st.lists(st.floats(0.0, 2.0 * math.pi), min_size=3, max_size=3),
+    st.integers(0, 2**32 - 1),
+)
+def test_transport_closed_form_property(coeffs, perm, angles, seed):
+    # on a tie of the triangle inequality rounding decides the class
+    mods = sorted(abs(c) for c in coeffs)
+    assume(abs(mods[0] + mods[1] - mods[2]) > 1e-9 * mods[2])
+    alpha = Alpha(*coeffs)
+    base = surface_samples(alpha, 1, seed=seed)[0]
+    maps = tuple(MobiusMap(base[p], cmath.exp(1j * t)) for p, t in zip(perm, angles))
+    m = TridiscAutomorphism(perm=tuple(perm), maps=maps)
+    beta = transport(alpha, m)
+    for z in surface_samples(alpha, 50, seed=seed + 1):
+        assert abs(membership_residual(beta, m(z))) < 1e-10
+    assert classify(beta).retract == classify(alpha).retract
+
+
+def test_transport_degenerate_image():
+    # the equation of (1, 1, 0) is (z1 + z2)(1 - z3): no linear z3 term, so F = 0
+    ident = TridiscAutomorphism(perm=(0, 1, 2), maps=(IDENTITY_MOBIUS,) * 3)
+    with pytest.raises(DegenerateImage):
+        transport(Alpha(1, 1, 0), ident)
 
 
 def test_dab_membership_examples():
