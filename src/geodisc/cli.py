@@ -15,9 +15,7 @@ import csv
 import io
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from . import ball as ball_mod
 from .discgeom import rho
@@ -62,12 +60,6 @@ def _emit_csv(header, rows) -> None:
     w.writerow(header)
     w.writerows(rows)
     sys.stdout.write(buf.getvalue())
-
-
-def _workers(args) -> int:
-    if getattr(args, "workers", None):
-        return args.workers
-    return int(os.environ.get("GEODISC_WORKERS", "1"))
 
 
 def cmd_classify(args) -> int:
@@ -137,9 +129,7 @@ def cmd_lens(args) -> int:
 
 def cmd_verify_lempert(args) -> int:
     d = DomainDab(args.a, args.b)
-    report = lempert_verify(
-        d, samples=args.samples, seed=args.seed, tol=args.tol_match, workers=_workers(args)
-    )
+    report = lempert_verify(d, samples=args.samples, seed=args.seed, tol=args.tol_match)
     _emit_json(report.to_json())
     return 0 if report.failures == 0 else 1
 
@@ -226,13 +216,7 @@ def cmd_sweep(args) -> int:
         status = "ok" if rep.failures == 0 else "fail"
         return (idx, a, b, status, args.samples, rep.failures, rep.worst_match, rep.worst_residual)
 
-    nworkers = _workers(args)
-    if nworkers > 1:
-        with ThreadPoolExecutor(max_workers=nworkers) as pool:
-            rows = list(pool.map(run_cell, cells))
-    else:
-        rows = [run_cell(c) for c in cells]
-    rows.sort(key=lambda r: r[0])
+    rows = [run_cell(c) for c in cells]
     header = ["index", "a", "b", "status", "samples", "failures", "worst_match", "worst_residual"]
     _emit_csv(header, rows)
     return 1 if any(r[3] == "fail" for r in rows) else 0
@@ -336,7 +320,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--b", type=float, required=True)
     sp.add_argument("--samples", type=int, default=100)
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--workers", type=int, default=None)
     add_tols(sp)
     sp.set_defaults(fn=cmd_verify_lempert)
 
@@ -374,7 +357,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--b-steps", type=int, default=5)
     sp.add_argument("--samples", type=int, default=50)
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--workers", type=int, default=None)
     sp.add_argument("--allow-degenerate", action="store_true")
     add_tols(sp)
     sp.set_defaults(fn=cmd_sweep)
@@ -422,7 +404,7 @@ _Z_LENGTH = {
 }
 
 # count options that must be at least 1 when present
-_COUNTS = ("samples", "a_steps", "b_steps", "n", "workers")
+_COUNTS = ("samples", "a_steps", "b_steps", "n")
 
 
 def _argument_problem(args) -> str | None:

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -527,23 +526,16 @@ def lempert_verify(
     samples: int,
     seed: int,
     tol: float = MATCH_TOL,
-    workers: int | None = None,
 ) -> LempertReport:
     """Sampled equality check of the two extremal problems on the domain.
 
     Each sample draws a point, lifts it to the variety, constructs the
     geodesic through the origin, and compares the coordinate-max distance
-    against the disc-parameter distance.  Per-sample seeding makes the
-    report independent of worker count.
+    against the disc-parameter distance.  Each sample is seeded by its index.
     """
     if not d.interesting:
         raise DomainError("verification needs the triangle-inequality regime")
-    if workers is None or workers <= 1:
-        rows = [_verify_one(d, seed, i, tol) for i in range(samples)]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(lambda i: _verify_one(d, seed, i, tol), range(samples)))
-    rows.sort(key=lambda r: r[0])
+    rows = [_verify_one(d, seed, i, tol) for i in range(samples)]
     failures = [r for r in rows if not r[1]]
     finite_match = [r[2] for r in rows if math.isfinite(r[2])]
     finite_res = [r[3] for r in rows if math.isfinite(r[3])]

@@ -4,7 +4,7 @@ The code here deliberately shares no evaluation paths with the primary
 implementations it is used to check: roots come from the explicit quadratic
 formula, distances from direct definitions, derivatives from central
 differences.  Randomness is counter-based (Philox) keyed by (seed, index) so
-sampling is reproducible regardless of worker count or call order.
+sampling is reproducible regardless of call order.
 """
 
 from __future__ import annotations

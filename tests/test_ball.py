@@ -1,10 +1,14 @@
 import cmath
+import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from geodisc.ball import (
+    PIVOT_MIN,
     ComplexLine,
     F_left_inverse,
     ball_automorphism,
@@ -12,6 +16,7 @@ from geodisc.ball import (
     boundary_modulus_locus,
     c_star_ball,
     f_t_geodesic,
+    herm,
     minimal_norm_point,
     psi_l,
     universal_member_B2,
@@ -50,6 +55,12 @@ def test_automorphism_involution():
 def test_automorphism_rejects_outside():
     with pytest.raises(DomainError):
         ball_automorphism((1.0, 0.0), (0.0, 0.0))
+
+
+@pytest.mark.parametrize("fn", [c_star_ball, ball_automorphism, herm])
+def test_dimension_mismatch_is_domain_error(fn):
+    with pytest.raises(DomainError, match="dimension mismatch"):
+        fn((0.1, 0.2), (0.1, 0.2, 0.3))
 
 
 def test_minimal_norm_point_examples():
@@ -186,6 +197,13 @@ def test_f_t_examples():
             assert np.linalg.norm(f_t_geodesic(t, lam)) < 1.0
 
 
+def test_f_t_rejects_lam_outside_disc_and_non_finite_t():
+    nan, inf = float("nan"), float("inf")
+    for t, lam in ((-1.0, 2.0), (0.5, 1.0), (1.0, complex(nan, 0.0)), (nan, 0.3), (inf, 0.3)):
+        with pytest.raises(DomainError):
+            f_t_geodesic(t, lam)
+
+
 def test_F_left_inverse_up_to_automorphism():
     rng = rng_for(50, 0)
     for t in (0.0, 0.5, 1.0, 2.0, 10.0):
@@ -266,3 +284,120 @@ def test_no_false_certification_by_finite_subfamily():
         if best < target - 1e-6:
             gap_found = True
     assert gap_found
+
+
+# -- scalar kernels against a numpy reference --------------------------------
+# The reference is the numpy formulation the tuple kernels replaced, evaluated
+# in extended precision (np.clongdouble) so that |a|^2 cannot underflow for
+# tiny nonzero a, where the double formula loses every digit.
+LD = np.clongdouble
+
+
+def ref_automorphism(a, z):
+    a, z = np.asarray(a, LD), np.asarray(z, LD)
+    na2 = np.vdot(a, a).real
+    if na2 == 0:
+        return z
+    za = np.dot(z, a.conj())
+    s = np.sqrt(1 - na2)
+    return (s * (za * a - na2 * z) - za * a + na2 * a) / (na2 * (1 - za))
+
+
+def ref_c_star_squared(w, z):
+    w, z = np.asarray(w, LD), np.asarray(z, LD)
+    return max(1 - (1 - np.vdot(w, w).real) * (1 - np.vdot(z, z).real) / abs(1 - np.dot(w, z.conj())) ** 2, 0)
+
+
+def ref_psi(base, direction):
+    """Minimal point and unitary of psi_l by Gram-Schmidt over the standard basis."""
+    base, d = np.asarray(base, LD), np.asarray(direction, LD)
+    d = d / np.linalg.norm(d)
+    a = base - np.dot(base, d.conj()) * d
+    na = np.linalg.norm(a)
+    v = d if na == 0 else ref_automorphism(a, a + 0.5 * (1 - na) * d)
+    cols = [v / np.linalg.norm(v)]
+    for k in range(v.size):
+        e = np.zeros(v.size, LD)
+        e[k] = 1
+        for c in cols:
+            e = e - np.dot(e, c.conj()) * c
+        nrm = np.linalg.norm(e)
+        if nrm > PIVOT_MIN:
+            cols.append(e / nrm)
+        if len(cols) == v.size:
+            break
+    return a, np.vstack([c.conj() for c in cols])
+
+
+def close(got, want, tol=1e-13):
+    return np.max(np.abs(np.asarray(got, complex) - np.asarray(want, complex))) < tol
+
+
+unit = st.floats(-1.0, 1.0, allow_nan=False)
+
+
+@st.composite
+def vectors(draw, n, radius=None):
+    """A complex n-vector, nonzero; with a radius, scaled to a norm in [0, radius]."""
+    v = [complex(draw(unit), draw(unit)) for _ in range(n)]
+    m = max(map(abs, v))
+    if m == 0.0:
+        v[0], m = 1.0 + 0j, 1.0
+    v = [c / m for c in v]
+    if radius is None:
+        return tuple(v)
+    r = draw(st.floats(0.0, radius)) / math.sqrt(sum(abs(c) ** 2 for c in v))
+    return tuple(c * r for c in v)
+
+
+@st.composite
+def ball_case(draw):
+    n = draw(st.sampled_from((2, 3)))
+    a, z, w = (draw(vectors(n, 0.95)) for _ in range(3))
+    base = draw(vectors(n, 0.9))
+    direction = draw(vectors(n)) if draw(st.booleans()) else tuple(c * draw(unit) for c in draw(vectors(n)))
+    return a, z, w, base, direction
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).minexp > -16000, reason="long double has no extended range here")
+@settings(max_examples=300, deadline=None)
+@given(ball_case())
+def test_scalar_kernels_match_reference(case):
+    a, z, w, base, direction = case
+    if not any(direction):
+        with pytest.raises(DomainError):
+            ComplexLine(base=base, direction=direction)
+        direction = (1.0,) + direction[1:]
+    # the automorphism: reference, involution, and the swap of a and 0
+    img = ball_automorphism(a, z)
+    assert isinstance(img, np.ndarray) and img.shape == (len(a),)
+    assert close(img, ref_automorphism(a, z))
+    assert close(ball_automorphism(a, img), z, 1e-12)
+    assert close(ball_automorphism(a, a), np.zeros(len(a)))
+    assert close(ball_automorphism(a, np.zeros(len(a))), a)
+    # c* against the reference, and invariant under the automorphism; squared,
+    # since the square root amplifies rounding where c* is near 0
+    cs = c_star_ball(w, z)
+    assert abs(cs**2 - float(ref_c_star_squared(w, z))) < 1e-13
+    assert abs(c_star_ball(ball_automorphism(a, w), img) ** 2 - cs**2) < 1e-12
+    # psi_l: reference, a unitary sending the image direction to e1, plain JSON
+    line = ComplexLine(base=base, direction=direction)
+    psi = psi_l(line)
+    foot, U = ref_psi(base, direction)
+    assert close(psi.minimal_point, foot)
+    # Phi_0 is the identity, so row 0 changes sign between a line through the
+    # origin and one that misses it by rounding; psi's values do not
+    if (not np.any(foot)) != (not any(psi.minimal_point)):
+        U[0] = -U[0]
+    assert close(psi.unitary, U)
+    U = np.array(psi.unitary)
+    assert close(U @ U.conj().T, np.eye(len(a)))
+    d = np.array(line.direction)
+    t0 = 0.5 * (1.0 - np.linalg.norm(foot.astype(complex)))
+    v = ball_automorphism(psi.minimal_point, np.array(psi.minimal_point) + t0 * d)
+    assert close(U @ (v / np.linalg.norm(v)), np.eye(len(a))[0], 1e-12)
+    obj = psi.to_json()
+    json.dumps(obj, allow_nan=False)
+    leaves = [x for pair in obj["minimal_point"] for x in pair]
+    leaves += [x for row in obj["unitary"] for pair in row for x in pair]
+    assert all(type(x) is float for x in leaves)

@@ -60,8 +60,6 @@ def test_verify_lempert_deterministic(capsys):
     _, out1 = run_cli(capsys, *args)
     _, out2 = run_cli(capsys, *args)
     assert out1 == out2
-    _, out4 = run_cli(capsys, *args, "--workers", "4")
-    assert out1 == out4
 
 
 def test_geodesic_command(capsys):
@@ -262,3 +260,13 @@ def test_sampling_failure_exit_code(capsys, monkeypatch):
     code, out = run_cli(capsys, "verify-lempert", "--a", "0.8", "--b", "0.8", "--samples", "3")
     assert code == 1
     assert json.loads(out)["error"]["type"] == "SamplingExhausted"
+
+
+@pytest.mark.parametrize("argv", [
+    ("ball", "ft", "--t", "-1", "--lam", "2,0"),
+    ("ball", "ft", "--t", "1", "--lam", "nan,0"),
+])
+def test_ball_ft_outside_disc_is_computational_error(capsys, argv):
+    code, out = run_cli(capsys, *argv)
+    assert code == 1
+    assert json.loads(out)["error"]["type"] == "DomainError"
