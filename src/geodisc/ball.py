@@ -4,8 +4,9 @@ family for the two-ball, and the special left inverse with its geodesic fan.
 Points are complex vectors; the Hermitian pairing is <z, w> = sum z_j conj(w_j).
 The kernels compute on tuples of Python ``complex``: the vectors here have two
 or three coordinates, where numpy's per-call overhead outweighs the
-arithmetic.  Inputs may be any sequence of numbers.  ``ball_automorphism`` and
-``minimal_norm_point`` return a 1-D ``np.ndarray`` at the public boundary.
+arithmetic.  Inputs may be any sequence of numbers.  ``ball_automorphism``,
+``minimal_norm_point`` and ``ComplexLine.at`` return a 1-D ``numpy.ndarray``
+at the public boundary; they are the only functions here that import numpy.
 """
 
 from __future__ import annotations
@@ -14,8 +15,6 @@ import cmath
 import math
 from dataclasses import dataclass
 from operator import mul
-
-import numpy as np
 
 from .discgeom import require_disc_point
 from .errors import DomainError, Indeterminate, NoIntersection
@@ -43,6 +42,16 @@ def _herm(z: Vec, w: Vec) -> complex:
 
 def _norm2(z: Vec) -> float:
     return _herm(z, z).real
+
+
+def _unit(z: Vec, name: str) -> Vec:
+    """z / |z|, taken through z / max|z_j| so that |z|^2 neither underflows nor overflows."""
+    m = max(map(abs, z))
+    if m == 0.0:
+        raise DomainError(f"{name} must be nonzero")
+    z = tuple(c / m for c in z)
+    n = math.sqrt(_norm2(z))
+    return tuple(c / n for c in z)
 
 
 def require_ball_point(z) -> Vec:
@@ -82,12 +91,14 @@ def _automorphism(a: Vec, z: Vec) -> Vec:
     return tuple((ai - p * ui - s * (zi - p * ui)) / den for ai, ui, zi in zip(a, u, z))
 
 
-def ball_automorphism(a, z) -> np.ndarray:
+def ball_automorphism(a, z):
     """Involutive automorphism swapping the base point a with the origin.
 
     Rudin's (a - P z - s Q z) / (1 - <z, a>), with P the projection on a,
     Q = 1 - P and s = sqrt(1 - |a|^2); the identity at a = 0.
     """
+    import numpy as np
+
     return np.array(_automorphism(*_ball_pair(a, z)))
 
 
@@ -104,15 +115,12 @@ class ComplexLine:
             raise DomainError("dimension mismatch")
         if not all(map(cmath.isfinite, base + d)):
             raise DomainError("non-finite coordinates")
-        m = max(map(abs, d))
-        if m == 0.0:
-            raise DomainError("direction must be nonzero")
-        d = tuple(c / m for c in d)  # so that |d|^2 neither underflows nor overflows
-        nd = math.sqrt(_norm2(d))
-        object.__setattr__(self, "direction", tuple(c / nd for c in d))
+        object.__setattr__(self, "direction", _unit(d, "direction"))
         object.__setattr__(self, "base", base)
 
-    def at(self, lam: complex) -> np.ndarray:
+    def at(self, lam: complex):
+        import numpy as np
+
         return np.array([b + lam * c for b, c in zip(self.base, self.direction)])
 
 
@@ -124,8 +132,10 @@ def _foot(l: ComplexLine) -> Vec:
     return foot
 
 
-def minimal_norm_point(l: ComplexLine) -> np.ndarray:
+def minimal_norm_point(l: ComplexLine):
     """Orthogonal foot of the origin on the line; must land inside the ball."""
+    import numpy as np
+
     return np.array(_foot(l))
 
 
@@ -183,24 +193,22 @@ def psi_l(l: ComplexLine) -> BallExtremal:
 def universal_member_B2(a):
     """Cross-term extremal of the two-ball family for lines with foot a != 0.
 
-    z -> sqrt(1-|a|^2) (a1 z2 - a2 z1) / (|a| (1 - (conj(a1) z1 + conj(a2) z2))).
-    Equals the inner product of the ball automorphism image against the unit
-    normal of a, so it maps the ball into the disc and vanishes on the line
-    {lambda a}.
+    z -> sqrt(1-|a|^2) (u1 z2 - u2 z1) / (1 - (conj(a1) z1 + conj(a2) z2)),
+    with u = a / |a|.  Equals the inner product of the ball automorphism image
+    against the unit normal of a, so it maps the ball into the disc and
+    vanishes on the line {lambda a}.
     """
     a = require_ball_point(a)
     if len(a) != 2:
         raise DomainError("two-ball member needs a in dimension 2")
-    na = math.sqrt(_norm2(a))
-    if na == 0.0:
-        raise DomainError("parameter must be nonzero")
-    s = math.sqrt(1.0 - na * na)
+    u1, u2 = _unit(a, "parameter")
+    s = math.sqrt(1.0 - _norm2(a))
     a1, a2 = a
 
     def member(z) -> complex:
         z = require_ball_point(z)
         den = 1.0 - (a1.conjugate() * z[0] + a2.conjugate() * z[1])
-        return s * (a1 * z[1] - a2 * z[0]) / (na * den)
+        return s * (u1 * z[1] - u2 * z[0]) / den
 
     member.parameter = (a1, a2)
     return member

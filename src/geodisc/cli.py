@@ -2,10 +2,15 @@
 verification sweeps, and plot-data emission.
 
 Complex numbers on the command line are ``re,im`` pairs; vectors are
-space-separated.  Output is JSON by default (sorted keys, shortest
-round-trip floats) or CSV with ``--format csv``.  Exit codes: 0 success,
+space-separated.  Output is JSON (sorted keys, shortest round-trip floats);
+``sweep`` and ``plotdata`` print CSV.  Exit codes: 0 success,
 1 computational failure (machine-readable error object on stdout),
 2 validation error.
+
+Each subcommand imports the layers it needs when it runs.  The module itself
+loads only the standard library, ``errors``, ``discgeom`` and ``varieties``,
+so ``classify``, ``normalize`` and every argument error (exit 2) run without
+numpy.
 """
 
 from __future__ import annotations
@@ -15,27 +20,12 @@ import csv
 import io
 import json
 import math
+import re
 import sys
 
-from . import ball as ball_mod
-from .discgeom import rho
+from .discgeom import MATCH_TOL, MobiusMap
 from .errors import GeodiscError
-from .geodesics import Lens, admissible_arc, phi_gamma, solve_omega_eta
-from .metrics import (
-    MATCH_TOL,
-    c_dab,
-    c_polydisc,
-    dab_universal_set,
-    dominant_permutation,
-    geodesic_through,
-    kappa_dab_origin,
-    lempert_verify,
-    linear_convexity_quadratic,
-    permuted_parameters,
-    universal_c,
-    universal_gamma,
-)
-from .varieties import Alpha, DomainDab, classify, lift_to_M, normalize
+from .varieties import Alpha, DomainDab, TridiscAutomorphism, classify, lift_to_M, normalize, transport
 
 
 def _complex(s: str) -> complex:
@@ -75,9 +65,6 @@ def cmd_normalize(args) -> int:
 
 
 def cmd_transport(args) -> int:
-    from .discgeom import MobiusMap
-    from .varieties import TridiscAutomorphism, transport
-
     alpha = Alpha(*args.alpha)
     maps = tuple(MobiusMap(nu, rot) for nu, rot in zip(args.nu, args.rotation))
     m = TridiscAutomorphism(perm=tuple(p - 1 for p in args.perm), maps=maps)
@@ -87,6 +74,8 @@ def cmd_transport(args) -> int:
 
 
 def cmd_distance(args) -> int:
+    from .metrics import c_dab, c_polydisc
+
     if args.domain == "dab":
         d = DomainDab(args.a, args.b)
         _emit_json({"c": c_dab(d, tuple(args.z), tuple(args.w))})
@@ -96,6 +85,8 @@ def cmd_distance(args) -> int:
 
 
 def cmd_geodesic(args) -> int:
+    from .metrics import dominant_permutation, geodesic_through, permuted_parameters
+
     d = DomainDab(args.a, args.b)
     z = tuple(args.z)
     if len(z) == 2:
@@ -112,6 +103,8 @@ def cmd_geodesic(args) -> int:
 
 
 def cmd_lens(args) -> int:
+    from .geodesics import Lens, solve_omega_eta
+
     L = Lens(args.a, args.b)
     out = {"a": args.a, "b": args.b, "nonempty": L.nonempty}
     if L.nonempty:
@@ -128,6 +121,8 @@ def cmd_lens(args) -> int:
 
 
 def cmd_verify_lempert(args) -> int:
+    from .metrics import lempert_verify
+
     d = DomainDab(args.a, args.b)
     report = lempert_verify(d, samples=args.samples, seed=args.seed, tol=args.tol_match)
     _emit_json(report.to_json())
@@ -135,6 +130,8 @@ def cmd_verify_lempert(args) -> int:
 
 
 def cmd_convexity(args) -> int:
+    from .metrics import linear_convexity_quadratic
+
     d = DomainDab(args.a, args.b)
     r1, r2, uni = linear_convexity_quadratic(d)
     _emit_json(
@@ -149,6 +146,8 @@ def cmd_convexity(args) -> int:
 
 
 def cmd_universal(args) -> int:
+    from .metrics import dab_universal_set, kappa_dab_origin, universal_c, universal_gamma
+
     d = DomainDab(args.a, args.b)
     U = dab_universal_set(d)
     if args.X is not None:
@@ -167,6 +166,8 @@ def cmd_universal(args) -> int:
 
 
 def cmd_ball(args) -> int:
+    from . import ball as ball_mod
+
     kind = args.kind
     if kind == "cstar":
         val = ball_mod.c_star_ball(args.w, args.z)
@@ -193,6 +194,8 @@ def cmd_ball(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    from .metrics import lempert_verify
+
     cells = []
     for i in range(args.a_steps):
         for j in range(args.b_steps):
@@ -223,6 +226,9 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_plotdata(args) -> int:
+    from .geodesics import Lens, admissible_arc
+    from .metrics import kappa_dab_origin
+
     kind = args.kind
     if kind == "lens":
         L = Lens(args.a, args.b)
@@ -258,8 +264,6 @@ def cmd_plotdata(args) -> int:
         _emit_csv(["z1_re", "z1_im", "z2_re", "z2_im", "im_value", "on_locus"], rows)
     return 0
 
-
-import re
 
 # let tokens like -0.625,0 parse as values rather than option strings
 _NEG_VALUE = re.compile(r"^-\d|^-\.\d")

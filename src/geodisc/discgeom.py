@@ -14,6 +14,10 @@ from .errors import DomainError, ZeroPolynomial
 
 # Decision-boundary slack for strict inequalities; callers may override.
 BOUNDARY_TOL = 1e-9
+# Default tolerance of the geodesic certificates and of the Lempert verifier
+# in :mod:`geodisc.metrics`.  It lives here, in a module without numpy, so that
+# the CLI can show it as a default without loading the metrics layer.
+MATCH_TOL = 1e-9
 
 
 def require_disc_point(z: complex, tol: float = 0.0) -> complex:

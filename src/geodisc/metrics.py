@@ -18,7 +18,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .discgeom import MobiusMap, gamma_disc, rho
+from .discgeom import MATCH_TOL, MobiusMap, gamma_disc, rho
 from .errors import (
     ConvergenceFailure,
     DomainError,
@@ -33,8 +33,6 @@ from .errors import (
 from .geodesics import PLUS, MINUS, AnalyticDisc, Lens, phi_gamma, solve_omega_eta
 from .varieties import Alpha, DomainDab, dab_contains, membership_residual
 from .oracle import rng_for
-
-MATCH_TOL = 1e-9
 
 
 def c_polydisc(z: Sequence[complex], w: Sequence[complex]) -> float:

@@ -9,6 +9,9 @@ A nonzero triple ``alpha`` cuts the surface
 inside the open tridisc.  The triple is classified by the strict triangle
 inequality on the moduli; in the non-retract regime the surface carries the
 explicit geodesic families built in :mod:`geodisc.geodesics`.
+
+numpy is imported only by :func:`transport`, so that the scalar functions
+here load without it.
 """
 
 from __future__ import annotations
@@ -16,8 +19,6 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .discgeom import MobiusMap, require_disc_point
 from .errors import (
@@ -196,25 +197,23 @@ class TridiscAutomorphism:
         return cls(perm=perm, maps=tuple(MobiusMap(p[q]) for q in perm))
 
 
-def _equation_tensor(alpha: Alpha) -> np.ndarray:
-    """The defining equation as a 2x2x2 tensor: entry [i, j, k] is the
+def _equation_tensor(alpha: Alpha) -> list:
+    """The defining equation as nested 2x2x2 lists: entry [i][j][k] is the
     coefficient of z1^i z2^j z3^k."""
     a1, a2, a3 = alpha.coeffs()
-    return np.array(
-        [[[0j, a3], [a2, -a1.conjugate()]], [[a1, -a2.conjugate()], [-a3.conjugate(), 0j]]]
-    )
+    return [[[0j, a3], [a2, -a1.conjugate()]], [[a1, -a2.conjugate()], [-a3.conjugate(), 0j]]]
 
 
-def _inverse_slot_matrix(m: MobiusMap) -> np.ndarray:
+def _inverse_slot_matrix(m: MobiusMap) -> list:
     """How substituting the inverse of m into one coordinate acts on that axis.
 
     The inverse of lam -> rot (nu - lam)/(1 - conj(nu) lam) is
     w -> (nu - conj(rot) w)/(1 - conj(nu rot) w).  With its denominator
     cleared, z^0 becomes 1 - conj(nu rot) w and z^1 becomes nu - conj(rot) w;
-    column a of the matrix holds the coefficients (of w^0, w^1) of z^a.
+    column a of the 2x2 nested list holds the coefficients (of w^0, w^1) of z^a.
     """
     rc = m.rotation.conjugate()
-    return np.array([[1.0, m.nu], [-m.nu.conjugate() * rc, -rc]])
+    return [[1.0, m.nu], [-m.nu.conjugate() * rc, -rc]]
 
 
 def transport(alpha: Alpha, m: TridiscAutomorphism, tol: float = 1e-9) -> Alpha:
@@ -243,14 +242,16 @@ def transport(alpha: Alpha, m: TridiscAutomorphism, tol: float = 1e-9) -> Alpha:
     sum of moduli, which bounds the residual of beta on the image at every
     point of the closed tridisc.
     """
+    import numpy as np
+
     base = m.inverse_point((0.0j, 0.0j, 0.0j))
     if max(abs(w) for w in base) >= 1.0:
         raise InvalidAutomorphism("preimage of 0 left the tridisc")
     if abs(membership_residual(alpha, base)) > tol:
         raise InvalidAutomorphism("m does not move a surface point to the origin")
 
-    T = _equation_tensor(alpha).transpose(m.perm)
-    Q = np.einsum("abc,ia,jb,kc->ijk", T, *(_inverse_slot_matrix(s) for s in m.maps))
+    T = np.array(_equation_tensor(alpha)).transpose(m.perm)
+    Q = np.einsum("abc,ia,jb,kc->ijk", T, *(np.array(_inverse_slot_matrix(s)) for s in m.maps))
     F = -complex(Q[0, 0, 1])
     if abs(F) < 1e-12 * float(np.abs(Q).max()):
         raise DegenerateImage("image surface has F = 0; not a graph over (z1, z2)")
@@ -262,7 +263,7 @@ def transport(alpha: Alpha, m: TridiscAutomorphism, tol: float = 1e-9) -> Alpha:
     if c.real < 0 or (c.real == 0 and c.imag < 0):
         c = -c
     beta = Alpha(c * E.conjugate(), c * D.conjugate(), -c.conjugate())
-    worst = float(np.abs(Q * (beta.a3 / -F) - _equation_tensor(beta)).sum())
+    worst = float(np.abs(Q * (beta.a3 / -F) - np.array(_equation_tensor(beta))).sum())
     if not worst <= tol:
         raise DegenerateImage(f"transported coefficients miss by {worst:.3e}, above tolerance")
     return beta

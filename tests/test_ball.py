@@ -147,6 +147,13 @@ def test_universal_member_B2_properties():
             assert abs(member(t * a)) < 1e-13
 
 
+def test_universal_member_B2_tiny_parameter():
+    # |a|^2 underflows to 0 here; the member at a -> 0 along e1 is z -> z2
+    assert abs(universal_member_B2((1e-170, 0))((0.1, 0.2)) - 0.2) <= 1e-15
+    with pytest.raises(DomainError, match="nonzero"):
+        universal_member_B2((0, 0))
+
+
 def test_universal_member_linear():
     member = universal_member_linear(1.0, 0.0)
     assert member((0.3, 0.5j)) == pytest.approx(0.3)

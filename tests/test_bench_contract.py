@@ -1,18 +1,24 @@
 """The benchmark's calling contract, run as a fast test.
 
-Imports ``bench/workloads.py`` and ``bench/check.py`` unchanged, runs the first
-chunk of each kind of every workload through them, and requires every item to
-succeed and pass its independent check.  A change to the package that breaks
-what the benchmark calls fails here instead of at benchmark time.
+Imports ``bench/workloads.py``, ``bench/check.py`` and ``bench/traced.py``
+unchanged.  Runs the first chunk of each kind of every workload through them,
+and requires every item to succeed and pass its independent check.  Runs one
+short traced run of every workload and requires a well-formed result: every
+per-layer metric of ``BENCHMARK.json``, finite and strict JSON.  A change to
+the package that breaks what the benchmark calls fails here instead of at
+benchmark time.
 """
 
 import json
+import math
 import sys
 from pathlib import Path
 
 import pytest
 
-BENCH = Path(__file__).resolve().parent.parent / "bench"
+ROOT = Path(__file__).resolve().parent.parent
+BENCH = ROOT / "bench"
+WORKLOADS = ["verify-fat", "sweep-wide", "automorphisms"]
 
 
 @pytest.fixture(scope="module")
@@ -21,16 +27,17 @@ def bench():
     sys.dont_write_bytecode, saved = True, sys.dont_write_bytecode  # leave bench/ as it is
     try:
         import check
+        import traced
         import workloads
     finally:
         sys.path.remove(str(BENCH))
         sys.dont_write_bytecode = saved
-    return workloads, check
+    return workloads, check, traced
 
 
-@pytest.mark.parametrize("workload", ["verify-fat", "sweep-wide", "automorphisms"])
+@pytest.mark.parametrize("workload", WORKLOADS)
 def test_first_chunks_run_and_pass_checks(bench, workload):
-    wl, check = bench
+    wl, check, _ = bench
     assert workload in wl.WORKLOADS
     inputs = wl.make_inputs(workload, 1)
     first = {}
@@ -53,3 +60,20 @@ def test_first_chunks_run_and_pass_checks(bench, workload):
                 checks.ball(inputs["ball"][i], res, i)
     assert set(first) == ({"transport", "ball"} if workload == "automorphisms" else {"dab"})
     assert (checks.disc_miss, checks.transport_miss, checks.ball_miss, checks.missed) == (0, 0, 0, 0)
+
+
+@pytest.mark.parametrize("workload", WORKLOADS)
+def test_traced_run_reports_every_layer_metric(bench, workload, tmp_path):
+    traced = bench[2]
+    res = traced.traced_run(workload, 1, 0.0, tmp_path / "spans.jsonl")
+    assert (res["absent"], res["problems"], res["failed"]) == ([], [], 0)
+    metrics = res["metrics"]
+    per_layer = [m["name"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]]
+    assert [name for name in per_layer if name not in metrics] == []
+    assert [name for name, (value, _) in metrics.items() if not math.isfinite(value)] == []
+    # the fixtures are known hard cases: counted, not yet all solved
+    assert 0 <= metrics["check.fixture_misses"][0] <= 6
+    # the last line bench/run.py prints
+    line = {"correct": not res["problems"], "attempted": res["attempted"], "failed": res["failed"],
+            "metrics": {k: {"value": v, "unit": u} for k, (v, u) in metrics.items()}}
+    json.loads(json.dumps(line, allow_nan=False))
