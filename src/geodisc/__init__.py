@@ -23,8 +23,8 @@ _EXPORTS = {
                   "branch_track", "phi_gamma", "solve_omega_eta"),
     "metrics": ("GeodesicCertificate", "LempertReport", "UniversalMember", "UniversalSet", "c_M_origin",
                 "c_dab", "c_polydisc", "dab_universal_set", "geodesic_through", "indicatrix_membership",
-                "kappa_dab_origin", "lempert_verify", "linear_convexity_quadratic", "psi_x_forward",
-                "universal_c", "universal_embed", "universal_gamma"),
+                "kappa_dab_origin", "lempert_verify", "linear_convexity_quadratic", "universal_c",
+                "universal_embed", "universal_gamma"),
     "ball": ("BallExtremal", "ComplexLine", "F_left_inverse", "ball_automorphism", "boundary_modulus_locus",
              "c_star_ball", "f_t_geodesic", "minimal_norm_point", "psi_l", "universal_member_B2",
              "universal_member_linear"),

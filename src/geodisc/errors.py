@@ -58,7 +58,11 @@ class DegenerateDirection(GeodiscError):
 
 
 class ConvergenceFailure(GeodiscError):
-    """Iterative inversion exhausted its multistart budget."""
+    """No closed-form preimage candidate passed the certificate's tolerance.
+
+    `best_residual` is the smallest residual among the candidates, or inf
+    when none lies inside the lens.
+    """
 
     def __init__(self, message: str, best_residual: float = float("nan")):
         super().__init__(message)

@@ -31,6 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .discgeom import BOUNDARY_TOL, MobiusMap, Quadratic, require_disc_point, rho, schur_roots_outside
+from .varieties import Alpha, surface_residual
 from .errors import (
     BranchCollision,
     DegenerateDirection,
@@ -78,12 +79,6 @@ class Lens:
         y = math.sqrt(y2)
         return (complex(x, y), complex(x, -y))
 
-    def interior_points(self, count: int, seed: int = 1, margin: float = 0.02) -> list[complex]:
-        """Deterministic rejection sample of the lens interior."""
-        if not self.nonempty:
-            raise EmptyLens(f"lens of ({self.a}, {self.b}) is empty")
-        return list(_lens_grid(self.a, self.b, count, seed, margin))
-
     def boundary_points(self, count: int) -> list[tuple[str, complex]]:
         """Polyline of the two boundary arcs, corner to corner.
 
@@ -103,28 +98,6 @@ class Lens:
             t = ph - 2.0 * ph * k / count
             out.append(("pair-circle", ctr + rad * cmath.exp(1j * t)))
         return out
-
-
-from functools import lru_cache
-
-
-@lru_cache(maxsize=256)
-def _lens_grid(a: float, b: float, count: int, seed: int, margin: float) -> tuple[complex, ...]:
-    from .oracle import rng_for
-
-    lens = Lens(a, b)
-    while True:
-        rng = rng_for(seed, 0)
-        pts: list[complex] = []
-        for _ in range(200000):
-            if len(pts) >= count:
-                return tuple(pts)
-            g = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
-            if lens.contains(g, tol=margin):
-                pts.append(g)
-        if margin < 1e-9:
-            raise EmptyLens("lens sampling exhausted")
-        margin *= 0.25  # thin lens: relax the interior margin and retry
 
 
 @dataclass(frozen=True)
@@ -170,9 +143,13 @@ def solve_omega_eta(L: Lens, gamma1: complex, tol: float = BOUNDARY_TOL) -> tupl
     if aq >= hi - tol or aq <= lo + tol:
         raise Tangent(f"|q| = {aq:.6g} within tolerance of the interval ends")
     u = -q / aq
-    ct = (r1 * r1 + aq * aq - r2 * r2) / (2.0 * r1 * aq)
-    ct = min(1.0, max(-1.0, ct))
-    st = math.sqrt(1.0 - ct * ct)
+    # 1 - cos and 1 + cos of the angle at r1*omega, each a product of side
+    # differences, so that a thin triangle keeps its small angle to full
+    # relative precision
+    one_minus = (aq - r1 + r2) * (r1 + r2 - aq) / (2.0 * r1 * aq)
+    one_plus = (r1 + aq - r2) * (r1 + aq + r2) / (2.0 * r1 * aq)
+    ct = 1.0 - one_minus if one_minus < one_plus else one_plus - 1.0
+    st = math.sqrt(max(0.0, one_minus * one_plus))
     out = []
     for sign, name in ((+1.0, PLUS), (-1.0, MINUS)):
         w = u * complex(ct, sign * st)
@@ -278,32 +255,43 @@ class AnalyticDisc:
 CERTIFY_NODES = np.array(
     [0.97 * cmath.exp(2j * math.pi * k / 32) * (0.15 + 0.85 * ((k * 23) % 32) / 32) for k in range(32)]
 )
+# Their powers 3, 2, 1, 0, one row each: a row of four descending
+# coefficients times this array is the polynomial at every node.
+_NODE_POWERS = CERTIFY_NODES ** np.arange(3, -1, -1)[:, None]
+
+
+def _padded(cs: tuple[complex, ...], degree: int, error: str) -> tuple[complex, ...]:
+    """cs as four coefficients; DomainError(error) above the given degree."""
+    if len(cs) > degree + 1 and any(abs(c) > 1e-14 for c in cs[: -degree - 1]):
+        raise DomainError(error)
+    return (0.0j,) * (4 - len(cs)) + cs[-4:]
 
 
 def _certify_disc(disc: AnalyticDisc, a: float, b: float, tol: float = RESIDUAL_TOL):
     """Residual check on the (a, b, 1) variety plus Schur check of denominators.
 
-    Every component is evaluated by Horner over all of CERTIFY_NODES at once;
-    each value must be a finite point of the open disc, and the defining
-    equation must hold there to within `tol`.
+    The numerators (degree at most three) and denominators (at most two) of
+    all components are stacked into one coefficient array, so one product
+    with the node powers evaluates them over all of CERTIFY_NODES; each value
+    must be a finite point of the open disc, and the defining equation must
+    hold there to within `tol`.
     """
-    from .varieties import Alpha, surface_residual
-
-    for comp in disc.components:
-        dcs = comp.den[-3:] if len(comp.den) >= 3 else (0.0j,) * (3 - len(comp.den)) + comp.den
-        if len(comp.den) > 3 and any(abs(c) > 1e-14 for c in comp.den[:-3]):
-            raise DomainError("denominator degree exceeds two")
-        if not schur_roots_outside(Quadratic(*dcs)):
+    comps = disc.components
+    dens = [_padded(comp.den, 2, "denominator degree exceeds two") for comp in comps]
+    for dcs in dens:
+        if not schur_roots_outside(Quadratic(*dcs[1:])):
             raise DomainError("component denominator has a root in the closed disc")
+    coeffs = np.array([_padded(comp.num, 3, "numerator degree exceeds three") for comp in comps] + dens)
+    n = len(comps)
     with np.errstate(all="ignore"):
-        vals = [comp(CERTIFY_NODES) for comp in disc.components]
+        both = coeffs @ _NODE_POWERS
+        vals = both[:n] / both[n:]
     inside = np.abs(vals) < 1.0  # false for non-finite values too
     if not inside.all():
         # the first offending value in node order raises the point check's error
         k, j = np.argwhere(~inside.T)[0]
-        require_disc_point(vals[j][k])
-    alpha = Alpha(complex(a), complex(b), 1.0 + 0.0j)
-    worst = float(np.abs(surface_residual(alpha, *vals)).max())
+        require_disc_point(vals[j, k])
+    worst = float(np.abs(surface_residual(Alpha(complex(a), complex(b), 1.0 + 0.0j), *vals)).max())
     if worst > tol:
         raise DomainError(f"constructed disc misses the variety by {worst:.3e}")
     return disc
@@ -317,12 +305,25 @@ def _mobius_factor_map(nu: complex, rot: complex) -> RationalMap:
     )
 
 
-def phi_gamma(L: Lens, gamma1: complex, branch: str = PLUS, tol: float = BOUNDARY_TOL) -> AnalyticDisc:
-    """Geodesic through the origin tangent to (gamma1, gamma2, 1)."""
+def phi_gamma(
+    L: Lens,
+    gamma1: complex,
+    branch: str = PLUS,
+    tol: float = BOUNDARY_TOL,
+    omega_eta: OmegaEta | None = None,
+) -> AnalyticDisc:
+    """Geodesic through the origin tangent to (gamma1, gamma2, 1).
+
+    The unimodular pair is the `branch` solution of `solve_omega_eta`, unless
+    `omega_eta` gives the pair (with its own branch label) to use as it is.
+    """
     if branch not in (PLUS, MINUS):
         raise DomainError(f"unknown branch {branch!r}")
-    sols = solve_omega_eta(L, gamma1, tol=tol)
-    sol = sols[0] if branch == PLUS else sols[1]
+    if omega_eta is None:
+        sols = solve_omega_eta(L, gamma1, tol=tol)
+        sol = sols[0] if branch == PLUS else sols[1]
+    else:
+        sol = omega_eta
     g2 = L.gamma2(gamma1)
     disc = AnalyticDisc(
         components=(

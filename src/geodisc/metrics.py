@@ -2,18 +2,19 @@
 
 Distances from the origin on the variety of (a, b, 1) and on the planar-pair
 domain reduce to coordinate maxima of disc distances; the certificate that
-the maximum is attained is an explicit analytic disc through the target,
-produced by inverting the tangent-to-point map with damped Gauss-Newton in
-the lens coordinate.  Newton starts from the closed-form preimage
-candidates; the deterministic lens grid is a fallback, built (once per lens)
-only when those starts fail.
+the maximum is attained is an explicit analytic disc through the target.
+Its tangent parameter is one of at most two closed-form preimage candidates,
+and its unimodular pair is read off the target, so the disc passes through
+the target by construction (near the origin, where that reading loses
+digits, an exact pair is used and its disc checked at the target); no
+iterative search is involved.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -30,7 +31,16 @@ from .errors import (
     Tangent,
     Infeasible,
 )
-from .geodesics import PLUS, MINUS, AnalyticDisc, Lens, phi_gamma, solve_omega_eta
+from .geodesics import (
+    PLUS,
+    MINUS,
+    AnalyticDisc,
+    Lens,
+    OmegaEta,
+    _ik_data,
+    phi_gamma,
+    solve_omega_eta,
+)
 from .varieties import Alpha, DomainDab, dab_contains, membership_residual
 from .oracle import rng_for
 
@@ -70,18 +80,17 @@ def c_M_origin(a: float, b: float, z, tol: float = 1e-8) -> float:
     return max(rho(0.0j, complex(zj)) for zj in z)
 
 
-def psi_x_forward(L: Lens, gamma1: complex, branch: str, x: complex) -> tuple[complex, complex]:
-    """Slice coordinates of the tangent-(gamma,1) geodesic at parameter x."""
-    if not 0.0 < abs(x) < 1.0:
-        raise DomainError("x must satisfy 0 < |x| < 1")
-    sols = solve_omega_eta(L, gamma1)
-    sol = sols[0] if branch == PLUS else sols[1]
-    g2 = L.gamma2(gamma1)
-    return (MobiusMap(gamma1)(sol.omega * x), MobiusMap(g2)(sol.eta * x))
-
-
 @dataclass(frozen=True)
 class GeodesicCertificate:
+    """A disc through the origin and the target, hitting it at param_at_target.
+
+    `residual` is what the chosen candidate was accepted on: the relative
+    inverse-kinematics residual |r1 omega + r2 eta + q| / |q| of the pair read
+    off the target, or, where the exact pair was used instead, its disc's
+    miss at the target.  `alternates` lists (branch, gamma1) of the other
+    accepted candidates.
+    """
+
     disc: AnalyticDisc
     param_at_target: complex
     residual: float
@@ -104,166 +113,6 @@ class GeodesicCertificate:
                 {"branch": br, "gamma1": [g.real, g.imag]} for br, g in self.alternates
             ],
         }
-
-
-def _forward_error(L: Lens, g: complex, branch: str, x: complex, t1: complex, t2: complex):
-    try:
-        p1, p2 = psi_x_forward(L, g, branch, x)
-    except (Tangent, Infeasible, DomainError):
-        return None
-    return (p1 - t1, p2 - t2)
-
-
-def _forward_error_mp(L: Lens, g: complex, branch: str, x, t1, t2, dps: int = 40):
-    """High-precision mirror of the slice-map residual.
-
-    Near the lens corners the double-precision pipeline has a noise floor of
-    about 1e-8 (tiny r1, r2, q amplified through the Mobius factors), so the
-    final digits of stiff inversions are evaluated in mpmath.
-    """
-    import mpmath as mp
-
-    with mp.workdps(dps):
-        a, b = mp.mpf(L.a), mp.mpf(L.b)
-        gm, xm = mp.mpc(g), mp.mpc(x)
-        g2 = -(a * gm + 1) / b
-        r1 = a * (1 - mp.re(gm * mp.conj(gm)))
-        r2 = b * (1 - mp.re(g2 * mp.conj(g2)))
-        q = a * g2 + b * gm + gm * g2
-        aq = mp.fabs(q)
-        if r1 <= 0 or r2 <= 0 or aq == 0:
-            return None
-        ct = (r1 * r1 + aq * aq - r2 * r2) / (2 * r1 * aq)
-        if ct > 1 or ct < -1:
-            return None
-        st = mp.sqrt(1 - ct * ct)
-        sign = 1 if branch == PLUS else -1
-        u = -q / aq
-        w = u * (ct + sign * 1j * st)
-        e = (-q - r1 * w) / r2
-        p1 = (gm - w * xm) / (1 - mp.conj(gm) * w * xm)
-        p2 = (g2 - e * xm) / (1 - mp.conj(g2) * e * xm)
-        d1, d2 = p1 - mp.mpc(t1), p2 - mp.mpc(t2)
-        return (complex(d1), complex(d2))
-
-
-def _compass_polish(L: Lens, g: complex, res: float, branch: str, x, t1, t2, tol):
-    """Derivative-free descent for the last digits where the finite-difference
-    Jacobian has run out of accuracy."""
-    step = 1e-7
-    while step > 1e-16 and res >= tol:
-        moved = False
-        for dg in (step, -step, 1j * step, -1j * step,
-                   step * (1 + 1j), step * (1 - 1j), -step * (1 + 1j), -step * (1 - 1j)):
-            e = _forward_error(L, g + dg, branch, x, t1, t2)
-            if e is None:
-                continue
-            r = max(abs(e[0]), abs(e[1]))
-            if r < res:
-                g, res, moved = g + dg, r, True
-                break
-        if not moved:
-            step *= 0.5
-    return g, res
-
-
-def _gauss_newton_mp(L: Lens, g0: complex, branch: str, x, t1, t2, tol, max_iter=25):
-    """Gauss-Newton with the residual and Jacobian evaluated in mpmath.
-
-    Used for preimages near the lens corners, where double precision cannot
-    resolve residuals below about 1e-8.
-    """
-    h = 1e-9
-
-    def err(gg):
-        return _forward_error_mp(L, gg, branch, x, t1, t2)
-
-    g = g0
-    e = err(g)
-    if e is None:
-        return None, float("inf")
-    res = max(abs(e[0]), abs(e[1]))
-    for _ in range(max_iter):
-        if res < tol:
-            return g, res
-        cols = []
-        for dg in (h, 1j * h):
-            ep, em = err(g + dg), err(g - dg)
-            if ep is None or em is None:
-                return g, res
-            cols.append([(ep[k] - em[k]) / (2 * h) for k in range(2)])
-        J = np.array(
-            [
-                [cols[0][0].real, cols[1][0].real],
-                [cols[0][0].imag, cols[1][0].imag],
-                [cols[0][1].real, cols[1][1].real],
-                [cols[0][1].imag, cols[1][1].imag],
-            ]
-        )
-        rhs = -np.array([e[0].real, e[0].imag, e[1].real, e[1].imag])
-        step, *_ = np.linalg.lstsq(J, rhs, rcond=None)
-        dgc = complex(step[0], step[1])
-        scale = 1.0
-        for _ in range(30):
-            en = err(g + scale * dgc)
-            if en is not None:
-                rn = max(abs(en[0]), abs(en[1]))
-                if rn < res:
-                    g, e, res = g + scale * dgc, en, rn
-                    break
-            scale *= 0.5
-        else:
-            return g, res
-    return g, res
-
-
-def _gauss_newton(L: Lens, g0: complex, branch: str, x, t1, t2, tol, max_iter=80):
-    """Damped Gauss-Newton on (Re g, Im g); central-difference Jacobian."""
-    h = 1e-7
-    g = g0
-    err = _forward_error(L, g, branch, x, t1, t2)
-    if err is None:
-        return None, float("inf")
-    res = max(abs(err[0]), abs(err[1]))
-    for _ in range(max_iter):
-        if res < tol:
-            return g, res
-        cols = []
-        for dg in (h, 1j * h):
-            ep = _forward_error(L, g + dg, branch, x, t1, t2)
-            em = _forward_error(L, g - dg, branch, x, t1, t2)
-            if ep is None or em is None:
-                return g, res
-            cols.append([(ep[k] - em[k]) / (2 * h) for k in range(2)])
-        J = np.array(
-            [
-                [cols[0][0].real, cols[1][0].real],
-                [cols[0][0].imag, cols[1][0].imag],
-                [cols[0][1].real, cols[1][1].real],
-                [cols[0][1].imag, cols[1][1].imag],
-            ]
-        )
-        rhs = -np.array([err[0].real, err[0].imag, err[1].real, err[1].imag])
-        step, *_ = np.linalg.lstsq(J, rhs, rcond=None)
-        dgc = complex(step[0], step[1])
-        # damping by halving until the residual drops
-        scale = 1.0
-        for _ in range(25):
-            gn = g + scale * dgc
-            errn = _forward_error(L, gn, branch, x, t1, t2)
-            if errn is not None:
-                resn = max(abs(errn[0]), abs(errn[1]))
-                if resn < res:
-                    g, err, res = gn, errn, resn
-                    break
-            scale *= 0.5
-        else:
-            break
-    if tol <= res < 1e-4:
-        g, res = _compass_polish(L, g, res, branch, x, t1, t2, tol)
-    if tol <= res < 1e-5:
-        g, res = _gauss_newton_mp(L, g, branch, x, t1, t2, tol)
-    return g, res
 
 
 def _h_circle(center: complex, s: float) -> tuple[complex, float]:
@@ -299,57 +148,41 @@ def _intersection_candidates(L: Lens, x, t1, t2) -> list[complex]:
     return [c1 + r1 * u * complex(ct, st), c1 + r1 * u * complex(ct, -st)]
 
 
-def _h_circle_search(L: Lens, branch: str, x, t1, t2, tol, grid: int = 720):
-    """1-D inversion fallback along the hyperbolic circle around the target.
+def _read_pair_disc(L: Lens, g: complex, pair: OmegaEta):
+    """(branch, disc) of the pair read off the target, labelled by the nearer
+    exact solution; None when g is infeasible or the disc is off the
+    variety."""
+    try:
+        sols = solve_omega_eta(L, g)
+    except Infeasible:
+        return None
+    except Tangent:
+        pass  # the two solutions coalesce: the sign label stands
+    else:
+        near = min(sols, key=lambda s: abs(s.omega - pair.omega) + abs(s.eta - pair.eta))
+        pair = OmegaEta(pair.omega, pair.eta, near.branch)
+    try:
+        return pair.branch, phi_gamma(L, g, pair.branch, omega_eta=pair)
+    except DomainError:
+        return None
 
-    The first component of the slice map sits at hyperbolic distance
-    arctanh|x| from gamma1, so any preimage lies on the hyperbolic circle of
-    that radius centered at t1.  Searching its Euclidean parametrization
-    pins the stiff radial direction exactly and stays stable as |x| -> 1.
-    """
-    s = abs(x)
-    denom = 1.0 - s * s * abs(t1) ** 2
-    cE = t1 * (1.0 - s * s) / denom
-    rE = s * (1.0 - abs(t1) ** 2) / denom
 
-    def err(phi: float) -> float:
-        g = cE + rE * complex(math.cos(phi), math.sin(phi))
-        e = _forward_error(L, g, branch, x, t1, t2)
-        if e is None:
-            return float("inf")
-        return max(abs(e[0]), abs(e[1]))
-
-    vals = [(2.0 * math.pi * k / grid, err(2.0 * math.pi * k / grid)) for k in range(grid)]
-    best_g, best_res = None, float("inf")
-    for k in range(grid):
-        pm, p0, pp = vals[k - 1], vals[k], vals[(k + 1) % grid]
-        if not (math.isfinite(p0[1]) and p0[1] <= pm[1] and p0[1] <= pp[1]):
+def _exact_pair_discs(L: Lens, gammas, x: complex, z, tol: float):
+    """(gamma1, branch, disc, miss) for each exact solution at each of
+    `gammas` whose disc is on the variety and passes through z within tol."""
+    for g in gammas:
+        try:
+            sols = solve_omega_eta(L, g)
+        except (Infeasible, Tangent):
             continue
-        lo = p0[0] - 2.0 * math.pi / grid
-        hi = p0[0] + 2.0 * math.pi / grid
-        # golden-section refinement of the local minimum
-        gr = 0.5 * (math.sqrt(5.0) - 1.0)
-        u, v = hi - gr * (hi - lo), lo + gr * (hi - lo)
-        fu, fv = err(u), err(v)
-        for _ in range(90):
-            if hi - lo < 1e-15:
-                break
-            if fu <= fv:
-                hi, v, fv = v, u, fu
-                u = hi - gr * (hi - lo)
-                fu = err(u)
-            else:
-                lo, u, fu = u, v, fv
-                v = lo + gr * (hi - lo)
-                fv = err(v)
-        phi = u if fu <= fv else v
-        res = min(fu, fv)
-        if res < best_res:
-            best_res = res
-            best_g = cE + rE * complex(math.cos(phi), math.sin(phi))
-        if best_res < tol:
-            break
-    return best_g, best_res
+        for sol in sols:
+            try:
+                disc = phi_gamma(L, g, sol.branch, omega_eta=sol)
+            except DomainError:
+                continue
+            miss = max(abs(u - v) for u, v in zip(disc(x), z))
+            if miss <= tol:
+                yield g, sol.branch, disc, miss
 
 
 def geodesic_through(
@@ -358,19 +191,36 @@ def geodesic_through(
     z,
     tol: float = MATCH_TOL,
     find_alternates: bool = False,
-    multistart: int = 16,
 ) -> GeodesicCertificate:
     """Certificate geodesic through the origin and z on the variety of (a, b, 1).
 
     Requires the third coordinate to dominate in modulus (permute first).
-    Inverts the slice map by damped Gauss-Newton over the lens coordinate,
-    on each branch in turn.  Newton starts from the closed-form intersection
-    candidates and the small-parameter limit gamma ~ z1/z3; only when none
-    of these converges on a branch does it go on to `multistart` points of a
-    deterministic lens grid, which is built then and cached per lens.
-    Targets whose preimage hugs the lens boundary fall back to a
-    one-dimensional search along the hyperbolic circle on which the
-    preimage must lie.
+    The preimage is closed form.  With t = (z1, z2)/x, the tangent parameter
+    gamma1 lies on two hyperbolic circles, which meet in at most two points
+    (`_intersection_candidates`); those inside the lens are the candidates.
+    For each, the unimodular pair is read off the target,
+
+        omega = m_gamma1(t1) / x,    eta = m_gamma2(t2) / x,
+
+    so its disc passes through z by construction.  A candidate is accepted
+    when its relative inverse-kinematics (IK) residual
+    |r1 omega + r2 eta + q| / |q| is at most `tol`; plus-branch candidates
+    come first, then the smaller residual.  The accepted pair is labelled by
+    the nearer of the two `solve_omega_eta` solutions (by its own sign where
+    they coalesce), and `phi_gamma` checks its disc on the variety.  With
+    `find_alternates`, the other accepted candidate is listed as an
+    alternate.
+
+    z_j / x holds omega x only to rounding, so the pair read off a target
+    with small |x| carries an error of order eps/|x|, and for |x| below
+    about 1e-8 the two circles cannot be resolved either.  When no read pair
+    gives a certified disc, the exact solutions of `solve_omega_eta` are
+    tried at each candidate and at the small-parameter limit gamma1 = t1
+    (z = x (gamma1, gamma2, 1) + O(x^2)); one is kept when its disc passes
+    through z within `tol`, and the others that pass are the alternates.
+    The certificate's `residual` is the quantity the chosen candidate was
+    tested on: the IK residual of the read pair, or the miss of the exact
+    pair's disc at z.  Raises ConvergenceFailure when nothing passes.
     """
     z = tuple(complex(w) for w in z)
     alpha = Alpha(complex(a), complex(b), 1.0 + 0.0j)
@@ -384,55 +234,51 @@ def geodesic_through(
         raise DomainError("third coordinate must dominate; permute coordinates first")
     t1, t2 = z1 / x, z2 / x
     L = Lens(a, b)
-
     if not L.nonempty:
         raise EmptyLens(f"lens of ({L.a}, {L.b}) is empty")
-    cheap: list[complex] = list(_intersection_candidates(L, x, t1, t2))
-    if L.contains(t1, tol=1e-6):
-        cheap.append(t1)
 
-    def starts():
-        yield from cheap
-        # the lens grid is built (and cached per lens) only when a branch
-        # gets past every closed-form start
-        yield from L.interior_points(multistart, seed=11)
-
-    best_res = float("inf")
-    found: list[tuple[str, complex, float]] = []
-    for branch in (PLUS, MINUS):
-        for g0 in starts():
-            g, res = _gauss_newton(L, g0, branch, x, t1, t2, tol)
-            best_res = min(best_res, res)
-            if g is not None and res < tol:
-                found.append((branch, g, res))
-                break
-        if found and not find_alternates:
+    ranked = []
+    for g in dict.fromkeys(_intersection_candidates(L, x, t1, t2)):
+        if not L.contains(g):
+            continue
+        g2, r1, r2, q = _ik_data(L, g)
+        omega = (g - t1) / (1.0 - g.conjugate() * t1) / x
+        eta = (g2 - t2) / (1.0 - g2.conjugate() * t2) / x
+        res = abs(r1 * omega + r2 * eta + q) / abs(q) if q else math.inf
+        # solve_omega_eta's convention: plus turns positively from -q to r1 omega
+        plus = (omega * -q.conjugate()).imag > 0.0
+        ranked.append((not plus, res, g, OmegaEta(omega, eta, PLUS if plus else MINUS)))
+    ranked.sort(key=lambda c: c[:2])  # plus branch first, then the smaller residual
+    accepted = [c for c in ranked if c[1] <= tol]
+    for k, (_, res, g, pair) in enumerate(accepted):
+        found = _read_pair_disc(L, g, pair)
+        if found:
+            branch, disc = found
+            alternates = [(c[3].branch, c[2]) for c in accepted if c is not accepted[k]]
             break
-    if not found:
-        for branch in (PLUS, MINUS):
-            g, res = _h_circle_search(L, branch, x, t1, t2, tol)
-            best_res = min(best_res, res)
-            if g is not None and res < tol:
-                found.append((branch, g, res))
-                break
-    if not found:
-        raise ConvergenceFailure(
-            f"no lens preimage located; best residual {best_res:.3e}", best_residual=best_res
-        )
+    else:
+        # near the origin: exact pairs, at the candidates and at the
+        # small-parameter limit gamma1 = t1, since z = x (gamma1, gamma2, 1) + O(x^2)
+        gammas = [c[2] for c in ranked] + ([t1] if L.contains(t1) else [])
+        exact = _exact_pair_discs(L, gammas, x, z, tol)
+        g, branch, disc, res = next(exact, (None,) * 4)
+        if disc is None:
+            best = min((c[1] for c in ranked), default=math.inf)
+            raise ConvergenceFailure(
+                f"no lens preimage located; best residual {best:.3e}", best_residual=best
+            )
+        alternates = [(br, gg) for gg, br, _, _ in exact] if find_alternates else []
 
-    branch, g, res = found[0]
-    disc = phi_gamma(L, g, branch)
-    cval = max(rho(0.0j, w) for w in z)
-    lval = rho(0.0j, x)
+    dists = [rho(0.0j, w) for w in z]
     return GeodesicCertificate(
         disc=disc,
         param_at_target=x,
         residual=res,
-        caratheodory_value=cval,
-        lempert_value=lval,
+        caratheodory_value=max(dists),
+        lempert_value=dists[2],
         gamma1=g,
         branch=branch,
-        alternates=tuple((br, gg) for br, gg, _ in found[1:]),
+        alternates=tuple(alternates) if find_alternates else (),
     )
 
 

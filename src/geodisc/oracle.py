@@ -15,7 +15,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import EvaluationOutOfDisc, NotThrough, PoleError, ZeroPolynomial
+from .errors import EmptyLens, EvaluationOutOfDisc, NotThrough, PoleError, ZeroPolynomial
 from .discgeom import Quadratic
 from .varieties import Alpha, graph_value
 
@@ -184,6 +184,31 @@ def surface_samples(alpha: Alpha, n: int, seed: int = 20240) -> list:
         inv = {perm[j]: j for j in range(3)}
         pts.append(tuple(w[inv[k]] for k in range(3)))
     return pts
+
+
+def lens_interior_points(
+    a: float, b: float, count: int, seed: int = 1, margin: float = 0.02
+) -> list[complex]:
+    """Deterministic rejection sample of the lens |g| < 1, |a g + 1| < b.
+
+    Points come from the one stream `rng_for(seed, 0)` and keep a distance
+    `margin` from both boundary circles; a thin lens that yields too few
+    points in 200 000 draws restarts the stream with a quarter of the margin.
+    """
+    if not abs(a - b) < 1.0 < a + b:
+        raise EmptyLens(f"lens of ({a}, {b}) is empty")
+    while True:
+        rng = rng_for(seed, 0)
+        pts: list[complex] = []
+        for _ in range(200000):
+            if len(pts) >= count:
+                return pts
+            g = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+            if abs(g) < 1.0 - margin and abs(a * g + 1.0) < b - margin:
+                pts.append(g)
+        if margin < 1e-9:
+            raise EmptyLens("lens sampling exhausted")
+        margin *= 0.25
 
 
 def _sample_ball(seed, i, n=2, radius=1.0):

@@ -1,0 +1,86 @@
+"""Regression cases: hard targets found by sampling, each of which must now
+certify.  The returned disc is checked here without `_certify_disc` or
+`RationalMap.__call__`: its JSON is reloaded and its components are evaluated
+from their coefficients, the defining equation is written out, and the
+denominators' roots come from `oracle.quadratic_roots`."""
+
+import cmath
+import json
+import math
+
+import pytest
+
+from geodisc.discgeom import MATCH_TOL, Quadratic
+from geodisc.geodesics import CERTIFY_NODES, AnalyticDisc
+from geodisc.metrics import c_dab, geodesic_through
+from geodisc.oracle import quadratic_roots
+from geodisc.varieties import DomainDab
+
+# Fixed hard cases, (a, b, z1, z2), found with the package's own sampler
+# (lempert_verify at (0.8, 0.8) with seeds 8, 22 and 33; geodisc sweep with
+# seeds 7 and 11 on the 3 x 3 grid a in [0.02, 20], b in [0.99, 20.5]): two
+# convergence failures with |z3| within 1e-5 of 1, a disc off the variety
+# where |z2| and |z3| tie to 2e-5, and three certificates that pass their own
+# residual yet whose discs miss the target by 4e-7, 1e-6 and 3e-9, all with
+# |z3| above 0.999.  These failures were those of an iterative inversion.
+FIXTURES = (
+    (0.8, 0.8, 0.8035035523696945 - 0.28547648879861764j, 0.07984285114202017 - 0.7532957631102906j),
+    (0.8, 0.8, -0.1814676078692723 + 0.46849426153451024j, -0.10924709492528795 + 0.7224358280738274j),
+    (0.8, 0.8, 0.12380399371316808 - 0.5842038123837479j, 0.6539614549647932 - 0.6198339607637795j),
+    (10.01, 10.745, -0.6287778060391143 - 0.3014976353631573j, 0.3302457861263741 - 0.7241557427803471j),
+    (20.0, 20.5, 0.5629907798311138 - 0.4905226643343963j, -0.5647537603262622 - 0.18935645116913946j),
+    (20.0, 20.5, 0.5153205695366978 + 0.8004770348578885j, -0.6694844258032555 + 0.3496152536016346j),
+)
+
+# 64 nodes off CERTIFY_NODES: eight radii up to 0.96 on eight rays each
+NODES = [0.96 * (k % 8 + 1) / 8 * cmath.exp(2j * math.pi * (k + 0.37) / 64) for k in range(64)]
+
+
+def _value(coeffs, lam):
+    """Polynomial with descending coefficients, as a plain sum of powers."""
+    n = len(coeffs) - 1
+    return sum(c * lam ** (n - i) for i, c in enumerate(coeffs))
+
+
+def _disc_at(disc, lam):
+    return [_value(c.num, lam) / _value(c.den, lam) for c in disc.components]
+
+
+def _permuted_target(a, b, z1, z2):
+    """Lift to the variety of (a, b, 1), put the dominant coordinate third,
+    and return the permuted parameters (a', b') with the permuted point."""
+    z = (z1, z2, (a * z1 + b * z2 - z1 * z2) / (a * z2 + b * z1 - 1.0))
+    k = max(range(3), key=lambda i: (abs(z[i]), i))
+    perm = {0: (2, 1, 0), 1: (0, 2, 1), 2: (0, 1, 2)}[k]
+    alpha = (a, b, 1.0)
+    return alpha[perm[0]] / alpha[perm[2]], alpha[perm[1]] / alpha[perm[2]], tuple(z[p] for p in perm)
+
+
+def test_nodes_avoid_the_certificate_nodes():
+    assert min(abs(u - v) for u in NODES for v in CERTIFY_NODES) > 1e-3
+
+
+@pytest.mark.parametrize("fixture", FIXTURES, ids=[f"fixture{i}" for i in range(len(FIXTURES))])
+def test_fixture_certifies(fixture):
+    a, b, z1, z2 = fixture
+    ap, bp, zp = _permuted_target(a, b, z1, z2)
+    cert = geodesic_through(ap, bp, zp)
+    assert cert.residual <= MATCH_TOL
+    assert abs(c_dab(DomainDab(a, b), (0j, 0j), (z1, z2)) - cert.lempert_value) <= MATCH_TOL
+
+    obj = json.loads(json.dumps(cert.to_json()))
+    disc = AnalyticDisc.from_json(obj["disc"])
+    x = complex(*obj["param_at_target"])
+    # through the origin and the target
+    assert max(abs(v) for v in _disc_at(disc, 0j)) == 0.0
+    assert max(abs(u - v) for u, v in zip(_disc_at(disc, x), zp)) <= 1e-9
+    # on the variety of (a', b', 1): a' z1 + b' z2 + z3 - z1 z2 - b' z1 z3 - a' z2 z3 = 0
+    for lam in NODES:
+        w1, w2, w3 = _disc_at(disc, lam)
+        assert max(abs(w1), abs(w2), abs(w3)) < 1.0
+        assert abs(ap * w1 + bp * w2 + w3 - w1 * w2 - bp * w1 * w3 - ap * w2 * w3) <= 1e-10
+    # inside the tridisc on the whole disc: no pole in the closed disc
+    for comp in disc.components:
+        assert all(abs(c) == 0.0 for c in comp.den[:-3])
+        roots = quadratic_roots(Quadratic(*comp.den[-3:]))
+        assert all(abs(r) > 1.0 for r in roots)

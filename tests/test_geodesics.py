@@ -35,7 +35,7 @@ from geodisc.geodesics import (
     solve_omega_eta,
     solvability_gaps,
 )
-from geodisc.oracle import rng_for
+from geodisc.oracle import lens_interior_points, rng_for
 from geodisc.varieties import Alpha, membership_residual
 
 
@@ -97,7 +97,7 @@ def test_solve_omega_eta_properties():
     for _ in range(300):
         a, b = rand_interesting(rng)
         L = Lens(a, b)
-        g = L.interior_points(1, seed=int(rng.integers(1 << 30)))[0]
+        g = lens_interior_points(a, b, 1, seed=int(rng.integers(1 << 30)))[0]
         plus, minus = solve_omega_eta(L, g)
         g2 = L.gamma2(g)
         r1 = a * (1 - abs(g) ** 2)
@@ -157,7 +157,7 @@ def test_branches_have_distinct_images():
     for _ in range(100):
         a, b = rand_interesting(rng)
         L = Lens(a, b)
-        g = L.interior_points(1, seed=int(rng.integers(1 << 30)))[0]
+        g = lens_interior_points(a, b, 1, seed=int(rng.integers(1 << 30)))[0]
         try:
             d_plus = phi_gamma(L, g, PLUS)
             d_minus = phi_gamma(L, g, MINUS)
@@ -193,7 +193,7 @@ def test_admissibility_margin_matches_equivalent_form():
     for _ in range(300):
         a, b = rand_interesting(rng)
         L = Lens(a, b)
-        g = L.interior_points(1, seed=int(rng.integers(1 << 30)))[0]
+        g = lens_interior_points(a, b, 1, seed=int(rng.integers(1 << 30)))[0]
         w = cmath.exp(2j * math.pi * rng.uniform())
         g2 = L.gamma2(g)
         r1 = a * (1 - abs(g) ** 2)
@@ -256,7 +256,7 @@ def test_admissible_arc_agreement_and_openness():
     for _ in range(50):
         a, b = rand_interesting(rng)
         L = Lens(a, b)
-        g = L.interior_points(1, seed=int(rng.integers(1 << 30)))[0]
+        g = lens_interior_points(a, b, 1, seed=int(rng.integers(1 << 30)))[0]
         arcs = admissible_arc(L, g)
         assert arcs, "arc must be nonempty for interior lens points"
         total = sum(hi - lo for lo, hi in arcs)

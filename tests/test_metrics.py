@@ -1,12 +1,15 @@
 import cmath
+import json
 import math
 
 import pytest
+from hypothesis import assume, given, reject, settings
+from hypothesis import strategies as st
 
 from geodisc.discgeom import MobiusMap, rho
 from geodisc import metrics
-from geodisc.errors import ConvergenceFailure, DomainError, NotInDomain, NotOnVariety
-from geodisc.geodesics import MINUS, PLUS, Lens, _lens_grid, phi_gamma
+from geodisc.errors import ConvergenceFailure, DomainError, GeodiscError, NotInDomain, NotOnVariety
+from geodisc.geodesics import MINUS, PLUS, AnalyticDisc, Lens, phi_gamma
 from geodisc.metrics import (
     UniversalMember,
     UniversalSet,
@@ -22,13 +25,12 @@ from geodisc.metrics import (
     lempert_verify,
     linear_convexity_quadratic,
     permuted_parameters,
-    psi_x_forward,
     _sample_dab,
     universal_c,
     universal_embed,
     universal_gamma,
 )
-from geodisc.oracle import quadratic_roots, rng_for
+from geodisc.oracle import lens_interior_points, lempert_upper_bound, quadratic_roots, rng_for
 from geodisc.discgeom import Quadratic
 from geodisc.varieties import DomainDab, lift_to_M
 
@@ -81,11 +83,13 @@ def test_c_M_origin():
 
 
 def test_psi_x_limits():
+    # the slice coordinates z_j / x of the disc tend to the tangent (gamma1, gamma2) as x -> 0
     g = -0.5 + 0.25j
+    x = 1e-8
     for branch in (PLUS, MINUS):
-        p = psi_x_forward(L88, g, branch, 1e-8)
-        assert abs(p[0] - g) < 3e-8
-        assert abs(p[1] - L88.gamma2(g)) < 3e-8
+        p = phi_gamma(L88, g, branch)(x)
+        assert abs(p[0] / x - g) < 3e-8
+        assert abs(p[1] / x - L88.gamma2(g)) < 3e-8
 
 
 def test_psi_x_boundary_pinning():
@@ -94,8 +98,8 @@ def test_psi_x_boundary_pinning():
     for eps in (1e-2, 1e-4, 1e-6):
         g = -0.625 + (0.375 - eps)  # near the gamma2-side boundary
         g2 = L88.gamma2(g)
-        p = psi_x_forward(L88, g, PLUS, x)
-        assert abs(p[1] - g2) < 10 * (1 - abs(g2))
+        p = phi_gamma(L88, g, PLUS)(x)
+        assert abs(p[1] / x - g2) < 10 * (1 - abs(g2))
 
 
 def test_geodesic_through_round_trip():
@@ -107,7 +111,7 @@ def test_geodesic_through_round_trip():
         if not (abs(a - b) < 0.95 and a + b > 1.05):
             continue
         L = Lens(a, b)
-        g0 = L.interior_points(1, seed=int(rng.integers(1 << 30)))[0]
+        g0 = lens_interior_points(a, b, 1, seed=int(rng.integers(1 << 30)))[0]
         branch = PLUS if rng.uniform() < 0.5 else MINUS
         x = 0.8 * cmath.exp(2j * math.pi * rng.uniform()) * rng.uniform(0.2, 1.0)
         disc = phi_gamma(L, g0, branch)
@@ -288,8 +292,8 @@ def _permuted_target(d, seed, index):
 
 
 def test_closed_form_target_builds_no_lens_grid():
-    # (20, 20.5) with z1 or z2 dominant: permuted lenses whose grid takes
-    # up to seconds to build
+    # (20, 20.5) with z1 or z2 dominant: thin permuted lenses, on which a
+    # sampled start would be expensive; the closed form needs none
     d = DomainDab(20.0, 20.5)
     seen = set()
     for i in range(400):
@@ -297,39 +301,63 @@ def test_closed_form_target_builds_no_lens_grid():
         if perm == (0, 1, 2) or perm in seen:
             continue
         seen.add(perm)
-        _lens_grid.cache_clear()
         cert = geodesic_through(ap, bp, zp)
-        assert _lens_grid.cache_info().currsize == 0
         vals = cert.disc(cert.param_at_target)
         assert max(abs(u - v) for u, v in zip(vals, zp)) < 1e-9
     assert seen == {(2, 1, 0), (0, 2, 1)}
 
 
-def test_failed_closed_form_falls_back_to_lens_grid(monkeypatch):
-    # index 4 of seed 5 at (0.8, 0.8): the small-parameter start z1/z3 lies
-    # outside the lens, so without the closed-form candidates only the grid
-    # can start Newton
-    _, (ap, bp), zp = _permuted_target(D88, 5, 4)
-    assert not Lens(ap, bp).contains(zp[0] / zp[2], tol=1e-6)
-    closed = geodesic_through(ap, bp, zp)
-    monkeypatch.setattr(metrics, "_intersection_candidates", lambda *args: [])
-    _lens_grid.cache_clear()
-    cert = geodesic_through(ap, bp, zp)
-    assert _lens_grid.cache_info().currsize == 1
-    assert cert.branch == closed.branch
-    assert abs(cert.gamma1 - closed.gamma1) < 1e-7
-    assert cert.residual < 1e-9
-
-
-def test_unsolvable_target_still_fails_after_lens_grid():
-    # a lifted point with |z3| within 1e-5 of 1: every start fails, the grid
-    # included, and the search ends in ConvergenceFailure
+def test_target_near_tridisc_boundary_certifies():
+    # a lifted point with |z3| within 1e-5 of 1 (the first benchmark fixture)
     z1 = 0.8035035523696945 - 0.28547648879861764j
     z2 = 0.07984285114202017 - 0.7532957631102906j
     zp = lift_to_M(D88, (z1, z2))
     assert dominant_permutation(zp) == (0, 1, 2)
-    _lens_grid.cache_clear()
-    with pytest.raises(ConvergenceFailure):
-        geodesic_through(0.8, 0.8, zp)
-    assert _lens_grid.cache_info().currsize == 1
+    assert 1.0 - abs(zp[2]) < 1e-5
+    cert = geodesic_through(0.8, 0.8, zp)
+    assert cert.residual <= 1e-9
+    disc = AnalyticDisc.from_json(json.loads(json.dumps(cert.disc.to_json())))
+    upper = lempert_upper_bound(disc, (0j, 0j, 0j), zp, lam_z=0j, lam_w=cert.param_at_target)
+    assert upper == pytest.approx(c_dab(D88, (0j, 0j), (z1, z2)), abs=1e-9)
 
+
+def test_no_candidate_raises_convergence_failure(monkeypatch):
+    # without a preimage candidate there is nothing to certify
+    monkeypatch.setattr(metrics, "_intersection_candidates", lambda *args: [])
+    with pytest.raises(ConvergenceFailure) as info:
+        geodesic_through(0.8, 0.8, lift_to_M(D88, (0.5, 0.0)))
+    assert info.value.best_residual == math.inf
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    a=st.floats(0.02, 20.0),
+    d=st.floats(-0.999, 0.999),
+    s=st.floats(0.001, 0.999),
+    t=st.floats(-0.999, 0.999),
+    branch=st.sampled_from((PLUS, MINUS)),
+    r=st.floats(1e-300, 0.95, exclude_max=True),
+    phase=st.floats(0.0, 2.0 * math.pi),
+)
+def test_geodesic_through_recovers_tangent_and_branch(a, d, s, t, branch, r, phase):
+    # a lens point g = u + iv: u runs over the lens's real interval, v over
+    # the chord of both discs above and below it; |x| stays in the normal
+    # floating-point range, since a subnormal x leaves z_j = x (g_j + O(x))
+    # too few digits to carry g
+    b = a + d
+    assume(a + b > 1.0)
+    lo, hi = max(-1.0, -(1.0 + b) / a), min(1.0, (b - 1.0) / a)
+    u = lo + s * (hi - lo)
+    v = t * math.sqrt(max(0.0, min(1.0 - u * u, (b / a) ** 2 - (u + 1.0 / a) ** 2)))
+    g, L, x = complex(u, v), Lens(a, b), r * cmath.exp(1j * phase)
+    assume(L.contains(g))
+    try:
+        z = phi_gamma(L, g, branch)(x)
+    except GeodiscError:
+        reject()  # no certified disc to start from
+    assume(abs(z[2]) >= max(abs(z[0]), abs(z[1])))
+    cert = geodesic_through(a, b, z, find_alternates=True)
+    found = [(cert.branch, cert.gamma1)] + list(cert.alternates)
+    assert any(br == branch and abs(gg - g) < 1e-8 for br, gg in found)
+    vals = cert.disc(cert.param_at_target)
+    assert max(abs(p - q) for p, q in zip(vals, z)) < 1e-9

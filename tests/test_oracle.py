@@ -3,13 +3,14 @@ import math
 import pytest
 
 from geodisc.discgeom import Quadratic, rho
-from geodisc.errors import NotThrough, ZeroPolynomial
+from geodisc.errors import EmptyLens, NotThrough, ZeroPolynomial
 from geodisc.geodesics import Lens, flat_disc, phi_gamma
 from geodisc.metrics import c_polydisc
 from geodisc.oracle import (
     caratheodory_lower_bound,
     finite_diff_derivative,
     lempert_upper_bound,
+    lens_interior_points,
     quadratic_roots,
     rng_for,
 )
@@ -109,3 +110,16 @@ def test_rng_reproducible_and_counterbased():
     c = rng_for(9, 5).uniform()
     assert a == b
     assert a != c
+
+
+def test_lens_interior_points_stream():
+    # the first points of seed 11 at (0.8, 0.8), as the sampler has always drawn them
+    assert lens_interior_points(0.8, 0.8, 3, seed=11) == [
+        -0.7459649346512824 + 0.3692572269186105j,
+        -0.7624522685048751 - 0.422752152547877j,
+        -0.43431895109364915 + 0.01895660409619815j,
+    ]
+    L = Lens(0.8, 0.8)
+    assert all(L.contains(g, tol=0.02) for g in lens_interior_points(0.8, 0.8, 50, seed=3))
+    with pytest.raises(EmptyLens):
+        lens_interior_points(0.4, 0.5, 1)

@@ -24,8 +24,8 @@ EXPORTED = {
                   "branch_track", "phi_gamma", "solve_omega_eta"],
     "metrics": ["GeodesicCertificate", "LempertReport", "UniversalMember", "UniversalSet", "c_M_origin",
                 "c_dab", "c_polydisc", "dab_universal_set", "geodesic_through", "indicatrix_membership",
-                "kappa_dab_origin", "lempert_verify", "linear_convexity_quadratic", "psi_x_forward",
-                "universal_c", "universal_embed", "universal_gamma"],
+                "kappa_dab_origin", "lempert_verify", "linear_convexity_quadratic", "universal_c",
+                "universal_embed", "universal_gamma"],
     "ball": ["BallExtremal", "ComplexLine", "F_left_inverse", "ball_automorphism", "boundary_modulus_locus",
              "c_star_ball", "f_t_geodesic", "minimal_norm_point", "psi_l", "universal_member_B2",
              "universal_member_linear"],
@@ -34,7 +34,7 @@ ALL_NAMES = sorted(n for names in EXPORTED.values() for n in names)
 
 
 def test_all_lists_the_exported_names():
-    assert len(ALL_NAMES) == 56
+    assert len(ALL_NAMES) == 55
     assert sorted(geodisc.__all__) == ALL_NAMES
     assert set(ALL_NAMES) <= set(dir(geodisc))
     assert geodisc.__version__ == "0.1.0"
@@ -87,3 +87,14 @@ def test_startup_loads_no_numpy(argv, code, stdout, modules):
     # "import time: self | cumulative | module", one line per module imported
     imported = {line.rsplit("|", 1)[1].strip() for line in proc.stderr.splitlines() if line.startswith("import time:")}
     assert {m for m in imported if m.split(".")[0] == "geodisc"} == modules
+
+
+def test_geodesic_certificate_loads_no_mpmath():
+    code = ("import sys\n"
+            "import geodisc.metrics\n"
+            "from geodisc.varieties import DomainDab, lift_to_M\n"
+            "geodisc.metrics.geodesic_through(0.8, 0.8, lift_to_M(DomainDab(0.8, 0.8), (0.5, 0.0)))\n"
+            "print('mpmath' in sys.modules)")
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout) == (0, "False\n")
