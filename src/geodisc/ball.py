@@ -1,6 +1,9 @@
 """Euclidean-ball constructions: automorphisms, line extremals, the scalar
 family for the two-ball, and the special left inverse with its geodesic fan.
 
+The extremal psi_l of a complex line is a closed form, and both members of the
+two-ball family are built as the psi_l of a line.
+
 Points are complex vectors; the Hermitian pairing is <z, w> = sum z_j conj(w_j).
 The kernels compute on tuples of Python ``complex``: the vectors here have two
 or three coordinates, where numpy's per-call overhead outweighs the
@@ -20,7 +23,6 @@ from .discgeom import require_disc_point
 from .errors import DomainError, Indeterminate, NoIntersection
 
 DEN_GUARD = 1e-13
-PIVOT_MIN = 1e-2
 
 Vec = tuple[complex, ...]
 
@@ -139,96 +141,80 @@ def minimal_norm_point(l: ComplexLine):
     return np.array(_foot(l))
 
 
+def _pairs(v: Vec) -> list[list[float]]:
+    return [[c.real, c.imag] for c in v]
+
+
+def _householder_unitary(r: Vec) -> tuple[Vec, ...]:
+    """-t (I - 2 v v* / |v|^2), v = e1 + t conj(r): a unitary with row 0 the unit vector r.
+
+    t is the phase of r0, so v_0 = 1 + |r0| cannot cancel; it is read from
+    r0 / max(|Re|, |Im|), since r0 / |r0| is not unimodular for a subnormal r0.
+    """
+    m = max(abs(r[0].real), abs(r[0].imag))
+    t = r[0] / m if m else 1.0 + 0j
+    t /= abs(t)
+    v = tuple(t * c.conjugate() + (j == 0) for j, c in enumerate(r))
+    k = 2.0 / _norm2(v)
+    return tuple(tuple(-t * ((i == j) - k * vi * vj.conjugate()) for j, vj in enumerate(v))
+                 for i, vi in enumerate(v))
+
+
 @dataclass(frozen=True)
 class BallExtremal:
-    """Scalar extremal <U Phi_a(z), e1> for the line through its minimal point."""
+    """psi_l(z) = s <z, d> / (1 - <z, a>), s = sqrt(1 - |a|^2), for the line l with
+    foot a and unit direction d.  It is <U Phi_a(z), e1> for Rudin's involution
+    Phi_a and a unitary U with row 0 equal to -conj(d): <a, d> = <P_a z, d> = 0."""
 
     minimal_point: tuple[complex, ...]
-    unitary: tuple[tuple[complex, ...], ...]
+    direction: tuple[complex, ...]
 
     def __call__(self, z) -> complex:
         a, z = _ball_pair(self.minimal_point, z)
-        return complex(sum(map(mul, self.unitary[0], _automorphism(a, z))))
+        return math.sqrt(1.0 - _norm2(a)) * _herm(z, self.direction) / (1.0 - _herm(z, a))
 
     def to_json(self) -> dict:
+        """Foot, direction, and a unitary U with psi_l(z) = <U Phi_a(z), e1> for
+        Phi_a = ``ball_automorphism``, the identity at a = 0: row 0 of U is -conj(d),
+        or conj(d) for a foot of exactly 0, completed by a Householder reflection."""
+        sign = -1.0 if any(self.minimal_point) else 1.0
+        r = tuple(sign * c.conjugate() for c in self.direction)
         return {
-            "minimal_point": [[c.real, c.imag] for c in self.minimal_point],
-            "unitary": [[[c.real, c.imag] for c in row] for row in self.unitary],
+            "minimal_point": _pairs(self.minimal_point),
+            "direction": _pairs(self.direction),
+            "unitary": [_pairs(row) for row in _householder_unitary(r)],
         }
 
 
-def _unitary_sending_to_e1(v: Vec) -> tuple[Vec, ...]:
-    """Rows form an orthonormal basis starting with conj(v)/|v|: U v = |v| e1.
-
-    Gram-Schmidt over the standard basis with deterministic pivoting.  A
-    single pass loses orthogonality like eps / residual, so a basis vector
-    whose residual is below PIVOT_MIN is skipped; one above it always remains.
-    """
-    n = len(v)
-    nv = math.sqrt(_norm2(v))
-    cols = [tuple(c / nv for c in v)]
-    for k in range(n):
-        e = tuple(1 + 0j if j == k else 0j for j in range(n))
-        for c in cols:
-            p = _herm(e, c)
-            e = tuple(x - p * y for x, y in zip(e, c))
-        nrm = math.sqrt(_norm2(e))
-        if nrm > PIVOT_MIN:
-            cols.append(tuple(x / nrm for x in e))
-        if len(cols) == n:
-            break
-    return tuple(tuple(x.conjugate() for x in c) for c in cols)
-
-
 def psi_l(l: ComplexLine) -> BallExtremal:
-    """Extremal for the geodesic cut by the line: automorphism then rotation."""
-    a = _foot(l)
-    t0 = 0.5 * (1.0 - math.sqrt(_norm2(a)))
-    v = _automorphism(a, require_ball_point([x + t0 * y for x, y in zip(a, l.direction)]))
-    if math.sqrt(_norm2(v)) < 1e-14:
-        raise NoIntersection("degenerate image direction")
-    return BallExtremal(minimal_point=a, unitary=_unitary_sending_to_e1(v))
+    """Extremal for the geodesic cut by the line: see ``BallExtremal``."""
+    return BallExtremal(minimal_point=_foot(l), direction=l.direction)
 
 
-def universal_member_B2(a):
+def universal_member_B2(a) -> BallExtremal:
     """Cross-term extremal of the two-ball family for lines with foot a != 0.
 
-    z -> sqrt(1-|a|^2) (u1 z2 - u2 z1) / (1 - (conj(a1) z1 + conj(a2) z2)),
-    with u = a / |a|.  Equals the inner product of the ball automorphism image
-    against the unit normal of a, so it maps the ball into the disc and
-    vanishes on the line {lambda a}.
+    psi_l of the line {a + lambda n} with n = (-conj(u2), conj(u1)), u = a / |a|:
+    z -> sqrt(1-|a|^2) (u1 z2 - u2 z1) / (1 - (conj(a1) z1 + conj(a2) z2)).  It
+    maps the ball into the disc and vanishes on the line {lambda a}.
     """
     a = require_ball_point(a)
     if len(a) != 2:
         raise DomainError("two-ball member needs a in dimension 2")
     u1, u2 = _unit(a, "parameter")
-    s = math.sqrt(1.0 - _norm2(a))
-    a1, a2 = a
-
-    def member(z) -> complex:
-        z = require_ball_point(z)
-        den = 1.0 - (a1.conjugate() * z[0] + a2.conjugate() * z[1])
-        return s * (u1 * z[1] - u2 * z[0]) / den
-
-    member.parameter = (a1, a2)
-    return member
+    return psi_l(ComplexLine(base=a, direction=(-u2.conjugate(), u1.conjugate())))
 
 
-def universal_member_linear(a1: float, a2: complex):
-    """Unit linear functional z -> a1 z1 + a2 z2 with a1 >= 0 real."""
+def universal_member_linear(a1: float, a2: complex) -> BallExtremal:
+    """Unit linear functional z -> a1 z1 + a2 z2 with a1 >= 0 real: psi_l of the
+    line through 0 with direction (a1, conj(a2))."""
     a1 = float(a1)
     a2 = complex(a2)
     if a1 < 0.0:
         raise DomainError("first coefficient must be nonnegative")
     if abs(a1 * a1 + abs(a2) ** 2 - 1.0) > 1e-12:
         raise DomainError("coefficients must satisfy a1^2 + |a2|^2 = 1")
-
-    def member(z) -> complex:
-        z = require_ball_point(z)
-        return complex(a1 * z[0] + a2 * z[1])
-
-    member.parameter = (a1, a2)
-    return member
+    return psi_l(ComplexLine(base=(0.0, 0.0), direction=(a1, a2.conjugate())))
 
 
 def F_left_inverse(z) -> complex:

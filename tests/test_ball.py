@@ -4,11 +4,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from geodisc.ball import (
-    PIVOT_MIN,
     ComplexLine,
     F_left_inverse,
     ball_automorphism,
@@ -124,11 +123,34 @@ def test_psi_l_maps_into_disc():
         assert abs(psi(z)) < 1.0
 
 
+def json_unitary(psi):
+    return np.array([[complex(*p) for p in row] for row in psi.to_json()["unitary"]])
+
+
 def test_unitary_rows_orthonormal():
     l = ComplexLine(base=(0.3, 0.1j), direction=(0.2, 1.0))
     psi = psi_l(l)
-    U = np.array(psi.unitary)
+    U = json_unitary(psi)
     assert np.allclose(U @ U.conj().T, np.eye(2), atol=1e-12)
+
+
+def test_row_zero_sign_at_lines_through_the_origin():
+    # in double the foot of this line is exactly 0; moved by a rounding-size
+    # orthogonal offset it is not, and Phi_a tends to -identity as a -> 0
+    base = (1 / 3 + 1j / 6, 1 / 3)
+    normal = (-base[1].conjugate(), base[0].conjugate())
+    through = psi_l(ComplexLine(base=base, direction=base))
+    near = psi_l(ComplexLine(base=tuple(b + 1e-17 * n for b, n in zip(base, normal)), direction=base))
+    assert not any(through.minimal_point) and any(near.minimal_point)
+    for z in ((0.1, 0.2j), (-0.5 + 0.1j, 0.3), (0.4j, -0.6)):
+        assert abs(through(z) - near(z)) <= 1e-15
+        # row 0 of the JSON unitary follows Phi_0 = identity: conj(d) through
+        # the origin, -conj(d) off it; both give psi through the automorphism
+        for psi in (through, near):
+            got = json_unitary(psi)[0] @ ball_automorphism(psi.minimal_point, z)
+            assert abs(got - psi(z)) <= 1e-15
+    d = np.array(through.direction)
+    assert close(json_unitary(through)[0], d.conj()) and close(json_unitary(near)[0], -d.conj())
 
 
 def test_universal_member_B2_properties():
@@ -152,6 +174,37 @@ def test_universal_member_B2_tiny_parameter():
     assert abs(universal_member_B2((1e-170, 0))((0.1, 0.2)) - 0.2) <= 1e-15
     with pytest.raises(DomainError, match="nonzero"):
         universal_member_B2((0, 0))
+
+
+def b2_formula(a, z):
+    norm = math.hypot(*map(abs, a))
+    u1, u2 = (c / norm for c in a)
+    s = math.sqrt(1.0 - norm * norm)
+    return s * (u1 * z[1] - u2 * z[0]) / (1.0 - a[0].conjugate() * z[0] - a[1].conjugate() * z[1])
+
+
+def test_universal_members_match_their_formulas():
+    rng = rng_for(55, 0)
+    params = [tuple(complex(c) for c in rand_ball(rng)) for _ in range(200)]
+    params += [(1e-170 + 0j, 0j), (3e-171j, -4e-171 + 0j)]
+    for a in params:
+        member = universal_member_B2(a)
+        v = rng.normal(size=2) + 1j * rng.normal(size=2)
+        v = v * np.conj(v[0]) / (abs(v[0]) * np.linalg.norm(v))  # unit, with v[0] >= 0
+        a1, a2 = float(v[0].real), complex(v[1])
+        linear = universal_member_linear(a1, a2)
+        for _ in range(3):
+            z = tuple(complex(c) for c in rand_ball(rng))
+            assert abs(member(z) - b2_formula(a, z)) < 1e-14
+            assert abs(linear(z) - (a1 * z[0] + a2 * z[1])) < 1e-14
+    tiny = universal_member_linear(1.0, 1e-170j)
+    assert tiny((0.3, 0.5j)) == 0.3 + 0j
+
+
+def test_universal_members_reject_other_dimensions():
+    for member in (universal_member_B2((0.3, 0.2j)), universal_member_linear(0.6, 0.8j)):
+        with pytest.raises(DomainError, match="dimension mismatch"):
+            member((0.1, 0.2, 0.3))
 
 
 def test_universal_member_linear():
@@ -316,24 +369,13 @@ def ref_c_star_squared(w, z):
 
 
 def ref_psi(base, direction):
-    """Minimal point and unitary of psi_l by Gram-Schmidt over the standard basis."""
+    """Minimal point, and row 0 conj(v)/|v| of the unitary for the image direction v."""
     base, d = np.asarray(base, LD), np.asarray(direction, LD)
     d = d / np.linalg.norm(d)
     a = base - np.dot(base, d.conj()) * d
     na = np.linalg.norm(a)
     v = d if na == 0 else ref_automorphism(a, a + 0.5 * (1 - na) * d)
-    cols = [v / np.linalg.norm(v)]
-    for k in range(v.size):
-        e = np.zeros(v.size, LD)
-        e[k] = 1
-        for c in cols:
-            e = e - np.dot(e, c.conj()) * c
-        nrm = np.linalg.norm(e)
-        if nrm > PIVOT_MIN:
-            cols.append(e / nrm)
-        if len(cols) == v.size:
-            break
-    return a, np.vstack([c.conj() for c in cols])
+    return a, v.conj() / np.linalg.norm(v)
 
 
 def close(got, want, tol=1e-13):
@@ -369,6 +411,8 @@ def ball_case(draw):
 @pytest.mark.skipif(np.finfo(np.longdouble).minexp > -16000, reason="long double has no extended range here")
 @settings(max_examples=300, deadline=None)
 @given(ball_case())
+# conj(r0) / |r0| is not unimodular for this subnormal r0
+@example(((0.1, 0.2j), (0.3, -0.1), (0.0, 0.5j), (0.2, 0.1), (5e-324 + 5e-324j, 0.7071j)))
 def test_scalar_kernels_match_reference(case):
     a, z, w, base, direction = case
     if not any(direction):
@@ -387,17 +431,14 @@ def test_scalar_kernels_match_reference(case):
     cs = c_star_ball(w, z)
     assert abs(cs**2 - float(ref_c_star_squared(w, z))) < 1e-13
     assert abs(c_star_ball(ball_automorphism(a, w), img) ** 2 - cs**2) < 1e-12
-    # psi_l: reference, a unitary sending the image direction to e1, plain JSON
+    # psi_l: values against the reference, a unitary sending the image direction to e1
     line = ComplexLine(base=base, direction=direction)
     psi = psi_l(line)
-    foot, U = ref_psi(base, direction)
+    foot, row0 = ref_psi(base, direction)
     assert close(psi.minimal_point, foot)
-    # Phi_0 is the identity, so row 0 changes sign between a line through the
-    # origin and one that misses it by rounding; psi's values do not
-    if (not np.any(foot)) != (not any(psi.minimal_point)):
-        U[0] = -U[0]
-    assert close(psi.unitary, U)
-    U = np.array(psi.unitary)
+    for p in (z, w):
+        assert close(psi(p), row0 @ ref_automorphism(foot, p))
+    U = json_unitary(psi)
     assert close(U @ U.conj().T, np.eye(len(a)))
     d = np.array(line.direction)
     t0 = 0.5 * (1.0 - np.linalg.norm(foot.astype(complex)))
@@ -406,5 +447,6 @@ def test_scalar_kernels_match_reference(case):
     obj = psi.to_json()
     json.dumps(obj, allow_nan=False)
     leaves = [x for pair in obj["minimal_point"] for x in pair]
+    leaves += [x for pair in obj["direction"] for x in pair]
     leaves += [x for row in obj["unitary"] for pair in row for x in pair]
     assert all(type(x) is float for x in leaves)

@@ -62,6 +62,25 @@ def test_first_chunks_run_and_pass_checks(bench, workload):
     assert (checks.disc_miss, checks.transport_miss, checks.ball_miss, checks.missed) == (0, 0, 0, 0)
 
 
+@pytest.mark.parametrize("base, foot_is_zero", [
+    ([[1 / 3, 1 / 6], [1 / 3, 0.0]], True),  # parallel to the direction
+    ([[0.0, 0.0], [0.0, 0.0]], True),
+    ([[0.2, -0.1], [0.0, 0.3]], False),
+], ids=["through-origin-parallel", "origin", "off-origin"])
+def test_ball_check_accepts_lines_through_the_origin(bench, base, foot_is_zero):
+    # check.py takes Phi_0 = -identity and the package the identity; random
+    # inputs never reach a foot of exactly 0
+    wl, check, _ = bench
+    item = {"a": [[0.3, 0.1], [0.0, -0.2]], "z": [[0.1, 0.0], [0.2, 0.4]], "w": [[-0.5, 0.0], [0.1, 0.1]],
+            "base": base, "direction": [[1 / 3, 1 / 6], [1 / 3, 0.0]]}
+    res = json.loads(wl.encode([wl.ball_item(item)]))[0]
+    assert (res["psi"]["minimal_point"] == [[0.0, 0.0], [0.0, 0.0]]) == foot_is_zero
+    checks = check.Checks()
+    for i in range(4):
+        checks.ball(item, res, i)
+    assert (checks.ball_miss, checks.missed) == (0, 0)
+
+
 @pytest.mark.parametrize("workload", WORKLOADS)
 def test_traced_run_reports_every_layer_metric(bench, workload, tmp_path):
     traced = bench[2]

@@ -112,10 +112,19 @@ def test_ball_commands(capsys):
     assert json.loads(out)["value"] == pytest.approx([0.3, 0.0], abs=1e-13)
     code, out = run_cli(capsys, "ball", "locus", "--z", "0,0", "1,0")
     assert json.loads(out)["on_locus"] is True
-    code, out = run_cli(capsys, "ball", "extremal", "--base", "0.5,0", "0,0", "--direction", "0,0", "1,0")
+    code, out = run_cli(capsys, "ball", "extremal", "--base", "0.5,0", "0,0", "--direction", "0,0", "1,0",
+                        "--z", "0.1,0.2", "0.3,-0.1")
     obj = json.loads(out)
     flat = [x for pair in obj["minimal_point"] for x in pair]
     assert flat == pytest.approx([0.5, 0.0, 0.0, 0.0], abs=1e-13)
+    assert obj["direction"] == [[0.0, 0.0], [1.0, 0.0]]
+    # s <z, d> / (1 - <z, a>) with a = (0.5, 0), d = (0, 1)
+    want = math.sqrt(0.75) * (0.3 - 0.1j) / (1.0 - 0.5 * (0.1 + 0.2j))
+    assert abs(complex(*obj["value"]) - want) < 1e-15
+    U = [[complex(*p) for p in row] for row in obj["unitary"]]
+    for i in range(2):
+        for j in range(2):
+            assert abs(sum(x * y.conjugate() for x, y in zip(U[i], U[j])) - (i == j)) < 1e-15
 
 
 def test_sweep_deterministic_and_degenerate(capsys):

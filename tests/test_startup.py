@@ -69,6 +69,11 @@ NONRETRACT = '{"class": "NonRetract"}\n'
 NORMAL_FORM = ('{"a": 0.9428090415820635, "b": 1.3333333333333333, "rotations": [[0.0, 1.0], '
                '[0.7071067811865476, 0.7071067811865476], [0.7071067811865476, -0.7071067811865476]]}\n')
 CSTAR = '{"cstar": 0.5954801616253105, "distance": 0.6861146161004036}\n'
+EXTREMAL = ('{"direction": [[0.1760901812651248, 0.0], [0.880450906325624, 0.440225453162812]], '
+            '"minimal_point": [[0.3062015503875969, 0.12790697674418605], [-0.038759689922480633, -0.04496124031007748]], '
+            '"unitary": [[[-0.17609018126512455, 0.0], [-0.8804509063256237, 0.44022545316281186]], '
+            '[[-0.8804509063256238, -0.4402254531628119], [0.17609018126512466, 0.0]]], '
+            '"value": [-0.25496234455426037, 0.15939124909853894]}\n')
 
 
 @pytest.mark.parametrize("argv, code, stdout, modules", [
@@ -76,9 +81,11 @@ CSTAR = '{"cstar": 0.5954801616253105, "distance": 0.6861146161004036}\n'
     (["-m", "geodisc.cli", "normalize", "--alpha", "1,1", "2,0", "0,-1.5"], 0, NORMAL_FORM, BASE),
     (["-m", "geodisc.cli", "ball", "cstar", "--z", "0.1,0.2", "0.3,0", "--w", "-0.2,0", "0,0.4"], 0, CSTAR,
      BASE | {"geodisc.ball"}),
+    (["-m", "geodisc.cli", "ball", "extremal", "--base", "0.3,0.1", "0,-0.2", "--direction", "0.2,0", "1,0.5",
+      "--z", "0.1,0.2", "-0.3,0"], 0, EXTREMAL, BASE | {"geodisc.ball"}),
     (["-c", "import geodisc"], 0, "", {"geodisc"}),
     (["-m", "geodisc.cli", "verify-lempert", "--a", "0.8", "--b", "0.8", "--samples", "0"], 2, "", BASE),
-], ids=["classify", "normalize", "ball-cstar", "import", "validation-error"])
+], ids=["classify", "normalize", "ball-cstar", "ball-extremal", "import", "validation-error"])
 def test_startup_loads_no_numpy(argv, code, stdout, modules):
     env = dict(os.environ, PYTHONPATH=str(SRC))
     proc = subprocess.run([sys.executable, "-X", "importtime", *argv], env=env, capture_output=True, text=True)
