@@ -274,11 +274,6 @@ def build_parser() -> argparse.ArgumentParser:
     p._negative_number_matcher = _NEG_VALUE
     sub = p.add_subparsers(dest="command", required=True)
 
-    def add_tols(sp):
-        sp.add_argument("--tol-residual", type=float, default=1e-10)
-        sp.add_argument("--tol-match", type=float, default=MATCH_TOL)
-        sp.add_argument("--tol-boundary", type=float, default=1e-9)
-
     sp = sub.add_parser("classify", help="triangle-inequality classification of a triple")
     sp.add_argument("--alpha", type=_complex, nargs=3, required=True)
     sp.set_defaults(fn=cmd_classify)
@@ -295,7 +290,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--rotation", type=_complex, nargs=3, default=[complex(-1.0)] * 3,
         help="unimodular rotation per slot (default: identity maps)",
     )
-    add_tols(sp)
+    sp.add_argument("--tol-residual", type=float, default=1e-10)
     sp.set_defaults(fn=cmd_transport)
 
     sp = sub.add_parser("distance", help="invariant distance between two points")
@@ -310,7 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--a", type=float, required=True)
     sp.add_argument("--b", type=float, required=True)
     sp.add_argument("--z", type=_complex, nargs="+", required=True, help="domain pair or lifted triple")
-    add_tols(sp)
+    sp.add_argument("--tol-match", type=float, default=MATCH_TOL)
     sp.set_defaults(fn=cmd_geodesic)
 
     sp = sub.add_parser("lens", help="lens corners and branch solutions")
@@ -324,7 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--b", type=float, required=True)
     sp.add_argument("--samples", type=int, default=100)
     sp.add_argument("--seed", type=int, default=0)
-    add_tols(sp)
+    sp.add_argument("--tol-match", type=float, default=MATCH_TOL)
     sp.set_defaults(fn=cmd_verify_lempert)
 
     sp = sub.add_parser("convexity", help="linear-convexity witness quadratic roots")
@@ -349,7 +344,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--direction", type=_complex, nargs="+", default=None)
     sp.add_argument("--t", type=float, default=0.0)
     sp.add_argument("--lam", type=_complex, default=0.0j)
-    add_tols(sp)
+    sp.add_argument("--tol-boundary", type=float, default=1e-9)
     sp.set_defaults(fn=cmd_ball)
 
     sp = sub.add_parser("sweep", help="grid verification sweep, CSV output")
@@ -362,7 +357,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--samples", type=int, default=50)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--allow-degenerate", action="store_true")
-    add_tols(sp)
+    sp.add_argument("--tol-match", type=float, default=MATCH_TOL)
     sp.set_defaults(fn=cmd_sweep)
 
     sp = sub.add_parser("plotdata", help="CSV point clouds for external plotting")
@@ -371,7 +366,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--b", type=float, default=0.8)
     sp.add_argument("--gamma", type=_complex, default=0.0j)
     sp.add_argument("--n", type=int, default=64)
-    add_tols(sp)
+    sp.add_argument("--tol-boundary", type=float, default=1e-9)
     sp.set_defaults(fn=cmd_plotdata)
 
     for sp in sub.choices.values():

@@ -30,8 +30,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .discgeom import BOUNDARY_TOL, MobiusMap, Quadratic, require_disc_point, rho, schur_roots_outside
-from .varieties import Alpha, surface_residual
+from .discgeom import (
+    BOUNDARY_TOL,
+    MobiusMap,
+    Quadratic,
+    require_disc_point,
+    rho,
+    schur_coeffs_outside,
+    schur_roots_outside,
+)
 from .errors import (
     BranchCollision,
     DegenerateDirection,
@@ -184,12 +191,6 @@ class RationalMap:
             den=tuple(c / lead for c in self.den),
         )
 
-    def to_json(self) -> dict:
-        return {
-            "num": [[c.real, c.imag] for c in self.num],
-            "den": [[c.real, c.imag] for c in self.den],
-        }
-
     @classmethod
     def from_json(cls, obj: dict) -> "RationalMap":
         return cls(
@@ -236,7 +237,10 @@ class AnalyticDisc:
 
     def to_json(self) -> dict:
         return {
-            "components": [c.to_json() for c in self.components],
+            "components": [
+                {"num": [[c.real, c.imag] for c in m.num], "den": [[c.real, c.imag] for c in m.den]}
+                for m in self.components
+            ],
             "tag": self.tag,
             "params": self.params,
         }
@@ -258,6 +262,8 @@ CERTIFY_NODES = np.array(
 # Their powers 3, 2, 1, 0, one row each: a row of four descending
 # coefficients times this array is the polynomial at every node.
 _NODE_POWERS = CERTIFY_NODES ** np.arange(3, -1, -1)[:, None]
+# The coordinate pairs (z1 z2, z1 z3, z2 z3) of the equation's bilinear terms.
+_PAIR_FIRST, _PAIR_SECOND = np.array([0, 0, 1]), np.array([1, 2, 2])
 
 
 def _padded(cs: tuple[complex, ...], degree: int, error: str) -> tuple[complex, ...]:
@@ -270,28 +276,36 @@ def _padded(cs: tuple[complex, ...], degree: int, error: str) -> tuple[complex, 
 def _certify_disc(disc: AnalyticDisc, a: float, b: float, tol: float = RESIDUAL_TOL):
     """Residual check on the (a, b, 1) variety plus Schur check of denominators.
 
-    The numerators (degree at most three) and denominators (at most two) of
-    all components are stacked into one coefficient array, so one product
-    with the node powers evaluates them over all of CERTIFY_NODES; each value
-    must be a finite point of the open disc, and the defining equation must
-    hold there to within `tol`.
+    Each denominator (degree at most two) must have finite coefficients and
+    pass the Schur test on them.  The numerators (degree at most three) and
+    denominators of all components are stacked into one coefficient array,
+    so one product with the node powers evaluates them over all of
+    CERTIFY_NODES; each value must be a finite point of the open disc.  The
+    defining equation a z1 + b z2 + z3 = z1 z2 + b z1 z3 + a z2 z3 must hold
+    there to within `tol`.  With the node values as a (3, 32) array `vals`,
+    the residual is the linear coefficients (a, b, 1) times `vals` minus the
+    bilinear ones (1, b, a) times the products of the pairs (z1 z2, z1 z3,
+    z2 z3): two small matrix products, not an array operation per term.
     """
     comps = disc.components
     dens = [_padded(comp.den, 2, "denominator degree exceeds two") for comp in comps]
     for dcs in dens:
-        if not schur_roots_outside(Quadratic(*dcs[1:])):
+        for c in dcs[1:]:
+            if not cmath.isfinite(c):
+                raise DomainError(f"non-finite coefficient {complex(c)!r}")
+        if not schur_coeffs_outside(*dcs[1:]):
             raise DomainError("component denominator has a root in the closed disc")
     coeffs = np.array([_padded(comp.num, 3, "numerator degree exceeds three") for comp in comps] + dens)
     n = len(comps)
     with np.errstate(all="ignore"):
         both = coeffs @ _NODE_POWERS
         vals = both[:n] / both[n:]
-    inside = np.abs(vals) < 1.0  # false for non-finite values too
-    if not inside.all():
-        # the first offending value in node order raises the point check's error
-        k, j = np.argwhere(~inside.T)[0]
-        require_disc_point(vals[j, k])
-    worst = float(np.abs(surface_residual(Alpha(complex(a), complex(b), 1.0 + 0.0j), *vals)).max())
+        if not np.abs(vals).max() < 1.0:  # true for non-finite values too
+            # the first offending value in node order raises the point check's error
+            k, j = np.argwhere(~(np.abs(vals) < 1.0).T)[0]
+            require_disc_point(vals[j, k])
+    pairs = vals.take(_PAIR_FIRST, 0) * vals.take(_PAIR_SECOND, 0)
+    worst = float(np.abs(np.array((a, b, 1.0)) @ vals - np.array((1.0, b, a)) @ pairs).max())
     if worst > tol:
         raise DomainError(f"constructed disc misses the variety by {worst:.3e}")
     return disc

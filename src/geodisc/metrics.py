@@ -19,7 +19,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .discgeom import MATCH_TOL, MobiusMap, gamma_disc, rho
+from .discgeom import MATCH_TOL, MobiusMap, gamma_disc, require_disc_point, rho
 from .errors import (
     ConvergenceFailure,
     DomainError,
@@ -41,7 +41,7 @@ from .geodesics import (
     phi_gamma,
     solve_omega_eta,
 )
-from .varieties import Alpha, DomainDab, dab_contains, membership_residual
+from .varieties import Alpha, DomainDab, _dab_lift, dab_contains, membership_residual
 from .oracle import rng_for
 
 
@@ -54,11 +54,11 @@ def c_polydisc(z: Sequence[complex], w: Sequence[complex]) -> float:
 
 def c_dab(d: DomainDab, z, w) -> float:
     """max of the disc distances of the three defining functions."""
-    if not (dab_contains(d, z) and dab_contains(d, w)):
+    zl = _dab_lift(d, z)
+    wl = _dab_lift(d, w) if zl else None
+    if wl is None:
         raise NotInDomain("both points must lie in the domain")
-    z1, z2 = complex(z[0]), complex(z[1])
-    w1, w2 = complex(w[0]), complex(w[1])
-    return max(rho(z1, w1), rho(z2, w2), rho(d.f(z1, z2), d.f(w1, w2)))
+    return max(rho(zl[0], wl[0]), rho(zl[1], wl[1]), rho(zl[2], wl[2]))
 
 
 def kappa_dab_origin(d: DomainDab, X) -> float:
@@ -148,25 +148,6 @@ def _intersection_candidates(L: Lens, x, t1, t2) -> list[complex]:
     return [c1 + r1 * u * complex(ct, st), c1 + r1 * u * complex(ct, -st)]
 
 
-def _read_pair_disc(L: Lens, g: complex, pair: OmegaEta):
-    """(branch, disc) of the pair read off the target, labelled by the nearer
-    exact solution; None when g is infeasible or the disc is off the
-    variety."""
-    try:
-        sols = solve_omega_eta(L, g)
-    except Infeasible:
-        return None
-    except Tangent:
-        pass  # the two solutions coalesce: the sign label stands
-    else:
-        near = min(sols, key=lambda s: abs(s.omega - pair.omega) + abs(s.eta - pair.eta))
-        pair = OmegaEta(pair.omega, pair.eta, near.branch)
-    try:
-        return pair.branch, phi_gamma(L, g, pair.branch, omega_eta=pair)
-    except DomainError:
-        return None
-
-
 def _exact_pair_discs(L: Lens, gammas, x: complex, z, tol: float):
     """(gamma1, branch, disc, miss) for each exact solution at each of
     `gammas` whose disc is on the variety and passes through z within tol."""
@@ -194,8 +175,10 @@ def geodesic_through(
 ) -> GeodesicCertificate:
     """Certificate geodesic through the origin and z on the variety of (a, b, 1).
 
-    Requires the third coordinate to dominate in modulus (permute first).
-    The preimage is closed form.  With t = (z1, z2)/x, the tangent parameter
+    z is checked once, here: a finite point of the open tridisc
+    (DomainError) on the surface to within 1e-8 (NotOnVariety), whose third
+    coordinate dominates in modulus (permute first).  The preimage is closed
+    form.  With t = (z1, z2)/x, the tangent parameter
     gamma1 lies on two hyperbolic circles, which meet in at most two points
     (`_intersection_candidates`); those inside the lens are the candidates.
     For each, the unimodular pair is read off the target,
@@ -217,18 +200,22 @@ def geodesic_through(
     gives a certified disc, the exact solutions of `solve_omega_eta` are
     tried at each candidate and at the small-parameter limit gamma1 = t1
     (z = x (gamma1, gamma2, 1) + O(x^2)); one is kept when its disc passes
-    through z within `tol`, and the others that pass are the alternates.
+    through z within `tol`, and the others that pass are the alternates, each
+    geodesic once: an option on the same branch as the answer or a listed
+    alternate, with gamma1 within `tol` of it, is not listed again.
     The certificate's `residual` is the quantity the chosen candidate was
     tested on: the IK residual of the read pair, or the miss of the exact
     pair's disc at z.  Raises ConvergenceFailure when nothing passes.
     """
-    z = tuple(complex(w) for w in z)
-    alpha = Alpha(complex(a), complex(b), 1.0 + 0.0j)
-    res0 = abs(membership_residual(alpha, z))
+    for c in (a, b):
+        if not math.isfinite(c):
+            raise DomainError(f"non-finite coefficient {complex(c)!r}")
+    z1, z2, x = z = tuple(require_disc_point(w) for w in z)
+    # the defining equation of (a, b, 1), whose coefficients are real
+    res0 = abs(a * z1 + b * z2 + x - z1 * z2 - b * z1 * x - a * z2 * x)
     if res0 > 1e-8:
         raise NotOnVariety(f"residual {res0:.3e}")
-    z1, z2, x = z
-    if abs(x) == 0.0:
+    if x == 0:
         raise DomainError("target must differ from the origin")
     if abs(x) + 1e-15 < max(abs(z1), abs(z2)):
         raise DomainError("third coordinate must dominate; permute coordinates first")
@@ -237,7 +224,7 @@ def geodesic_through(
     if not L.nonempty:
         raise EmptyLens(f"lens of ({L.a}, {L.b}) is empty")
 
-    ranked = []
+    ranked = []  # (minus, residual, gamma1, omega, eta) per candidate
     for g in dict.fromkeys(_intersection_candidates(L, x, t1, t2)):
         if not L.contains(g):
             continue
@@ -246,16 +233,29 @@ def geodesic_through(
         eta = (g2 - t2) / (1.0 - g2.conjugate() * t2) / x
         res = abs(r1 * omega + r2 * eta + q) / abs(q) if q else math.inf
         # solve_omega_eta's convention: plus turns positively from -q to r1 omega
-        plus = (omega * -q.conjugate()).imag > 0.0
-        ranked.append((not plus, res, g, OmegaEta(omega, eta, PLUS if plus else MINUS)))
+        minus = not (omega * -q.conjugate()).imag > 0.0
+        ranked.append((minus, res, g, omega, eta))
     ranked.sort(key=lambda c: c[:2])  # plus branch first, then the smaller residual
     accepted = [c for c in ranked if c[1] <= tol]
-    for k, (_, res, g, pair) in enumerate(accepted):
-        found = _read_pair_disc(L, g, pair)
-        if found:
-            branch, disc = found
-            alternates = [(c[3].branch, c[2]) for c in accepted if c is not accepted[k]]
-            break
+    for cand in accepted:
+        minus, res, g, omega, eta = cand
+        try:
+            sols = solve_omega_eta(L, g)
+        except Infeasible:
+            continue
+        except Tangent:
+            branch = MINUS if minus else PLUS  # the solutions coalesce: the sign label stands
+        else:
+            # the label of the nearer exact solution
+            s0, s1 = sols
+            d0 = abs(s0.omega - omega) + abs(s0.eta - eta)
+            branch = s0.branch if d0 <= abs(s1.omega - omega) + abs(s1.eta - eta) else s1.branch
+        try:
+            disc = phi_gamma(L, g, branch, omega_eta=OmegaEta(omega, eta, branch))
+        except DomainError:
+            continue
+        alternates = [(MINUS if c[0] else PLUS, c[2]) for c in accepted if c is not cand]
+        break
     else:
         # near the origin: exact pairs, at the candidates and at the
         # small-parameter limit gamma1 = t1, since z = x (gamma1, gamma2, 1) + O(x^2)
@@ -267,9 +267,16 @@ def geodesic_through(
             raise ConvergenceFailure(
                 f"no lens preimage located; best residual {best:.3e}", best_residual=best
             )
-        alternates = [(br, gg) for gg, br, _, _ in exact] if find_alternates else []
+        alternates = []
+        if find_alternates:
+            # one entry per geodesic: gamma1 within tol of a listed one, on
+            # the same branch, is the same option
+            for gg, br, _, _ in exact:
+                if all(br != b0 or abs(gg - g0) > tol for b0, g0 in [(branch, g), *alternates]):
+                    alternates.append((br, gg))
 
-    dists = [rho(0.0j, w) for w in z]
+    # rho(0, w) = atanh|w|, bit for bit
+    dists = [math.atanh(abs(w)) for w in z]
     return GeodesicCertificate(
         disc=disc,
         param_at_target=x,

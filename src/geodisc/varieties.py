@@ -90,15 +90,6 @@ def classify(alpha: Alpha) -> TriClass:
 def membership_residual(alpha: Alpha, z: tuple[complex, complex, complex]) -> complex:
     """Defining-equation residual; zero iff z lies on the surface."""
     z1, z2, z3 = (require_disc_point(w) for w in z)
-    return surface_residual(alpha, z1, z2, z3)
-
-
-def surface_residual(alpha: Alpha, z1, z2, z3):
-    """Defining-equation residual without the tridisc check.
-
-    The coordinates may be numpy arrays, which gives the residual at many
-    points at once by the same formula as at one point.
-    """
     a1, a2, a3 = alpha.coeffs()
     return (
         a1 * z1
@@ -300,22 +291,28 @@ class DomainDab:
         return (d1, d2)
 
 
-def dab_contains(d: DomainDab, z: tuple[complex, complex]) -> bool:
+def _dab_lift(d: DomainDab, z) -> tuple[complex, complex, complex] | None:
+    """(z1, z2, f(z)) when z lies in the domain, else None; f is evaluated once."""
     z1, z2 = complex(z[0]), complex(z[1])
     if abs(z1) >= 1.0 or abs(z2) >= 1.0:
-        return False
+        return None
     try:
-        return abs(d.f(z1, z2)) < 1.0
+        fz = d.f(z1, z2)
     except PoleError:
-        return False
+        return None
+    return (z1, z2, fz) if abs(fz) < 1.0 else None
+
+
+def dab_contains(d: DomainDab, z: tuple[complex, complex]) -> bool:
+    return _dab_lift(d, z) is not None
 
 
 def lift_to_M(d: DomainDab, z: tuple[complex, complex]) -> tuple[complex, complex, complex]:
     """Lift (z1, z2) to the surface point (z1, z2, f(z)) of the triple (a, b, 1)."""
-    if not dab_contains(d, z):
+    lifted = _dab_lift(d, z)
+    if lifted is None:
         raise NotInDomain(f"{z!r} is not in the domain")
-    z1, z2 = complex(z[0]), complex(z[1])
-    return (z1, z2, d.f(z1, z2))
+    return lifted
 
 
 def normal_alpha(d: DomainDab) -> Alpha:

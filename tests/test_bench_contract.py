@@ -6,12 +6,16 @@ and requires every item to succeed and pass its independent check.  Runs one
 short traced run of every workload and requires a well-formed result: every
 per-layer metric of ``BENCHMARK.json``, finite and strict JSON.  A change to
 the package that breaks what the benchmark calls fails here instead of at
-benchmark time.
+benchmark time.  The outputs of the first two chunks of ``verify-fat`` and
+``sweep-wide`` are pinned byte for byte, and each of their samples builds and
+certifies one disc.
 """
 
+import hashlib
 import json
 import math
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -96,3 +100,40 @@ def test_traced_run_reports_every_layer_metric(bench, workload, tmp_path):
     line = {"correct": not res["problems"], "attempted": res["attempted"], "failed": res["failed"],
             "metrics": {k: {"value": v, "unit": u} for k, (v, u) in metrics.items()}}
     json.loads(json.dumps(line, allow_nan=False))
+
+
+# SHA-256 of wl.encode over the first two chunks at seed 1, recorded with the
+# per-sample path as it was before it was rewritten for speed (x86-64,
+# Python 3.11, numpy 2.4); the rewrite keeps every output byte
+FIRST_TWO_CHUNKS_SHA256 = {
+    "verify-fat": "26dc2aa6fdb4cb07d793d8ca0669fcd236362802b43655ebdfc0fa7c51f5973f",
+    "sweep-wide": "94ebb55a8e2f147baac1ef943e65a81dae87b65ec5946f6d2a7f156127f175d9",
+}
+
+
+@pytest.mark.parametrize("workload", sorted(FIRST_TWO_CHUNKS_SHA256))
+def test_first_two_chunks_are_byte_identical(bench, workload):
+    wl = bench[0]
+    inputs = wl.make_inputs(workload, 1)
+    results = []
+    for chunk in wl.chunks(workload, inputs)[:2]:
+        results += wl.run_chunk(workload, inputs, chunk)
+    assert hashlib.sha256(wl.encode(results)).hexdigest() == FIRST_TWO_CHUNKS_SHA256[workload]
+
+
+@pytest.mark.parametrize("workload", ["verify-fat", "sweep-wide"])
+def test_each_sample_builds_and_certifies_one_disc(bench, workload):
+    # counted through the traced run's wrappers, which replace the module-level
+    # names: the per-layer metrics of phi_gamma and _certify_disc need the
+    # calls to go through them
+    wl, _, traced = bench
+    import tracer as tr  # loaded with traced
+
+    tracer = tr.Tracer()
+    inputs = wl.make_inputs(workload, 1)
+    kind, group, start, stop = wl.chunks(workload, inputs)[0]
+    with tracer.patched():
+        wl.run_chunk(workload, inputs, (kind, group, start, stop), on_item=tracer.set_sample)
+    calls = Counter((span[tr.NAME], tuple(span[tr.SAMPLE])) for span in tracer.spans)
+    for name in (tr.PHI, tr.CERTIFY, "geodesics.solve_omega_eta"):
+        assert [calls[name, (group, i)] for i in range(start, stop)] == [1] * (stop - start), name

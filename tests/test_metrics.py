@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, given, reject, settings
 from hypothesis import strategies as st
 
-from geodisc.discgeom import MobiusMap, rho
+from geodisc.discgeom import MATCH_TOL, MobiusMap, rho
 from geodisc import metrics
 from geodisc.errors import ConvergenceFailure, DomainError, GeodiscError, NotInDomain, NotOnVariety
 from geodisc.geodesics import MINUS, PLUS, AnalyticDisc, Lens, phi_gamma
@@ -327,6 +327,21 @@ def test_no_candidate_raises_convergence_failure(monkeypatch):
     with pytest.raises(ConvergenceFailure) as info:
         geodesic_through(0.8, 0.8, lift_to_M(D88, (0.5, 0.0)))
     assert info.value.best_residual == math.inf
+
+
+def test_exact_options_list_each_geodesic_once():
+    # at |x| = 1e-9 the read pairs fail, and every exact option at the two
+    # candidates and at gamma1 = t1 passes through z: five options within
+    # 7e-10 of the answer's gamma1, on both branches; an option on the same
+    # branch with gamma1 within tol of a listed one is the same geodesic
+    z = lift_to_M(D88, (1e-9, 0.0))
+    perm = dominant_permutation(z)
+    ap, bp = permuted_parameters(0.8, 0.8, perm)
+    cert = geodesic_through(ap, bp, tuple(z[p] for p in perm), find_alternates=True)
+    found = [(cert.branch, cert.gamma1), *cert.alternates]
+    for i, (br, g) in enumerate(found):
+        assert all(br != b0 or abs(g - g0) > MATCH_TOL for b0, g0 in found[:i])
+    assert sorted(br for br, _ in found) == [MINUS, PLUS]
 
 
 @settings(max_examples=300, deadline=None)
