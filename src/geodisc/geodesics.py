@@ -285,7 +285,7 @@ def _certify_disc(disc: AnalyticDisc, a: float, b: float, tol: float = RESIDUAL_
     there to within `tol`.  With the node values as a (3, 32) array `vals`,
     the residual is the linear coefficients (a, b, 1) times `vals` minus the
     bilinear ones (1, b, a) times the products of the pairs (z1 z2, z1 z3,
-    z2 z3): two small matrix products, not an array operation per term.
+    z2 z3).
     """
     comps = disc.components
     dens = [_padded(comp.den, 2, "denominator degree exceeds two") for comp in comps]

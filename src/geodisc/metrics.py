@@ -247,9 +247,7 @@ def geodesic_through(
             branch = MINUS if minus else PLUS  # the solutions coalesce: the sign label stands
         else:
             # the label of the nearer exact solution
-            s0, s1 = sols
-            d0 = abs(s0.omega - omega) + abs(s0.eta - eta)
-            branch = s0.branch if d0 <= abs(s1.omega - omega) + abs(s1.eta - eta) else s1.branch
+            branch = min(sols, key=lambda s: abs(s.omega - omega) + abs(s.eta - eta)).branch
         try:
             disc = phi_gamma(L, g, branch, omega_eta=OmegaEta(omega, eta, branch))
         except DomainError:
