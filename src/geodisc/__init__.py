@@ -14,17 +14,15 @@ __version__ = "0.1.0"
 
 # submodule -> the names the package exports from it
 _EXPORTS = {
-    "discgeom": ("MobiusMap", "Quadratic", "blaschke_degree", "gamma_disc", "mobius_dist", "rho",
-                 "schur_roots_outside"),
+    "discgeom": ("MobiusMap", "Quadratic", "gamma_disc", "mobius_dist", "rho", "schur_roots_outside"),
     "varieties": ("Alpha", "DomainDab", "NormalForm", "TriClass", "TridiscAutomorphism", "classify",
                   "dab_contains", "graph_value", "lift_to_M", "membership_residual", "normalize",
                   "transport"),
-    "geodesics": ("AnalyticDisc", "Lens", "OmegaEta", "admissible_arc", "balanced_pair", "blaschke_family",
-                  "branch_track", "phi_gamma", "solve_omega_eta"),
-    "metrics": ("GeodesicCertificate", "LempertReport", "UniversalMember", "UniversalSet", "c_M_origin",
-                "c_dab", "c_polydisc", "dab_universal_set", "geodesic_through", "indicatrix_membership",
-                "kappa_dab_origin", "lempert_verify", "linear_convexity_quadratic", "universal_c",
-                "universal_embed", "universal_gamma"),
+    "geodesics": ("AnalyticDisc", "Lens", "OmegaEta", "admissible_arc", "blaschke_family", "phi_gamma",
+                  "solve_omega_eta"),
+    "metrics": ("GeodesicCertificate", "LempertReport", "UniversalMember", "UniversalSet", "c_dab",
+                "c_polydisc", "dab_universal_set", "geodesic_through", "kappa_dab_origin", "lempert_verify",
+                "linear_convexity_quadratic", "universal_c", "universal_gamma"),
     "ball": ("BallExtremal", "ComplexLine", "F_left_inverse", "ball_automorphism", "boundary_modulus_locus",
              "c_star_ball", "f_t_geodesic", "minimal_norm_point", "psi_l", "universal_member_B2",
              "universal_member_linear"),

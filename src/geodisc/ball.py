@@ -73,13 +73,6 @@ def _ball_pair(w, z) -> tuple[Vec, Vec]:
     return w, z
 
 
-def herm(z, w) -> complex:
-    z, w = _vec(z), _vec(w)
-    if len(z) != len(w):
-        raise DomainError("dimension mismatch")
-    return _herm(z, w)
-
-
 def _automorphism(a: Vec, z: Vec) -> Vec:
     """ball_automorphism on checked ball points of equal dimension."""
     m = max(map(abs, a))

@@ -1,4 +1,4 @@
-"""Hyperbolic geometry of the unit disc and one-variable Blaschke/Schur machinery.
+"""Hyperbolic geometry of the unit disc and the Schur test on quadratics.
 
 Everything here is exact scalar arithmetic on ``complex``; no arrays.  All
 types are immutable values and all operations are pure functions.
@@ -6,7 +6,6 @@ types are immutable values and all operations are pure functions.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
@@ -29,11 +28,14 @@ def require_disc_point(z: complex, tol: float = 0.0) -> complex:
     return z
 
 
+def _pseudo_dist(z: complex, w: complex) -> float:
+    """|(z-w)/(1-conj(w)z)| of two complex points the caller has checked."""
+    return abs((z - w) / (1.0 - w.conjugate() * z))
+
+
 def mobius_dist(z: complex, w: complex) -> float:
     """Pseudodistance |(z-w)/(1-conj(w)z)| in [0, 1)."""
-    z = require_disc_point(z)
-    w = require_disc_point(w)
-    return abs((z - w) / (1.0 - w.conjugate() * z))
+    return _pseudo_dist(require_disc_point(z), require_disc_point(w))
 
 
 def rho(z: complex, w: complex) -> float:
@@ -67,15 +69,6 @@ class MobiusMap:
         return MobiusMap(self.rotation * self.nu, self.rotation.conjugate())
 
 
-# identity element of the group: m_0 with rotation -1
-IDENTITY_MOBIUS = MobiusMap(0.0j, -1.0 + 0.0j)
-
-
-def mobius_eval(m: MobiusMap, lam: complex) -> complex:
-    lam = require_disc_point(lam)
-    return m(lam)
-
-
 @dataclass(frozen=True)
 class Quadratic:
     """Polynomial a2*lam^2 + a1*lam + a0."""
@@ -95,18 +88,6 @@ class Quadratic:
 
     def coeffs(self) -> tuple[complex, complex, complex]:
         return (complex(self.a2), complex(self.a1), complex(self.a0))
-
-    def is_zero(self) -> bool:
-        return self.a2 == 0 and self.a1 == 0 and self.a0 == 0
-
-    def degree(self) -> int:
-        if self.a2 != 0:
-            return 2
-        if self.a1 != 0:
-            return 1
-        if self.a0 != 0:
-            return 0
-        raise ZeroPolynomial("zero polynomial has no degree")
 
 
 def schur_roots_outside(q: Quadratic) -> bool:
@@ -131,73 +112,3 @@ def schur_coeffs_outside(A: complex, B: complex, C: complex) -> bool:
     return abs(C) > abs(A) and abs(C) ** 2 - abs(A) ** 2 > abs(
         B * C.conjugate() - A * B.conjugate()
     )
-
-
-def _trimmed(q: Quadratic, scale_tol: float) -> list[complex]:
-    """Coefficients [high..low] with negligible leading terms dropped."""
-    cs = list(q.coeffs())
-    big = max(abs(c) for c in cs)
-    if big == 0.0:
-        raise ZeroPolynomial("zero polynomial")
-    while len(cs) > 1 and abs(cs[0]) <= scale_tol * big:
-        cs.pop(0)
-    return cs
-
-
-def _reflection(cs: list[complex]) -> list[complex]:
-    """Reversed conjugate coefficients: p*(lam) = lam^d * conj(p(1/conj(lam)))."""
-    return [c.conjugate() for c in reversed(cs)]
-
-
-def _roots_inside(cs: list[complex]) -> int:
-    """Number of roots of the coefficient list strictly inside the unit disc."""
-    import numpy as np
-
-    if len(cs) == 1:
-        return 0
-    return int(sum(1 for r in np.roots(cs) if abs(r) < 1.0))
-
-
-def blaschke_degree(num: Quadratic, den: Quadratic, tol: float = BOUNDARY_TOL):
-    """Degree of num/den as a finite Blaschke product, or None if it is not one.
-
-    Requires the denominator to be zero-free on the closed disc (checked via
-    the Schur criterion).  The primary test is the self-inversive coefficient
-    identity den = omega * reflection(num) with |omega| = 1; a 64-point
-    unit-circle sampling of |num/den| is the fallback for non-coprime inputs.
-    """
-    if not schur_roots_outside(den):
-        raise DomainError("denominator has a root in the closed unit disc")
-    if num.is_zero():
-        return None
-    ncs = _trimmed(num, 1e-14)
-    dcs = _trimmed(den, 1e-14)
-    scale = max(abs(c) for c in ncs + dcs)
-
-    refl = _reflection(ncs)
-    if len(dcs) <= len(refl):
-        padded = [0.0 + 0.0j] * (len(refl) - len(dcs)) + dcs
-        pivot = max(range(len(refl)), key=lambda i: abs(refl[i]))
-        omega = padded[pivot] / refl[pivot]
-        ok = abs(abs(omega) - 1.0) <= tol and all(
-            abs(padded[i] - omega * refl[i]) <= tol * scale for i in range(len(refl))
-        )
-        if ok:
-            return len(ncs) - 1
-
-    # fallback: sample the unit circle
-    for k in range(64):
-        lam = cmath.exp(2j * math.pi * (k + 0.5) / 64)
-        nv = _polyval(ncs, lam)
-        dv = _polyval(dcs, lam)
-        if abs(abs(nv / dv) - 1.0) > tol:
-            return None
-    # unimodular on the circle: Blaschke; degree = zeros inside the disc
-    return _roots_inside(ncs)
-
-
-def _polyval(cs: list[complex], lam: complex) -> complex:
-    acc = 0.0 + 0.0j
-    for c in cs:
-        acc = acc * lam + c
-    return acc

@@ -49,14 +49,6 @@ class Tangent(GeodiscError):
     """Circle intersection is tangential; solutions coalesce."""
 
 
-class BranchCollision(GeodiscError):
-    """The two solution branches approach within tolerance."""
-
-
-class DegenerateDirection(GeodiscError):
-    """Direction of a geodesic is undefined after normalization."""
-
-
 class ConvergenceFailure(GeodiscError):
     """No closed-form preimage candidate passed the certificate's tolerance.
 

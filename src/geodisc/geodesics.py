@@ -17,9 +17,6 @@ equation; it equals lam times a degree-two Blaschke factor q/r whose
 denominator r is certified zero-free on the closed disc by the Schur
 criterion.  The arc endpoints are precisely the two inverse-kinematics
 solutions, where the factor drops to degree one.
-
-Balanced pairs in the bidisc get their unique geodesic by a Mobius change of
-coordinates.
 """
 
 from __future__ import annotations
@@ -32,24 +29,14 @@ import numpy as np
 
 from .discgeom import (
     BOUNDARY_TOL,
-    MobiusMap,
     Quadratic,
     require_disc_point,
-    rho,
     schur_coeffs_outside,
     schur_roots_outside,
 )
-from .errors import (
-    BranchCollision,
-    DegenerateDirection,
-    DomainError,
-    EmptyLens,
-    Infeasible,
-    Tangent,
-)
+from .errors import DomainError, EmptyLens, Infeasible, Tangent
 
 RESIDUAL_TOL = 1e-10
-UNIMODULAR_TOL = 1e-12
 
 PLUS = "plus"
 MINUS = "minus"
@@ -176,21 +163,6 @@ class RationalMap:
         """Value at lam; a numpy array of points gives the array of values."""
         return _horner(self.num, lam) / _horner(self.den, lam)
 
-    def derivative(self, lam: complex) -> complex:
-        n, d = _horner(self.num, lam), _horner(self.den, lam)
-        dn, dd = _horner(_dcoeffs(self.num), lam), _horner(_dcoeffs(self.den), lam)
-        return (dn * d - n * dd) / (d * d)
-
-    def normalized(self) -> "RationalMap":
-        """Scale so the leading nonzero denominator coefficient equals 1."""
-        lead = next((c for c in self.den if abs(c) > 1e-14), None)
-        if lead is None:
-            raise DomainError("zero denominator polynomial")
-        return RationalMap(
-            num=tuple(c / lead for c in self.num),
-            den=tuple(c / lead for c in self.den),
-        )
-
     @classmethod
     def from_json(cls, obj: dict) -> "RationalMap":
         return cls(
@@ -206,11 +178,6 @@ def _horner(cs, lam):
     return acc
 
 
-def _dcoeffs(cs):
-    n = len(cs) - 1
-    return tuple(c * (n - i) for i, c in enumerate(cs[:-1])) or (0.0 + 0.0j,)
-
-
 IDENTITY_MAP = RationalMap(num=(0.0j, 1.0 + 0.0j, 0.0j), den=(0.0j, 0.0j, 1.0 + 0.0j))
 
 
@@ -219,21 +186,11 @@ class AnalyticDisc:
     """Disc -> polydisc map with rational components; serializable and exact."""
 
     components: tuple[RationalMap, ...]
-    tag: str  # PhiGamma | BlaschkeFamily | Balanced | Flat
+    tag: str  # PhiGamma | BlaschkeFamily
     params: dict = field(default_factory=dict)
 
     def __call__(self, lam: complex) -> tuple[complex, ...]:
         return tuple(c(lam) for c in self.components)
-
-    def derivative(self, lam: complex) -> tuple[complex, ...]:
-        return tuple(c.derivative(lam) for c in self.components)
-
-    def normalized(self) -> "AnalyticDisc":
-        return AnalyticDisc(
-            components=tuple(c.normalized() for c in self.components),
-            tag=self.tag,
-            params=self.params,
-        )
 
     def to_json(self) -> dict:
         return {
@@ -358,36 +315,12 @@ def phi_gamma(
     return _certify_disc(disc, L.a, L.b)
 
 
-def _torus_dist(p: OmegaEta, q: OmegaEta) -> float:
-    dw = abs(cmath.phase(p.omega * q.omega.conjugate()))
-    de = abs(cmath.phase(p.eta * q.eta.conjugate()))
-    return max(dw, de)
-
-
-def branch_track(L: Lens, path, collision_tol: float = 1e-6) -> list[OmegaEta]:
-    """Continuous selection of (omega, eta) along a path of lens points.
-
-    At each step the solution pair nearest in torus arc distance to the
-    previous selection is kept.  Raises BranchCollision when the two
-    candidate pairs come within `collision_tol` of each other, or when the
-    nearest choice is ambiguous against the step jump.
-    """
-    out: list[OmegaEta] = []
-    prev: OmegaEta | None = None
-    for g in path:
-        pair = solve_omega_eta(L, g)
-        if _torus_dist(pair[0], pair[1]) < collision_tol:
-            raise BranchCollision(f"solutions coalesce at {g!r}")
-        if prev is None:
-            chosen = pair[0]
-        else:
-            d0, d1 = _torus_dist(pair[0], prev), _torus_dist(pair[1], prev)
-            chosen = pair[0] if d0 <= d1 else pair[1]
-            if min(d0, d1) > 0.5 * _torus_dist(pair[0], pair[1]):
-                raise BranchCollision(f"step jump too large at {g!r}; refine the path")
-        out.append(chosen)
-        prev = chosen
-    return out
+def _arc_terms(L: Lens, gamma: complex) -> tuple[complex, float, float]:
+    """(v, w, R) of the arc inequality |omega v + w| < R at gamma."""
+    a, b = L.a, L.b
+    T = 1.0 - abs(gamma) ** 2
+    v = a * gamma.conjugate() ** 2 + (a * a - b * b + 1.0) * gamma.conjugate() + a
+    return v, -a * b * T, b * b - abs(a * gamma + 1.0) ** 2
 
 
 def admissibility_margin(L: Lens, gamma: complex, omega: complex) -> float:
@@ -399,11 +332,8 @@ def admissibility_margin(L: Lens, gamma: complex, omega: complex) -> float:
         b^2 - |a gamma + 1|^2 > |-a b T + omega (a conj(g)^2
                                    + (a^2 - b^2 + 1) conj(g) + a)|.
     """
-    a, b = L.a, L.b
-    T = 1.0 - abs(gamma) ** 2
-    S = a * gamma.conjugate() ** 2 + (a * a - b * b + 1.0) * gamma.conjugate() + a
-    R = b * b - abs(a * gamma + 1.0) ** 2
-    return R - abs(-a * b * T + omega * S)
+    v, w, R = _arc_terms(L, gamma)
+    return R - abs(w + omega * v)
 
 
 def _family_qr(L: Lens, gamma: complex, omega: complex):
@@ -458,11 +388,6 @@ def blaschke_family(L: Lens, gamma: complex, omega: complex, tol: float = RESIDU
     return _certify_disc(disc, L.a, L.b, tol=max(tol, RESIDUAL_TOL))
 
 
-def blaschke_factor(L: Lens, gamma: complex, omega: complex) -> tuple[Quadratic, Quadratic]:
-    """The quadratic pair (q, r) of the middle-component factor q/r."""
-    return _family_qr(L, gamma, omega)
-
-
 def admissible_arc(L: Lens, gamma: complex) -> list[tuple[float, float]]:
     """Open angle intervals of admissible omega = exp(i theta), closed form.
 
@@ -470,11 +395,7 @@ def admissible_arc(L: Lens, gamma: complex) -> list[tuple[float, float]]:
     endpoints come from the circle-line geometry, accurate to the floating
     solve of one arccos.
     """
-    a, b = L.a, L.b
-    T = 1.0 - abs(gamma) ** 2
-    v = a * gamma.conjugate() ** 2 + (a * a - b * b + 1.0) * gamma.conjugate() + a
-    w = -a * b * T
-    R = b * b - abs(a * gamma + 1.0) ** 2
+    v, w, R = _arc_terms(L, gamma)
     if R <= 0.0:
         return []
     av, aw = abs(v), abs(w)
@@ -501,45 +422,3 @@ def admissible_arc(L: Lens, gamma: complex) -> list[tuple[float, float]]:
 def arc_contains(arcs: list[tuple[float, float]], theta: float) -> bool:
     theta %= 2.0 * math.pi
     return any(lo < theta < hi for lo, hi in arcs)
-
-
-def balanced_pair(z: tuple[complex, complex], w: tuple[complex, complex], tol: float = 1e-9):
-    """Unique bidisc geodesic through a balanced pair, or None if unbalanced.
-
-    Conjugates by the Mobius pair sending z to the origin, reads the
-    direction from the image of w, and returns the two-component disc
-    hitting z and w exactly.
-    """
-    z1, z2 = complex(z[0]), complex(z[1])
-    w1, w2 = complex(w[0]), complex(w[1])
-    if z1 == w1 and z2 == w2:
-        raise DegenerateDirection("the two points coincide")
-    d1, d2 = rho(z1, w1), rho(z2, w2)
-    if abs(d1 - d2) > tol:
-        return None
-    m1, m2 = MobiusMap(z1), MobiusMap(z2)
-    w1p, w2p = m1(w1), m2(w2)
-    if abs(w1p) < 1e-15:
-        raise DegenerateDirection("normalized direction vanishes")
-    omega = w2p / w1p
-    disc = AnalyticDisc(
-        components=(
-            RationalMap(num=(0.0j, -1.0 + 0.0j, z1), den=(0.0j, -z1.conjugate(), 1.0 + 0.0j)),
-            RationalMap(num=(0.0j, -omega, z2), den=(0.0j, -z2.conjugate() * omega, 1.0 + 0.0j)),
-        ),
-        tag="Balanced",
-        params={
-            "z": [[z1.real, z1.imag], [z2.real, z2.imag]],
-            "w": [[w1.real, w1.imag], [w2.real, w2.imag]],
-            "omega": [omega.real, omega.imag],
-            "param_at_w": [w1p.real, w1p.imag],
-        },
-    )
-    return disc
-
-
-def flat_disc(slot: int, n: int = 3) -> AnalyticDisc:
-    """Coordinate embedding lam -> (0, .., lam, .., 0)."""
-    zero = RationalMap(num=(0.0j, 0.0j, 0.0j), den=(0.0j, 0.0j, 1.0 + 0.0j))
-    comps = tuple(IDENTITY_MAP if j == slot else zero for j in range(n))
-    return AnalyticDisc(components=comps, tag="Flat", params={"slot": slot})

@@ -17,9 +17,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-import numpy as np
-
-from .discgeom import MATCH_TOL, MobiusMap, gamma_disc, require_disc_point, rho
+from .discgeom import MATCH_TOL, MobiusMap, _pseudo_dist, gamma_disc, require_disc_point, rho
 from .errors import (
     ConvergenceFailure,
     DomainError,
@@ -41,7 +39,7 @@ from .geodesics import (
     phi_gamma,
     solve_omega_eta,
 )
-from .varieties import Alpha, DomainDab, _dab_lift, dab_contains, membership_residual
+from .varieties import DomainDab, _dab_lift, dab_contains
 from .oracle import rng_for
 
 
@@ -58,26 +56,18 @@ def c_dab(d: DomainDab, z, w) -> float:
     wl = _dab_lift(d, w) if zl else None
     if wl is None:
         raise NotInDomain("both points must lie in the domain")
-    return max(rho(zl[0], wl[0]), rho(zl[1], wl[1]), rho(zl[2], wl[2]))
+    # rho of each lifted coordinate, which _dab_lift has checked
+    return max(
+        math.atanh(_pseudo_dist(zl[0], wl[0])),
+        math.atanh(_pseudo_dist(zl[1], wl[1])),
+        math.atanh(_pseudo_dist(zl[2], wl[2])),
+    )
 
 
 def kappa_dab_origin(d: DomainDab, X) -> float:
     """max{|X1|, |X2|, |a X1 + b X2|}: the infinitesimal metric at the origin."""
     X1, X2 = complex(X[0]), complex(X[1])
     return max(abs(X1), abs(X2), abs(d.a * X1 + d.b * X2))
-
-
-def indicatrix_membership(d: DomainDab, X) -> bool:
-    return kappa_dab_origin(d, X) < 1.0
-
-
-def c_M_origin(a: float, b: float, z, tol: float = 1e-8) -> float:
-    """max_j rho(0, z_j) for a point on the variety of (a, b, 1)."""
-    alpha = Alpha(complex(a), complex(b), 1.0 + 0.0j)
-    res = abs(membership_residual(alpha, tuple(z)))
-    if res > tol:
-        raise NotOnVariety(f"residual {res:.3e} exceeds {tol:.1e}")
-    return max(rho(0.0j, complex(zj)) for zj in z)
 
 
 @dataclass(frozen=True)
@@ -177,10 +167,11 @@ def geodesic_through(
 
     z is checked once, here: a finite point of the open tridisc
     (DomainError) on the surface to within 1e-8 (NotOnVariety), whose third
-    coordinate dominates in modulus (permute first).  The preimage is closed
-    form.  With t = (z1, z2)/x, the tangent parameter
-    gamma1 lies on two hyperbolic circles, which meet in at most two points
-    (`_intersection_candidates`); those inside the lens are the candidates.
+    coordinate dominates in modulus to a relative 1e-15, at any scale
+    (permute first).  The preimage is closed form.  With t = (z1, z2)/x, the
+    tangent parameter gamma1 lies on two hyperbolic circles, which meet in
+    at most two points (`_intersection_candidates`); those inside the lens
+    are the candidates.
     For each, the unimodular pair is read off the target,
 
         omega = m_gamma1(t1) / x,    eta = m_gamma2(t2) / x,
@@ -217,7 +208,7 @@ def geodesic_through(
         raise NotOnVariety(f"residual {res0:.3e}")
     if x == 0:
         raise DomainError("target must differ from the origin")
-    if abs(x) + 1e-15 < max(abs(z1), abs(z2)):
+    if abs(x) * (1.0 + 1e-15) < max(abs(z1), abs(z2)):
         raise DomainError("third coordinate must dominate; permute coordinates first")
     t1, t2 = z1 / x, z2 / x
     L = Lens(a, b)
@@ -453,22 +444,6 @@ def compose_with_mobius(member: UniversalMember, m: MobiusMap) -> UniversalMembe
     return UniversalMember(f"{member.name}|mobius", value, gradient)
 
 
-def universal_embed(U: UniversalSet, points: Sequence) -> list[tuple[complex, ...]]:
-    """Componentwise evaluation into the polydisc, with injectivity spot-check."""
-    images = []
-    for p in points:
-        img = tuple(member(p) for member in U.members)
-        for v in img:
-            if abs(v) >= 1.0:
-                raise EvaluationOutOfDisc(f"member value {v!r} left the disc at {p!r}")
-        images.append(img)
-    for i in range(len(images)):
-        for j in range(i + 1, len(images)):
-            if max(abs(u - v) for u, v in zip(images[i], images[j])) < 1e-14:
-                raise DomainError(f"embedding collision between points {i} and {j}")
-    return images
-
-
 def universal_c(U: UniversalSet, z, w) -> float:
     best = 0.0
     for member in U.members:
@@ -491,8 +466,19 @@ def universal_gamma(U: UniversalSet, z, X) -> float:
 
 
 def linear_convexity_quadratic(d: DomainDab) -> tuple[complex, complex, bool]:
-    """Roots of b w^2 - (b^2 + 1 - a^2) w + b and their unimodularity flag."""
-    roots = np.roots([d.b, -(d.b**2 + 1.0 - d.a**2), d.b])
-    r1, r2 = complex(roots[0]), complex(roots[1])
+    """Roots of b w^2 - (b^2 + 1 - a^2) w + b and their unimodularity flag.
+
+    The roots have product 1 and sum 2h, h = (b^2 + 1 - a^2) / (2b): for
+    |h| < 1 they are h +- i sqrt(1 - h^2), upper half-plane first; otherwise
+    they are real, the larger modulus h + sign(h) sqrt(h^2 - 1) first and
+    then its reciprocal.
+    """
+    h = (d.b**2 + 1.0 - d.a**2) / (2.0 * d.b)
+    if abs(h) < 1.0:
+        s = math.sqrt(1.0 - h * h)
+        r1, r2 = complex(h, s), complex(h, -s)
+    else:
+        big = h + math.copysign(math.sqrt(h * h - 1.0), h)
+        r1, r2 = complex(big), complex(1.0 / big)
     uni = all(abs(abs(r) - 1.0) < 1e-10 for r in (r1, r2))
     return (r1, r2, uni)

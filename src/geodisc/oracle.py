@@ -15,7 +15,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import EmptyLens, EvaluationOutOfDisc, NotThrough, PoleError, ZeroPolynomial
+from .errors import DomainError, EmptyLens, EvaluationOutOfDisc, NotThrough, PoleError, ZeroPolynomial
 from .discgeom import Quadratic
 from .varieties import Alpha, graph_value
 
@@ -47,6 +47,30 @@ def quadratic_roots(q: Quadratic) -> tuple[complex, ...]:
     r1 = t / A
     r2 = C / t if t != 0 else -B / A - r1
     return (r1, r2)
+
+
+def blaschke_degree(num: Quadratic, den: Quadratic, tol: float = 1e-9):
+    """Degree of num/den as a finite Blaschke product, or None if it is not one.
+
+    The roots of den (by `quadratic_roots`) must lie outside the closed disc,
+    else DomainError.  A zero numerator gives None.  The quotient is Blaschke
+    when its modulus is 1 within `tol` at 64 points of the unit circle, and
+    its degree is then the number of roots of num inside the disc; a factor
+    shared by num and den is cancelled by that count, as it lies outside.
+    """
+    if any(abs(r) <= 1.0 for r in quadratic_roots(den)):
+        raise DomainError("denominator has a root in the closed unit disc")
+    ncs, dcs = num.coeffs(), den.coeffs()
+    if not any(ncs):
+        return None
+    for k in range(64):
+        lam = cmath.exp(2j * math.pi * (k + 0.5) / 64)
+        nv = dv = 0j
+        for n, d in zip(ncs, dcs):
+            nv, dv = nv * lam + n, dv * lam + d
+        if abs(abs(nv / dv) - 1.0) > tol:
+            return None
+    return sum(1 for r in quadratic_roots(num) if abs(r) < 1.0)
 
 
 def _rho(u: complex, v: complex) -> float:

@@ -314,7 +314,3 @@ def lift_to_M(d: DomainDab, z: tuple[complex, complex]) -> tuple[complex, comple
         raise NotInDomain(f"{z!r} is not in the domain")
     return lifted
 
-
-def normal_alpha(d: DomainDab) -> Alpha:
-    """The real triple (a, b, 1) whose surface the domain lifts onto."""
-    return Alpha(complex(d.a), complex(d.b), 1.0 + 0.0j)

@@ -15,7 +15,6 @@ from geodisc.ball import (
     boundary_modulus_locus,
     c_star_ball,
     f_t_geodesic,
-    herm,
     minimal_norm_point,
     psi_l,
     universal_member_B2,
@@ -56,7 +55,7 @@ def test_automorphism_rejects_outside():
         ball_automorphism((1.0, 0.0), (0.0, 0.0))
 
 
-@pytest.mark.parametrize("fn", [c_star_ball, ball_automorphism, herm])
+@pytest.mark.parametrize("fn", [c_star_ball, ball_automorphism])
 def test_dimension_mismatch_is_domain_error(fn):
     with pytest.raises(DomainError, match="dimension mismatch"):
         fn((0.1, 0.2), (0.1, 0.2, 0.3))

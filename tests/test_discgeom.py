@@ -6,13 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from geodisc.discgeom import (
-    IDENTITY_MOBIUS,
     MobiusMap,
     Quadratic,
-    blaschke_degree,
     gamma_disc,
     mobius_dist,
-    mobius_eval,
     rho,
     schur_roots_outside,
 )
@@ -78,7 +75,7 @@ def test_gamma_disc_is_rho_rate():
 
 def test_mobius_eval_examples():
     m0 = MobiusMap(0.0)
-    assert mobius_eval(m0, 0.25 + 0.1j) == -(0.25 + 0.1j)
+    assert m0(0.25 + 0.1j) == -(0.25 + 0.1j)
     m = MobiusMap(0.4 - 0.2j)
     assert abs(m(m.nu)) == 0.0
     assert m(0.0) == m.nu
@@ -100,7 +97,7 @@ def test_mobius_inverse_and_identity():
     for lam in (0.0, 0.2 - 0.5j, 0.8):
         assert abs(mi(m(lam)) - lam) < 1e-12
         assert abs(m(mi(lam)) - lam) < 1e-12
-    assert IDENTITY_MOBIUS(0.37 - 0.11j) == 0.37 - 0.11j
+    assert MobiusMap(0j, -1 + 0j)(0.37 - 0.11j) == 0.37 - 0.11j
 
 
 def test_schur_examples():
@@ -124,29 +121,3 @@ def test_schur_agrees_with_root_oracle():
         checked += 1
         assert schur_roots_outside(q) == all(abs(r) > 1.0 for r in roots)
     assert checked > 19000
-
-
-def test_blaschke_degree_examples():
-    # lam / 1
-    assert blaschke_degree(Quadratic(0, 1, 0), Quadratic(0, 0, 1)) == 1
-    # Mobius factor (nu - lam)/(1 - conj(nu) lam), quadratic padding
-    nu = 0.3 - 0.5j
-    assert blaschke_degree(Quadratic(0, -1, nu), Quadratic(0, -nu.conjugate(), 1)) == 1
-    # product of two factors: degree 2
-    n1, n2 = 0.5 + 0j, 0.6j
-    num = Quadratic(1, -(n1 + n2), n1 * n2)
-    den = Quadratic(n1.conjugate() * n2.conjugate(), -(n1.conjugate() + n2.conjugate()), 1)
-    assert blaschke_degree(num, den) == 2
-
-
-def test_blaschke_degree_rejects():
-    # 1/(1 - 0.5 lam) is not inner
-    assert blaschke_degree(Quadratic(0, 0, 1), Quadratic(0, -0.5, 1)) is None
-    # denominator with root inside the closed disc is an error
-    with pytest.raises(DomainError):
-        blaschke_degree(Quadratic(0, 1, 0), Quadratic(0, -2.0, 1))
-
-
-def test_blaschke_degree_non_coprime_representation():
-    # lam(1 - 0.5 lam) / (1 - 0.5 lam) == lam: sampling fallback, degree 1
-    assert blaschke_degree(Quadratic(-0.5, 1, 0), Quadratic(0, -0.5, 1)) == 1

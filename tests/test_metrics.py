@@ -13,21 +13,18 @@ from geodisc.geodesics import MINUS, PLUS, AnalyticDisc, Lens, phi_gamma
 from geodisc.metrics import (
     UniversalMember,
     UniversalSet,
-    c_M_origin,
     c_dab,
     c_polydisc,
     compose_with_mobius,
     dab_universal_set,
     dominant_permutation,
     geodesic_through,
-    indicatrix_membership,
     kappa_dab_origin,
     lempert_verify,
     linear_convexity_quadratic,
     permuted_parameters,
     _sample_dab,
     universal_c,
-    universal_embed,
     universal_gamma,
 )
 from geodisc.oracle import lens_interior_points, lempert_upper_bound, quadratic_roots, rng_for
@@ -67,19 +64,9 @@ def test_kappa_examples():
     )
 
 
-def test_indicatrix_examples():
-    assert indicatrix_membership(D88, (0.0, 0.0))
-    assert indicatrix_membership(D88, (0.9, -0.9))
-    assert not indicatrix_membership(D88, (1.0, 0.0))
-
-
-def test_c_M_origin():
-    assert c_M_origin(0.8, 0.8, (0.0, 0.0, 0.0)) == 0.0
-    disc = phi_gamma(L88, -0.625)
-    z = disc(0.5)
-    assert c_M_origin(0.8, 0.8, z) == pytest.approx(math.atanh(0.5), abs=1e-13)
+def test_geodesic_through_rejects_off_surface_target():
     with pytest.raises(NotOnVariety):
-        c_M_origin(0.8, 0.8, (0.5, 0.5, 0.5))
+        geodesic_through(0.8, 0.8, (0.5, 0.5, 0.5))
 
 
 def test_psi_x_limits():
@@ -154,6 +141,10 @@ def test_geodesic_through_requires_dominant_third():
     assert abs(z[0]) > abs(z[2])
     with pytest.raises(DomainError):
         geodesic_through(0.8, 0.8, z)
+    # the dominance test is relative, so it holds at any scale
+    for scale in (1e-9, 1e-15):
+        with pytest.raises(DomainError, match="third coordinate must dominate"):
+            geodesic_through(0.8, 0.8, (0.5 * scale, 0.0, -0.4 * scale))
 
 
 def test_dominant_permutation_and_parameters():
@@ -194,22 +185,6 @@ def test_lempert_verify_exercises_permutation():
 def test_lempert_verify_requires_interesting_regime():
     with pytest.raises(DomainError):
         lempert_verify(DomainDab(0.3, 0.3), samples=5, seed=1)
-
-
-def test_universal_embed_examples():
-    U = dab_universal_set(D88)
-    imgs = universal_embed(U, [(0.0, 0.0), (0.5, 0.0)])
-    assert imgs[0] == (0.0, 0.0, 0.0)
-    assert imgs[1][0] == 0.5
-    assert imgs[1][2] == pytest.approx(-2.0 / 3.0, abs=1e-15)
-    # distinct points embed distinctly
-    rng = rng_for(31, 0)
-    pts = []
-    for i in range(40):
-        from geodisc.metrics import _sample_dab
-
-        pts.append(_sample_dab(D88, 12, i))
-    assert len(universal_embed(U, pts)) == len(pts)
 
 
 def test_universal_c_equals_c_dab():
@@ -274,6 +249,18 @@ def test_linear_convexity_quadratic():
     # retract regime: real roots off the circle
     _, _, uni = linear_convexity_quadratic(DomainDab(0.4, 0.4))
     assert not uni
+
+
+def test_linear_convexity_root_order():
+    # complex roots: the upper half-plane root first
+    r1, r2, uni = linear_convexity_quadratic(DomainDab(1.3, 0.7))
+    assert uni and r2 == r1.conjugate() and r1.imag > 0.0
+    assert r1 == pytest.approx(complex(-1 / 7, math.sqrt(48) / 7), abs=1e-15)
+    # real roots: the larger modulus first, then its reciprocal
+    r1, r2, uni = linear_convexity_quadratic(DomainDab(3.0, 0.5))
+    assert not uni and r1.imag == r2.imag == 0.0
+    assert r1 == pytest.approx(-7.75 - math.sqrt(59.0625), abs=1e-14)
+    assert r2 == pytest.approx(1.0 / r1, abs=1e-15)
 
 
 def test_geodesic_certificate_json():

@@ -3,10 +3,11 @@ import math
 import pytest
 
 from geodisc.discgeom import Quadratic, rho
-from geodisc.errors import EmptyLens, NotThrough, ZeroPolynomial
-from geodisc.geodesics import Lens, flat_disc, phi_gamma
+from geodisc.errors import DomainError, EmptyLens, NotThrough, ZeroPolynomial
+from geodisc.geodesics import IDENTITY_MAP, AnalyticDisc, Lens, RationalMap, phi_gamma
 from geodisc.metrics import c_polydisc
 from geodisc.oracle import (
+    blaschke_degree,
     caratheodory_lower_bound,
     finite_diff_derivative,
     lempert_upper_bound,
@@ -15,6 +16,10 @@ from geodisc.oracle import (
     rng_for,
 )
 from geodisc.varieties import DomainDab
+
+# the coordinate disc lam -> (lam, 0, 0)
+ZERO_MAP = RationalMap(num=(0j, 0j, 0j), den=(0j, 0j, 1 + 0j))
+FLAT_DISC = AnalyticDisc(components=(IDENTITY_MAP, ZERO_MAP, ZERO_MAP), tag="Flat")
 
 
 def test_quadratic_roots_examples():
@@ -38,6 +43,32 @@ def test_quadratic_roots_residuals():
             assert abs(q(r)) < 1e-10 * scale * max(1.0, abs(r)) ** 2
 
 
+def test_blaschke_degree_examples():
+    # lam / 1
+    assert blaschke_degree(Quadratic(0, 1, 0), Quadratic(0, 0, 1)) == 1
+    # Mobius factor (nu - lam)/(1 - conj(nu) lam), quadratic padding
+    nu = 0.3 - 0.5j
+    assert blaschke_degree(Quadratic(0, -1, nu), Quadratic(0, -nu.conjugate(), 1)) == 1
+    # product of two factors: degree 2
+    n1, n2 = 0.5 + 0j, 0.6j
+    num = Quadratic(1, -(n1 + n2), n1 * n2)
+    den = Quadratic(n1.conjugate() * n2.conjugate(), -(n1.conjugate() + n2.conjugate()), 1)
+    assert blaschke_degree(num, den) == 2
+
+
+def test_blaschke_degree_rejects():
+    # 1/(1 - 0.5 lam) is not inner
+    assert blaschke_degree(Quadratic(0, 0, 1), Quadratic(0, -0.5, 1)) is None
+    # denominator with root inside the closed disc is an error
+    with pytest.raises(DomainError):
+        blaschke_degree(Quadratic(0, 1, 0), Quadratic(0, -2.0, 1))
+
+
+def test_blaschke_degree_non_coprime_representation():
+    # lam(1 - 0.5 lam) / (1 - 0.5 lam) == lam: the shared factor is not counted, degree 1
+    assert blaschke_degree(Quadratic(-0.5, 1, 0), Quadratic(0, -0.5, 1)) == 1
+
+
 def test_lower_bound_projections_reproduce_polydisc():
     proj = [lambda z, j=j: z[j] for j in range(3)]
     rng = rng_for(6, 0)
@@ -54,8 +85,7 @@ def test_lower_bound_empty_family():
 
 
 def test_upper_bound_flat_disc():
-    disc = flat_disc(0)
-    val = lempert_upper_bound(disc, (0.0, 0.0, 0.0), (0.4, 0.0, 0.0))
+    val = lempert_upper_bound(FLAT_DISC, (0.0, 0.0, 0.0), (0.4, 0.0, 0.0))
     assert val == pytest.approx(math.atanh(0.4), abs=1e-12)
 
 
@@ -71,9 +101,8 @@ def test_upper_bound_phi_gamma():
 
 
 def test_upper_bound_not_through():
-    disc = flat_disc(0)
     with pytest.raises(NotThrough):
-        lempert_upper_bound(disc, (0.0, 0.0, 0.0), (0.4, 0.2, 0.0), lam_z=0.0, lam_w=0.4)
+        lempert_upper_bound(FLAT_DISC, (0.0, 0.0, 0.0), (0.4, 0.2, 0.0), lam_z=0.0, lam_w=0.4)
 
 
 def test_sandwich_on_dab():

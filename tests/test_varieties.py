@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from geodisc.discgeom import MobiusMap, IDENTITY_MOBIUS
+from geodisc.discgeom import MobiusMap
 from geodisc.errors import (
     DegenerateImage,
     DomainError,
@@ -24,10 +24,13 @@ from geodisc.varieties import (
     graph_value,
     lift_to_M,
     membership_residual,
-    normal_alpha,
     normalize,
     transport,
 )
+
+
+# the identity of the Mobius family: m_0 with rotation -1
+IDENTITY = MobiusMap(0j, -1 + 0j)
 
 
 def rand_alpha(rng, scale=1.5):
@@ -183,7 +186,7 @@ def test_normalize_errors():
 
 def test_transport_identity():
     alpha = Alpha(3, 4, 5)
-    ident = TridiscAutomorphism(perm=(0, 1, 2), maps=(IDENTITY_MOBIUS,) * 3)
+    ident = TridiscAutomorphism(perm=(0, 1, 2), maps=(IDENTITY,) * 3)
     beta = transport(alpha, ident)
     # proportional to alpha by a real factor
     ratios = [b / a for a, b in zip(alpha.coeffs(), beta.coeffs())]
@@ -193,7 +196,7 @@ def test_transport_identity():
 
 def test_transport_permutation():
     alpha = Alpha(3, 4, 5)
-    m = TridiscAutomorphism(perm=(1, 2, 0), maps=(IDENTITY_MOBIUS,) * 3)
+    m = TridiscAutomorphism(perm=(1, 2, 0), maps=(IDENTITY,) * 3)
     beta = transport(alpha, m)
     expected = alpha.permuted((1, 2, 0))
     ratios = [b / a for a, b in zip(expected.coeffs(), beta.coeffs())]
@@ -216,7 +219,7 @@ def test_transport_moving_point_sampled_residual():
 def test_transport_rejects_bad_base_point():
     alpha = Alpha(3, 4, 5)
     # moves (0.5, 0, 0) to 0, but that point is not on the surface
-    m = TridiscAutomorphism(perm=(0, 1, 2), maps=(MobiusMap(0.5), IDENTITY_MOBIUS, IDENTITY_MOBIUS))
+    m = TridiscAutomorphism(perm=(0, 1, 2), maps=(MobiusMap(0.5), IDENTITY, IDENTITY))
     with pytest.raises(InvalidAutomorphism):
         transport(alpha, m)
 
@@ -249,7 +252,7 @@ def test_transport_closed_form_property(coeffs, perm, angles, seed):
 
 def test_transport_degenerate_image():
     # the equation of (1, 1, 0) is (z1 + z2)(1 - z3): no linear z3 term, so F = 0
-    ident = TridiscAutomorphism(perm=(0, 1, 2), maps=(IDENTITY_MOBIUS,) * 3)
+    ident = TridiscAutomorphism(perm=(0, 1, 2), maps=(IDENTITY,) * 3)
     with pytest.raises(DegenerateImage):
         transport(Alpha(1, 1, 0), ident)
 
@@ -268,6 +271,6 @@ def test_lift_examples():
     assert lift_to_M(d, (0.0, 0.0)) == (0.0, 0.0, 0.0)
     z = lift_to_M(d, (0.5, 0.0))
     assert z[2] == pytest.approx(-2.0 / 3.0, abs=1e-15)
-    assert abs(membership_residual(normal_alpha(d), z)) < 1e-14
+    assert abs(membership_residual(Alpha(0.8, 0.8, 1.0), z)) < 1e-14
     with pytest.raises(NotInDomain):
         lift_to_M(d, (0.99, 0.99))
