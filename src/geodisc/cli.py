@@ -9,8 +9,8 @@ space-separated.  Output is JSON (sorted keys, shortest round-trip floats);
 
 Each subcommand imports the layers it needs when it runs.  The module itself
 loads only the standard library, ``errors``, ``discgeom`` and ``varieties``,
-so ``classify``, ``normalize`` and every argument error (exit 2) run without
-numpy.
+so ``classify``, ``normalize``, ``lens``, ``geodesic`` and every argument
+error (exit 2) run without numpy.
 """
 
 from __future__ import annotations

@@ -98,11 +98,7 @@ def schur_roots_outside(q: Quadratic) -> bool:
     lower degrees reduce to the obvious conditions.  A nonzero constant
     passes vacuously.
     """
-    return schur_coeffs_outside(q.a2, q.a1, q.a0)
-
-
-def schur_coeffs_outside(A: complex, B: complex, C: complex) -> bool:
-    """:func:`schur_roots_outside` of A lam^2 + B lam + C, on the coefficients."""
+    A, B, C = q.a2, q.a1, q.a0
     if A == 0 and B == 0 and C == 0:
         raise ZeroPolynomial("schur_roots_outside: zero polynomial")
     if A == 0:

@@ -10,13 +10,15 @@ where the unimodular pair (omega, eta) solves the linear equation
     a omega (1-|g1|^2) + b eta (1-|g2|^2) + a g2 + b g1 + g1 g2 = 0,
 
 a two-link inverse-kinematics problem with exactly two solutions for tangent
-parameters inside the lens.  The second fixes gamma and lets omega run over
-an open arc of the circle: the first component stays lam m_gamma(omega lam),
+parameters inside the lens.  Its residual in the defining equation is
+closed form in the left side above and one partner number, which
+`_certify_disc` checks.  The second fixes gamma and lets omega run over an
+open arc of the circle: the first component stays lam m_gamma(omega lam),
 the third stays lam, and the middle component is completed from the defining
-equation; it equals lam times a degree-two Blaschke factor q/r whose
-denominator r is certified zero-free on the closed disc by the Schur
-criterion.  The arc endpoints are precisely the two inverse-kinematics
-solutions, where the factor drops to degree one.
+equation, so its residual vanishes identically; it equals lam times a
+degree-two Blaschke factor q/r whose denominator r is certified zero-free on
+the closed disc by the Schur criterion.  The arc endpoints are precisely the
+two inverse-kinematics solutions, where the factor drops to degree one.
 """
 
 from __future__ import annotations
@@ -25,15 +27,7 @@ import cmath
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
-from .discgeom import (
-    BOUNDARY_TOL,
-    Quadratic,
-    require_disc_point,
-    schur_coeffs_outside,
-    schur_roots_outside,
-)
+from .discgeom import BOUNDARY_TOL, Quadratic, schur_roots_outside
 from .errors import DomainError, EmptyLens, Infeasible, Tangent
 
 RESIDUAL_TOL = 1e-10
@@ -211,61 +205,45 @@ class AnalyticDisc:
         )
 
 
-# Fixed probe points of the residual check, spread over radii and angles
-# inside the disc of radius 0.97.
-CERTIFY_NODES = np.array(
-    [0.97 * cmath.exp(2j * math.pi * k / 32) * (0.15 + 0.85 * ((k * 23) % 32) / 32) for k in range(32)]
-)
-# Their powers 3, 2, 1, 0, one row each: a row of four descending
-# coefficients times this array is the polynomial at every node.
-_NODE_POWERS = CERTIFY_NODES ** np.arange(3, -1, -1)[:, None]
-# The coordinate pairs (z1 z2, z1 z3, z2 z3) of the equation's bilinear terms.
-_PAIR_FIRST, _PAIR_SECOND = np.array([0, 0, 1]), np.array([1, 2, 2])
+def _certify_disc(L: Lens, gamma1: complex, omega: complex, eta: complex) -> None:
+    """Closed-form check that the disc of (gamma1, omega, eta) lies in M.
 
+    With gamma2 = -(a gamma1 + 1)/b and r1, r2, q of `_ik_data`, the disc
+    lam -> (lam m_g1(omega lam), lam m_g2(eta lam), lam) has, for any omega
+    and eta, the residual
 
-def _padded(cs: tuple[complex, ...], degree: int, error: str) -> tuple[complex, ...]:
-    """cs as four coefficients; DomainError(error) above the given degree."""
-    if len(cs) > degree + 1 and any(abs(c) > 1e-14 for c in cs[: -degree - 1]):
-        raise DomainError(error)
-    return (0.0j,) * (4 - len(cs)) + cs[-4:]
+        a z1 + b z2 + z3 - z1 z2 - b z1 z3 - a z2 z3
+            = -lam^2 (k - k' lam) / (D1 D2),
+        k = r1 omega + r2 eta + q,   k' = r1 eta + r2 omega + omega eta conj(q),
+        D1 = 1 - conj(g1) omega lam,   D2 = 1 - conj(g2) eta lam,
 
+    and k' = omega eta conj(k) when |omega| = |eta| = 1.  Checked: gamma1,
+    omega and eta are finite; |g1|, |g2|, |g1 omega| and |g2 eta| are below
+    1, so D1 D2 has no zero in the closed disc; omega and eta are unimodular
+    to RESIDUAL_TOL; and max(|k|, |k'|) <= RESIDUAL_TOL |q|.
 
-def _certify_disc(disc: AnalyticDisc, a: float, b: float, tol: float = RESIDUAL_TOL):
-    """Residual check on the (a, b, 1) variety plus Schur check of denominators.
-
-    Each denominator (degree at most two) must have finite coefficients and
-    pass the Schur test on them.  The numerators (degree at most three) and
-    denominators of all components are stacked into one coefficient array,
-    so one product with the node powers evaluates them over all of
-    CERTIFY_NODES; each value must be a finite point of the open disc.  The
-    defining equation a z1 + b z2 + z3 = z1 z2 + b z1 z3 + a z2 z3 must hold
-    there to within `tol`.  With the node values as a (3, 32) array `vals`,
-    the residual is the linear coefficients (a, b, 1) times `vals` minus the
-    bilinear ones (1, b, a) times the products of the pairs (z1 z2, z1 z3,
-    z2 z3).
+    The claim is a backward bound on the two coefficients, relative to |q|.
+    The forward supremum of the residual over the closed disc is at most
+    (|k| + |k'|) / ((1 - |g1 omega|)(1 - |g2 eta|)), which is not tested:
+    near the lens boundary it exceeds RESIDUAL_TOL on discs whose residual
+    on the circle stays far below it.
     """
-    comps = disc.components
-    dens = [_padded(comp.den, 2, "denominator degree exceeds two") for comp in comps]
-    for dcs in dens:
-        for c in dcs[1:]:
-            if not cmath.isfinite(c):
-                raise DomainError(f"non-finite coefficient {complex(c)!r}")
-        if not schur_coeffs_outside(*dcs[1:]):
-            raise DomainError("component denominator has a root in the closed disc")
-    coeffs = np.array([_padded(comp.num, 3, "numerator degree exceeds three") for comp in comps] + dens)
-    n = len(comps)
-    with np.errstate(all="ignore"):
-        both = coeffs @ _NODE_POWERS
-        vals = both[:n] / both[n:]
-        if not np.abs(vals).max() < 1.0:  # true for non-finite values too
-            # the first offending value in node order raises the point check's error
-            k, j = np.argwhere(~(np.abs(vals) < 1.0).T)[0]
-            require_disc_point(vals[j, k])
-    pairs = vals.take(_PAIR_FIRST, 0) * vals.take(_PAIR_SECOND, 0)
-    worst = float(np.abs(np.array((a, b, 1.0)) @ vals - np.array((1.0, b, a)) @ pairs).max())
-    if worst > tol:
-        raise DomainError(f"constructed disc misses the variety by {worst:.3e}")
-    return disc
+    for c in (gamma1, omega, eta):
+        if not cmath.isfinite(c):
+            raise DomainError(f"non-finite coefficient {c!r}")
+    g2, r1, r2, q = _ik_data(L, gamma1)
+    if not (abs(gamma1) < 1.0 and abs(g2) < 1.0):
+        raise DomainError(f"tangent parameters {gamma1!r}, {g2!r} are not in the open unit disc")
+    if not (abs(gamma1 * omega) < 1.0 and abs(g2 * eta) < 1.0):
+        raise DomainError("component denominator has a root in the closed disc")
+    off = max(abs(abs(omega) - 1.0), abs(abs(eta) - 1.0))
+    if off > RESIDUAL_TOL:
+        raise DomainError(f"pair (omega, eta) is off the unit circle by {off:.3e}")
+    kappa = r1 * omega + r2 * eta + q
+    kappa2 = r1 * eta + r2 * omega + omega * eta * q.conjugate()
+    worst = max(abs(kappa), abs(kappa2))
+    if not worst <= RESIDUAL_TOL * abs(q):
+        raise DomainError(f"constructed disc misses the variety: coefficient {worst:.3e}, |q| {abs(q):.3e}")
 
 
 def _mobius_factor_map(nu: complex, rot: complex) -> RationalMap:
@@ -287,6 +265,8 @@ def phi_gamma(
 
     The unimodular pair is the `branch` solution of `solve_omega_eta`, unless
     `omega_eta` gives the pair (with its own branch label) to use as it is.
+    Either way `_certify_disc` checks the disc in closed form before it is
+    built, and raises DomainError when it is not in M.
     """
     if branch not in (PLUS, MINUS):
         raise DomainError(f"unknown branch {branch!r}")
@@ -295,11 +275,11 @@ def phi_gamma(
         sol = sols[0] if branch == PLUS else sols[1]
     else:
         sol = omega_eta
-    g2 = L.gamma2(gamma1)
-    disc = AnalyticDisc(
+    _certify_disc(L, gamma1, sol.omega, sol.eta)
+    return AnalyticDisc(
         components=(
             _mobius_factor_map(gamma1, sol.omega),
-            _mobius_factor_map(g2, sol.eta),
+            _mobius_factor_map(L.gamma2(gamma1), sol.eta),
             IDENTITY_MAP,
         ),
         tag="PhiGamma",
@@ -312,7 +292,6 @@ def phi_gamma(
             "eta": [sol.eta.real, sol.eta.imag],
         },
     )
-    return _certify_disc(disc, L.a, L.b)
 
 
 def _arc_terms(L: Lens, gamma: complex) -> tuple[complex, float, float]:
@@ -352,7 +331,7 @@ def _family_qr(L: Lens, gamma: complex, omega: complex):
     return q, r
 
 
-def blaschke_family(L: Lens, gamma: complex, omega: complex, tol: float = RESIDUAL_TOL):
+def blaschke_family(L: Lens, gamma: complex, omega: complex):
     """Disc through the origin with prescribed first-factor parameter gamma.
 
     For omega on the admissible arc, returns
@@ -360,6 +339,10 @@ def blaschke_family(L: Lens, gamma: complex, omega: complex, tol: float = RESIDU
     is lam times the degree-two Blaschke factor q/r; the denominator r is
     certified zero-free on the closed disc via the Schur criterion.  Returns
     None (inadmissible) when the arc inequality fails.
+
+    The middle component is solved from the defining equation, so the
+    disc's residual vanishes identically for every omega, and no residual
+    check is made.
     """
     if abs(gamma) >= 1.0:
         raise DomainError("gamma must lie in the open unit disc")
@@ -371,7 +354,7 @@ def blaschke_family(L: Lens, gamma: complex, omega: complex, tol: float = RESIDU
     if not schur_roots_outside(r):
         return None  # inequality marginally true but certificate fails
     middle = RationalMap(num=q.coeffs() + (0.0j,), den=r.coeffs())
-    disc = AnalyticDisc(
+    return AnalyticDisc(
         components=(
             _mobius_factor_map(gamma, omega),
             middle,
@@ -385,7 +368,6 @@ def blaschke_family(L: Lens, gamma: complex, omega: complex, tol: float = RESIDU
             "omega": [omega.real, omega.imag],
         },
     )
-    return _certify_disc(disc, L.a, L.b, tol=max(tol, RESIDUAL_TOL))
 
 
 def admissible_arc(L: Lens, gamma: complex) -> list[tuple[float, float]]:

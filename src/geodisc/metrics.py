@@ -40,7 +40,6 @@ from .geodesics import (
     solve_omega_eta,
 )
 from .varieties import DomainDab, _dab_lift, dab_contains
-from .oracle import rng_for
 
 
 def c_polydisc(z: Sequence[complex], w: Sequence[complex]) -> float:
@@ -77,8 +76,9 @@ class GeodesicCertificate:
     `residual` is what the chosen candidate was accepted on: the relative
     inverse-kinematics residual |r1 omega + r2 eta + q| / |q| of the pair read
     off the target, or, where the exact pair was used instead, its disc's
-    miss at the target.  `alternates` lists (branch, gamma1) of the other
-    accepted candidates.
+    miss at the target.  Either way `phi_gamma` has certified in closed form
+    that the disc lies in M, to `geodesics.RESIDUAL_TOL`.  `alternates` lists
+    (branch, gamma1) of the other accepted candidates.
     """
 
     disc: AnalyticDisc
@@ -118,10 +118,13 @@ def _intersection_candidates(L: Lens, x, t1, t2) -> list[complex]:
     Each slice component sits at hyperbolic distance arctanh|x| from its
     lens parameter, so gamma1 lies on the intersection of one hyperbolic
     circle around t1 and the affine pullback of another around t2; these
-    intersect in at most two points.
+    intersect in at most two points.  The first circle degenerates to a point
+    when |t1| = 1, and there is no candidate.
     """
     s = abs(x)
     c1, r1 = _h_circle(t1, s)
+    if r1 <= 0.0:
+        return []
     c2, r2 = _h_circle(t2, s)
     # gamma2 = -(a gamma1 + 1)/b on circle(c2, r2) pulls back to a circle
     m2 = -(1.0 + L.b * c2) / L.a
@@ -181,7 +184,9 @@ def geodesic_through(
     |r1 omega + r2 eta + q| / |q| is at most `tol`; plus-branch candidates
     come first, then the smaller residual.  The accepted pair is labelled by
     the nearer of the two `solve_omega_eta` solutions (by its own sign where
-    they coalesce), and `phi_gamma` checks its disc on the variety.  With
+    they coalesce), and `phi_gamma` certifies its disc in closed form: the
+    pair unimodular and both residual coefficients small (`_certify_disc`),
+    which the IK residual alone does not ensure.  With
     `find_alternates`, the other accepted candidate is listed as an
     alternate.
 
@@ -331,6 +336,8 @@ SAMPLE_DRAWS = 100_000
 
 
 def _sample_dab(d: DomainDab, seed: int, index: int) -> tuple[complex, complex]:
+    from .oracle import rng_for  # numpy, loaded by the commands that sample
+
     rng = rng_for(seed, index)
     for _ in range(SAMPLE_DRAWS):
         z1 = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))

@@ -295,6 +295,13 @@ def test_transport_reads_tol_residual(capsys):
     assert json.loads(out)["error"]["type"] == "InvalidAutomorphism"
 
 
+def test_geodesic_tiny_target_is_computational_error(capsys):
+    # |z1 / z3| = 1 collapses the first hyperbolic circle to its center
+    code, out = run_cli(capsys, "geodesic", "--a", "0.8", "--b", "0.8", "--z", "5e-10,0", "5e-10,0", "5e-10,0")
+    assert code == 1
+    assert json.loads(out)["error"]["type"] == "ConvergenceFailure"
+
+
 def test_geodesic_reads_tol_match(capsys):
     args = ("geodesic", "--a", "0.8", "--b", "0.8", "--z", "0.5,0", "0,0")
     code, out = run_cli(capsys, *args, "--tol-match", "1e-30")

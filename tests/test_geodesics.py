@@ -2,25 +2,17 @@ import cmath
 import math
 
 import pytest
-from hypothesis import assume, given, reject, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from geodisc.discgeom import Quadratic, rho, schur_roots_outside
-from geodisc.errors import (
-    DomainError,
-    EmptyLens,
-    GeodiscError,
-    Infeasible,
-    Tangent,
-)
+from geodisc.discgeom import Quadratic, rho
+from geodisc.errors import DomainError, EmptyLens, Infeasible, Tangent
 from geodisc.geodesics import (
-    CERTIFY_NODES,
     MINUS,
     PLUS,
-    RESIDUAL_TOL,
     AnalyticDisc,
     Lens,
-    RationalMap,
+    OmegaEta,
     _certify_disc,
     admissibility_margin,
     admissible_arc,
@@ -265,53 +257,9 @@ def test_disc_json_round_trip():
         assert max(abs(u - v) for u, v in zip(disc(lam), clone(lam))) < 1e-15
 
 
-def _scalar_certify(disc, a, b, tol=RESIDUAL_TOL, n=32):
-    """Point-by-point reference for _certify_disc: its verdict and the worst
-    residual over the nodes."""
-    alpha = Alpha(complex(a), complex(b), 1.0 + 0.0j)
-    for comp in disc.components:
-        dcs = comp.den[-3:] if len(comp.den) >= 3 else (0.0j,) * (3 - len(comp.den)) + comp.den
-        if len(comp.den) > 3 and any(abs(c) > 1e-14 for c in comp.den[:-3]):
-            return "degree", None
-        if not schur_roots_outside(Quadratic(*dcs)):
-            return "root", None
-    worst = 0.0
-    for k in range(n):
-        lam = 0.97 * cmath.exp(2j * math.pi * k / n) * (0.15 + 0.85 * ((k * 23) % n) / n)
-        try:
-            worst = max(worst, abs(membership_residual(alpha, disc(lam))))
-        except DomainError:
-            return "outside", None
-    return ("off" if worst > tol else "ok"), worst
-
-
-def _verdict(disc, a, b) -> str:
-    try:
-        _certify_disc(disc, a, b)
-    except DomainError as exc:
-        msg = str(exc)
-        for word, verdict in (("degree", "degree"), ("root", "root"),
-                              ("open unit disc", "outside"), ("non-finite", "outside"),
-                              ("misses the variety", "off")):
-            if word in msg:
-                return verdict
-        raise
-    return "ok"
-
-
-def _perturbed(disc, slot, num_scale, den_shift):
-    comps = list(disc.components)
-    c = comps[slot]
-    comps[slot] = RationalMap(
-        num=tuple(x * num_scale for x in c.num),
-        den=(c.den[0] + den_shift,) + tuple(c.den[1:]),
-    )
-    return AnalyticDisc(components=tuple(comps), tag=disc.tag, params=disc.params)
-
-
 @st.composite
-def certified_discs(draw):
-    """(a, b, disc): a phi_gamma or blaschke_family disc at an interior lens point."""
+def lens_points(draw):
+    """(L, gamma1): an interior point of a nonempty lens."""
     a = draw(st.floats(0.05, 20.0))
     b = a + draw(st.floats(-0.95, 0.95))
     assume(b > 0.05 and a + b > 1.05)
@@ -322,62 +270,93 @@ def certified_discs(draw):
     chord = c_dn + draw(st.floats(0.02, 0.98)) * (c_up - c_dn)
     real = -1.0 + draw(st.floats(0.02, 0.98)) * ((b - 1.0) / a + 1.0)
     s = draw(st.floats(0.0, 0.98))
-    g = (1.0 - s) * chord + s * real
-    try:
-        if draw(st.booleans()):
-            disc = phi_gamma(L, g, draw(st.sampled_from([PLUS, MINUS])))
-        else:
-            arcs = admissible_arc(L, g)
-            assume(arcs)
-            lo, hi = arcs[0]
-            disc = blaschke_family(L, g, cmath.exp(1j * (lo + draw(st.floats(0.05, 0.95)) * (hi - lo))))
-            assume(disc is not None)
-    except GeodiscError:
-        reject()
-    return a, b, disc
+    return L, (1.0 - s) * chord + s * real
 
 
-def test_certify_nodes_match_formula():
-    n = 32
-    expect = [0.97 * cmath.exp(2j * math.pi * k / n) * (0.15 + 0.85 * ((k * 23) % n) / n)
-              for k in range(n)]
-    assert CERTIFY_NODES.tolist() == expect
+def _polar(draw, moduli):
+    return draw(moduli) * cmath.exp(1j * draw(st.floats(0.0, 2.0 * math.pi)))
 
 
-@settings(max_examples=300, deadline=None)
-@given(
-    certified_discs(),
-    st.integers(0, 2),
-    st.sampled_from([1.0, 1.0 + 1e-13, 1.0 + 1e-11, 1.0 + 1e-9, 1.0 + 1e-6, 1.01, 3.0]),
-    st.sampled_from([0.0, 1e-12, 1e-3, 0.5, 4.0]),
-)
-def test_certify_disc_agrees_with_scalar_loop(drawn, slot, num_scale, den_shift):
-    a, b, disc = drawn
-    disc = _perturbed(disc, slot, num_scale, den_shift)
-    expect, worst = _scalar_certify(disc, a, b)
-    # the array evaluation rounds differently in the last bits, so a residual
-    # right at the tolerance may go either way
-    assume(worst is None or abs(worst - RESIDUAL_TOL) > 1e-6 * RESIDUAL_TOL)
-    assert _verdict(disc, a, b) == expect
+@settings(max_examples=500, deadline=None)
+@given(lens_points(), st.data())
+def test_phi_gamma_residual_identity(point, data):
+    # the residual of lam -> (lam m_g1(omega lam), lam m_g2(eta lam), lam) is
+    # -lam^2 (k - k' lam) / (D1 D2) for any omega and eta, not only unimodular ones
+    L, g1 = point
+    a, b = L.a, L.b
+    omega = _polar(data.draw, st.floats(0.5, 1.5))
+    eta = _polar(data.draw, st.floats(0.5, 1.5))
+    lam = _polar(data.draw, st.one_of(st.just(1.0), st.floats(0.0, 1.0, allow_subnormal=False)))
+    g2 = -(a * g1 + 1.0) / b
+    d1 = 1.0 - g1.conjugate() * omega * lam
+    d2 = 1.0 - g2.conjugate() * eta * lam
+    assume(min(abs(d1), abs(d2)) > 1e-3)  # away from a pole of the components
+    z1 = lam * (g1 - omega * lam) / d1
+    z2 = lam * (g2 - eta * lam) / d2
+    z3 = lam
+    terms = (a * z1, b * z2, z3, -z1 * z2, -b * z1 * z3, -a * z2 * z3)
+    r1 = a * (1.0 - abs(g1) ** 2)
+    r2 = b * (1.0 - abs(g2) ** 2)
+    q = a * g2 + b * g1 + g1 * g2
+    kappa = r1 * omega + r2 * eta + q
+    kappa2 = r1 * eta + r2 * omega + omega * eta * q.conjugate()
+    closed = -lam * lam * (kappa - kappa2 * lam) / (d1 * d2)
+    assert abs(sum(terms) - closed) <= 1e-12 * sum(abs(t) for t in terms)
+
+
+def _pair(L, g, branch=PLUS):
+    return solve_omega_eta(L, g)[0 if branch == PLUS else 1]
+
+
+VERDICT_POINTS = [(L88, -0.625), (L88, -0.5 + 0.3j), (Lens(0.51, 0.5), -0.99 + 0.005j),
+                  (Lens(20.0, 20.5), -0.98 + 0.1j)]
+
+
+@pytest.mark.parametrize("L, g", VERDICT_POINTS)
+@pytest.mark.parametrize("branch", [PLUS, MINUS])
+def test_phi_gamma_accepts_the_exact_pair(L, g, branch):
+    sol = _pair(L, g, branch)
+    disc = phi_gamma(L, g, omega_eta=OmegaEta(sol.omega, sol.eta, branch))
+    assert disc.params["branch"] == branch
+
+
+@pytest.mark.parametrize("L, g", VERDICT_POINTS)
+@pytest.mark.parametrize("scale", [1.0 + 1e-9, 1.0 - 1e-9])
+def test_phi_gamma_rejects_a_pair_off_the_circle(L, g, scale):
+    sol = _pair(L, g)
+    with pytest.raises(DomainError, match="off the unit circle"):
+        phi_gamma(L, g, omega_eta=OmegaEta(sol.omega, sol.eta * scale, PLUS))
+
+
+@pytest.mark.parametrize("L, g", VERDICT_POINTS)
+def test_phi_gamma_rejects_a_rotated_pair(L, g):
+    sol = _pair(L, g)
+    with pytest.raises(DomainError, match="misses the variety"):
+        phi_gamma(L, g, omega_eta=OmegaEta(sol.omega * cmath.exp(1e-6j), sol.eta, PLUS))
+
+
+@pytest.mark.parametrize("bad", [complex(math.nan, 0.0), complex(math.inf, 1.0)])
+def test_phi_gamma_rejects_a_non_finite_pair(bad):
+    sol = _pair(L88, -0.625)
+    with pytest.raises(DomainError, match="non-finite coefficient"):
+        phi_gamma(L88, -0.625, omega_eta=OmegaEta(bad, sol.eta, PLUS))
 
 
 def test_certify_disc_rejects_off_variety():
-    disc = phi_gamma(L88, -0.625)
+    # unimodular, but omega and eta of different branches
+    plus, minus = solve_omega_eta(L88, -0.625)
     with pytest.raises(DomainError, match="misses the variety"):
-        _certify_disc(_perturbed(disc, 1, 1.0 + 1e-6, 0.0), 0.8, 0.8)
+        _certify_disc(L88, -0.625, plus.omega, minus.eta)
 
 
 def test_certify_disc_rejects_component_leaving_disc():
-    disc = phi_gamma(L88, -0.625)
+    # gamma1 = 0 is off the lens: gamma2 = -1.25
     with pytest.raises(DomainError, match="open unit disc"):
-        _certify_disc(_perturbed(disc, 0, 3.0, 0.0), 0.8, 0.8)
+        _certify_disc(L88, 0.0, 1.0 + 0.0j, 1.0 + 0.0j)
 
 
 def test_certify_disc_rejects_denominator_root_in_closed_disc():
-    disc = phi_gamma(L88, -0.625)
-    comps = list(disc.components)
-    for den in ((0.0j, -2.0 + 0.0j, 1.0 + 0.0j), (0.0j, -1.0 + 0.0j, 1.0 + 0.0j)):  # roots 1/2, 1
-        comps[0] = RationalMap(num=comps[0].num, den=den)
-        bad = AnalyticDisc(components=tuple(comps), tag=disc.tag, params=disc.params)
+    eta = solve_omega_eta(L88, -0.625)[0].eta
+    for omega in (3.2 + 0.0j, 1.6 + 0.0j):  # 1 - conj(g1) omega lam vanishes at 1/2, at 1
         with pytest.raises(DomainError, match="root in the closed disc"):
-            _certify_disc(bad, 0.8, 0.8)
+            _certify_disc(L88, -0.625, omega, eta)

@@ -60,7 +60,8 @@ def test_star_import_binds_every_name():
 
 # Paper results kept without a caller, each with its reason.
 UNCALLED = {
-    "blaschke_family": "the paper's second geodesic family through the origin, waiting for a generic disc certificate",
+    "blaschke_family": "the paper's second geodesic family through the origin, certified by its own checks, "
+                       "waiting for a caller",
     "universal_member_B2": "a member of the paper's two-ball universal family, waiting for `universal --ball`",
     "universal_member_linear": "a member of the paper's two-ball universal family, waiting for `universal --ball`",
 }
@@ -116,6 +117,23 @@ EXTREMAL = ('{"direction": [[0.1760901812651248, 0.0], [0.880450906325624, 0.440
             '"unitary": [[[-0.17609018126512455, 0.0], [-0.8804509063256237, 0.44022545316281186]], '
             '[[-0.8804509063256238, -0.4402254531628119], [0.17609018126512466, 0.0]]], '
             '"value": [-0.25496234455426037, 0.15939124909853894]}\n')
+LENS = ('{"a": 0.8, "b": 0.8, "corners": [[-0.625, 0.7806247497997998], [-0.625, -0.7806247497997998]], '
+        '"nonempty": true, "solutions": [{"branch": "plus", "eta": [0.6249999999999999, -0.7806247497997999], '
+        '"omega": [0.625, 0.7806247497997999]}, {"branch": "minus", "eta": [0.6249999999999999, '
+        '0.7806247497997999], "omega": [0.625, -0.7806247497997999]}]}\n')
+GEODESIC = ('{"alternates": [{"branch": "minus", "gamma1": [-0.6916666666666667, 0.36429154990657336]}], '
+            '"branch": "plus", "caratheodory_value": 0.8047189562170504, "disc": {"components": [{"den": [[0.0, '
+            '0.0], [0.5833333333333337, 0.5204164998665329], [1.0, 0.0]], "num": [[-0.35000000000000037, '
+            '-0.9367496997597596], [-0.6916666666666667, -0.36429154990657336], [0.0, 0.0]]}, {"den": [[0.0, 0.0], '
+            '[0.6666666666666666, 5.551115123125783e-17], [1.0, 0.0]], "num": [[-0.8374999999999998, '
+            '0.54643732485986], [-0.5583333333333332, 0.36429154990657336], [0.0, 0.0]]}, {"den": [[0.0, 0.0], '
+            '[0.0, 0.0], [1.0, 0.0]], "num": [[0.0, 0.0], [1.0, 0.0], [0.0, 0.0]]}], "params": {"a": 0.8, '
+            '"b": 0.8, "branch": "plus", "eta": [0.8374999999999998, -0.54643732485986], '
+            '"gamma1": [-0.6916666666666667, -0.36429154990657336], "omega": [0.35000000000000037, '
+            '0.9367496997597596]}, "tag": "PhiGamma"}, "gamma1": [-0.6916666666666667, -0.36429154990657336], '
+            '"lempert_value": 0.8047189562170504, "param_at_target": [-0.6666666666666667, -0.0], '
+            '"permutation": [1, 2, 3], "point": [[0.5, 0.0], [0.0, 0.0], [-0.6666666666666667, -0.0]], '
+            '"residual": 3.6753160314401474e-16}\n')
 
 
 @pytest.mark.parametrize("argv, code, stdout, modules", [
@@ -127,7 +145,11 @@ EXTREMAL = ('{"direction": [[0.1760901812651248, 0.0], [0.880450906325624, 0.440
       "--z", "0.1,0.2", "-0.3,0"], 0, EXTREMAL, BASE | {"geodisc.ball"}),
     (["-c", "import geodisc"], 0, "", {"geodisc"}),
     (["-m", "geodisc.cli", "verify-lempert", "--a", "0.8", "--b", "0.8", "--samples", "0"], 2, "", BASE),
-], ids=["classify", "normalize", "ball-cstar", "ball-extremal", "import", "validation-error"])
+    (["-m", "geodisc.cli", "lens", "--a", "0.8", "--b", "0.8", "--gamma=-0.625,0"], 0, LENS,
+     BASE | {"geodisc.geodesics"}),
+    (["-m", "geodisc.cli", "geodesic", "--a", "0.8", "--b", "0.8", "--z", "0.5,0", "0,0"], 0, GEODESIC,
+     BASE | {"geodisc.geodesics", "geodisc.metrics"}),
+], ids=["classify", "normalize", "ball-cstar", "ball-extremal", "import", "validation-error", "lens", "geodesic"])
 def test_startup_loads_no_numpy(argv, code, stdout, modules):
     env = dict(os.environ, PYTHONPATH=str(SRC))
     proc = subprocess.run([sys.executable, "-X", "importtime", *argv], env=env, capture_output=True, text=True)
