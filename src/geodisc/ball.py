@@ -7,9 +7,9 @@ two-ball family are built as the psi_l of a line.
 Points are complex vectors; the Hermitian pairing is <z, w> = sum z_j conj(w_j).
 The kernels compute on tuples of Python ``complex``: the vectors here have two
 or three coordinates, where numpy's per-call overhead outweighs the
-arithmetic.  Inputs may be any sequence of numbers.  ``ball_automorphism``,
-``minimal_norm_point`` and ``ComplexLine.at`` return a 1-D ``numpy.ndarray``
-at the public boundary; they are the only functions here that import numpy.
+arithmetic.  Inputs may be any sequence of numbers.  ``ball_automorphism``
+and ``minimal_norm_point`` return a 1-D ``numpy.ndarray`` at the public
+boundary; they are the only functions here that import numpy.
 """
 
 from __future__ import annotations
@@ -23,6 +23,8 @@ from .discgeom import require_disc_point
 from .errors import DomainError, Indeterminate, NoIntersection
 
 DEN_GUARD = 1e-13
+# slack of the boundary locus Im(z2 (1 - conj(z1))) = 0
+LOCUS_TOL = 1e-9
 
 Vec = tuple[complex, ...]
 
@@ -112,11 +114,6 @@ class ComplexLine:
             raise DomainError("non-finite coordinates")
         object.__setattr__(self, "direction", _unit(d, "direction"))
         object.__setattr__(self, "base", base)
-
-    def at(self, lam: complex):
-        import numpy as np
-
-        return np.array([b + lam * c for b, c in zip(self.base, self.direction)])
 
 
 def _foot(l: ComplexLine) -> Vec:
@@ -241,15 +238,20 @@ def c_star_ball(w, z) -> float:
     return math.sqrt(max(val, 0.0))
 
 
-def boundary_modulus_locus(z, tol: float = 1e-9) -> bool:
-    """Whether Im(z2 (1 - conj(z1))) vanishes at a unit-sphere point."""
+def locus_value(z1: complex, z2: complex) -> tuple[float, bool]:
+    """Im(z2 (1 - conj(z1))) and whether it vanishes to within LOCUS_TOL."""
+    im = (z2 * (1.0 - z1.conjugate())).imag
+    return im, abs(im) <= LOCUS_TOL
+
+
+def boundary_modulus_locus(z) -> bool:
+    """Whether a unit-sphere point lies on the locus of `locus_value`."""
     z = _vec(z)
     if len(z) != 2:
         raise DomainError("defined on dimension 2")
     if abs(math.sqrt(_norm2(z)) - 1.0) > 1e-6:
         raise DomainError("point must lie on the unit sphere")
-    z1, z2 = z
-    return abs((z2 * (1.0 - z1.conjugate())).imag) <= tol
+    return locus_value(*z)[1]
 
 
 def boundary_modulus(z) -> float:

@@ -7,6 +7,12 @@ space-separated.  Output is JSON (sorted keys, shortest round-trip floats);
 1 computational failure (machine-readable error object on stdout),
 2 validation error.
 
+No option sets a tolerance.  Each check uses the one value of the module
+that makes it: ``metrics.MATCH_TOL`` for the verifier's match (echoed as the
+report's ``tolerance``), ``geodesics.RESIDUAL_TOL`` for the disc certificate,
+``varieties.TRANSPORT_TOL`` for ``transport`` and ``ball.LOCUS_TOL`` for the
+boundary locus of ``ball locus`` and ``plotdata locus``.
+
 Each subcommand imports the layers it needs when it runs.  The module itself
 loads only the standard library, ``errors``, ``discgeom`` and ``varieties``,
 so ``classify``, ``normalize``, ``lens``, ``geodesic`` and every argument
@@ -23,7 +29,7 @@ import math
 import re
 import sys
 
-from .discgeom import MATCH_TOL, MobiusMap
+from .discgeom import MobiusMap
 from .errors import GeodiscError
 from .varieties import Alpha, DomainDab, TridiscAutomorphism, classify, lift_to_M, normalize, transport
 
@@ -68,7 +74,7 @@ def cmd_transport(args) -> int:
     alpha = Alpha(*args.alpha)
     maps = tuple(MobiusMap(nu, rot) for nu, rot in zip(args.nu, args.rotation))
     m = TridiscAutomorphism(perm=tuple(p - 1 for p in args.perm), maps=maps)
-    beta = transport(alpha, m, tol=args.tol_residual)
+    beta = transport(alpha, m)
     _emit_json(beta.to_json())
     return 0
 
@@ -94,7 +100,7 @@ def cmd_geodesic(args) -> int:
     perm = dominant_permutation(z)
     ap, bp = permuted_parameters(args.a, args.b, perm)
     zp = tuple(z[perm[j]] for j in range(3))
-    cert = geodesic_through(ap, bp, zp, tol=args.tol_match, find_alternates=True)
+    cert = geodesic_through(ap, bp, zp, find_alternates=True)
     out = cert.to_json()
     out["permutation"] = [p + 1 for p in perm]
     out["point"] = [_cjson(w) for w in z]
@@ -124,7 +130,7 @@ def cmd_verify_lempert(args) -> int:
     from .metrics import lempert_verify
 
     d = DomainDab(args.a, args.b)
-    report = lempert_verify(d, samples=args.samples, seed=args.seed, tol=args.tol_match)
+    report = lempert_verify(d, samples=args.samples, seed=args.seed)
     _emit_json(report.to_json())
     return 0 if report.failures == 0 else 1
 
@@ -188,7 +194,7 @@ def cmd_ball(args) -> int:
         pt = ball_mod.f_t_geodesic(args.t, args.lam)
         _emit_json({"point": [_cjson(c) for c in pt]})
     else:  # locus
-        on = ball_mod.boundary_modulus_locus(args.z, tol=args.tol_boundary)
+        on = ball_mod.boundary_modulus_locus(args.z)
         _emit_json({"on_locus": on})
     return 0
 
@@ -213,9 +219,7 @@ def cmd_sweep(args) -> int:
                     "regime; pass --allow-degenerate to mark such cells"
                 )
             return (idx, a, b, "retract-regime", 0, 0, "", "")
-        rep = lempert_verify(
-            d, samples=args.samples, seed=args.seed * 1000003 + idx, tol=args.tol_match
-        )
+        rep = lempert_verify(d, samples=args.samples, seed=args.seed * 1000003 + idx)
         status = "ok" if rep.failures == 0 else "fail"
         return (idx, a, b, status, args.samples, rep.failures, rep.worst_match, rep.worst_residual)
 
@@ -226,6 +230,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_plotdata(args) -> int:
+    from .ball import locus_value
     from .geodesics import Lens, admissible_arc
     from .metrics import kappa_dab_origin
 
@@ -259,8 +264,8 @@ def cmd_plotdata(args) -> int:
                     ph2 = 2.0 * math.pi * k / n
                     z1 = math.cos(th) * complex(math.cos(ph1), math.sin(ph1))
                     z2 = math.sin(th) * complex(math.cos(ph2), math.sin(ph2))
-                    im = (z2 * (1.0 - z1.conjugate())).imag
-                    rows.append((z1.real, z1.imag, z2.real, z2.imag, im, int(abs(im) <= args.tol_boundary)))
+                    im, on = locus_value(z1, z2)
+                    rows.append((z1.real, z1.imag, z2.real, z2.imag, im, int(on)))
         _emit_csv(["z1_re", "z1_im", "z2_re", "z2_im", "im_value", "on_locus"], rows)
     return 0
 
@@ -290,7 +295,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--rotation", type=_complex, nargs=3, default=[complex(-1.0)] * 3,
         help="unimodular rotation per slot (default: identity maps)",
     )
-    sp.add_argument("--tol-residual", type=float, default=1e-10)
     sp.set_defaults(fn=cmd_transport)
 
     sp = sub.add_parser("distance", help="invariant distance between two points")
@@ -305,7 +309,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--a", type=float, required=True)
     sp.add_argument("--b", type=float, required=True)
     sp.add_argument("--z", type=_complex, nargs="+", required=True, help="domain pair or lifted triple")
-    sp.add_argument("--tol-match", type=float, default=MATCH_TOL)
     sp.set_defaults(fn=cmd_geodesic)
 
     sp = sub.add_parser("lens", help="lens corners and branch solutions")
@@ -319,7 +322,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--b", type=float, required=True)
     sp.add_argument("--samples", type=int, default=100)
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--tol-match", type=float, default=MATCH_TOL)
     sp.set_defaults(fn=cmd_verify_lempert)
 
     sp = sub.add_parser("convexity", help="linear-convexity witness quadratic roots")
@@ -344,7 +346,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--direction", type=_complex, nargs="+", default=None)
     sp.add_argument("--t", type=float, default=0.0)
     sp.add_argument("--lam", type=_complex, default=0.0j)
-    sp.add_argument("--tol-boundary", type=float, default=1e-9)
     sp.set_defaults(fn=cmd_ball)
 
     sp = sub.add_parser("sweep", help="grid verification sweep, CSV output")
@@ -357,7 +358,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--samples", type=int, default=50)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--allow-degenerate", action="store_true")
-    sp.add_argument("--tol-match", type=float, default=MATCH_TOL)
     sp.set_defaults(fn=cmd_sweep)
 
     sp = sub.add_parser("plotdata", help="CSV point clouds for external plotting")
@@ -366,7 +366,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--b", type=float, default=0.8)
     sp.add_argument("--gamma", type=_complex, default=0.0j)
     sp.add_argument("--n", type=int, default=64)
-    sp.add_argument("--tol-boundary", type=float, default=1e-9)
     sp.set_defaults(fn=cmd_plotdata)
 
     for sp in sub.choices.values():

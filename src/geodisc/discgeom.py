@@ -11,19 +11,15 @@ from dataclasses import dataclass
 
 from .errors import DomainError, ZeroPolynomial
 
-# Decision-boundary slack for strict inequalities; callers may override.
+# Decision-boundary slack for strict inequalities.
 BOUNDARY_TOL = 1e-9
-# Default tolerance of the geodesic certificates and of the Lempert verifier
-# in :mod:`geodisc.metrics`.  It lives here, in a module without numpy, so that
-# the CLI can show it as a default without loading the metrics layer.
-MATCH_TOL = 1e-9
 
 
-def require_disc_point(z: complex, tol: float = 0.0) -> complex:
+def require_disc_point(z: complex) -> complex:
     z = complex(z)
     if not (math.isfinite(z.real) and math.isfinite(z.imag)):
         raise DomainError(f"non-finite point {z!r}")
-    if abs(z) >= 1.0 + tol:
+    if abs(z) >= 1.0:
         raise DomainError(f"point {z!r} is not in the open unit disc")
     return z
 

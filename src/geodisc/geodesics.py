@@ -113,22 +113,22 @@ def solvability_gaps(L: Lens, gamma1: complex) -> tuple[float, float]:
     return (abs(q) - abs(r1 - r2), r1 + r2 - abs(q))
 
 
-def solve_omega_eta(L: Lens, gamma1: complex, tol: float = BOUNDARY_TOL) -> tuple[OmegaEta, OmegaEta]:
+def solve_omega_eta(L: Lens, gamma1: complex) -> tuple[OmegaEta, OmegaEta]:
     """Both unimodular solutions of r1*omega + r2*eta = -q, closed form.
 
     The two branches are the two triangle configurations; `plus` carries the
     positive oriented angle from -q to r1*omega.  Raises Tangent when |q|
-    meets r1+r2 or |r1-r2| within `tol`, Infeasible when it leaves the
-    interval by more than `tol`.
+    meets r1+r2 or |r1-r2| within BOUNDARY_TOL, Infeasible when it leaves
+    the interval by more than that.
     """
     _, r1, r2, q = _ik_data(L, gamma1)
     aq = abs(q)
     lo, hi = abs(r1 - r2), r1 + r2
-    if aq > hi + tol or aq < lo - tol:
+    if aq > hi + BOUNDARY_TOL or aq < lo - BOUNDARY_TOL:
         raise Infeasible(
             f"|q| = {aq:.6g} outside ({lo:.6g}, {hi:.6g}); parameter not in the lens"
         )
-    if aq >= hi - tol or aq <= lo + tol:
+    if aq >= hi - BOUNDARY_TOL or aq <= lo + BOUNDARY_TOL:
         raise Tangent(f"|q| = {aq:.6g} within tolerance of the interval ends")
     u = -q / aq
     # 1 - cos and 1 + cos of the angle at r1*omega, each a product of side
@@ -258,20 +258,20 @@ def phi_gamma(
     L: Lens,
     gamma1: complex,
     branch: str = PLUS,
-    tol: float = BOUNDARY_TOL,
     omega_eta: OmegaEta | None = None,
 ) -> AnalyticDisc:
     """Geodesic through the origin tangent to (gamma1, gamma2, 1).
 
     The unimodular pair is the `branch` solution of `solve_omega_eta`, unless
     `omega_eta` gives the pair (with its own branch label) to use as it is.
-    Either way `_certify_disc` checks the disc in closed form before it is
-    built, and raises DomainError when it is not in M.
+    Either way `_certify_disc` checks the disc in closed form against
+    RESIDUAL_TOL before it is built, and raises DomainError when it is not
+    in M.
     """
     if branch not in (PLUS, MINUS):
         raise DomainError(f"unknown branch {branch!r}")
     if omega_eta is None:
-        sols = solve_omega_eta(L, gamma1, tol=tol)
+        sols = solve_omega_eta(L, gamma1)
         sol = sols[0] if branch == PLUS else sols[1]
     else:
         sol = omega_eta

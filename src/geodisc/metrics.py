@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from .discgeom import MATCH_TOL, MobiusMap, _pseudo_dist, gamma_disc, require_disc_point, rho
+from .discgeom import MobiusMap, _pseudo_dist, gamma_disc, require_disc_point, rho
 from .errors import (
     ConvergenceFailure,
     DomainError,
@@ -40,6 +40,9 @@ from .geodesics import (
     solve_omega_eta,
 )
 from .varieties import DomainDab, _dab_lift, dab_contains
+
+# the Lempert verifier's bound on the match and on the certificate's residual
+MATCH_TOL = 1e-9
 
 
 def c_polydisc(z: Sequence[complex], w: Sequence[complex]) -> float:
@@ -73,12 +76,12 @@ def kappa_dab_origin(d: DomainDab, X) -> float:
 class GeodesicCertificate:
     """A disc through the origin and the target, hitting it at param_at_target.
 
-    `residual` is what the chosen candidate was accepted on: the relative
-    inverse-kinematics residual |r1 omega + r2 eta + q| / |q| of the pair read
-    off the target, or, where the exact pair was used instead, its disc's
-    miss at the target.  Either way `phi_gamma` has certified in closed form
-    that the disc lies in M, to `geodesics.RESIDUAL_TOL`.  `alternates` lists
-    (branch, gamma1) of the other accepted candidates.
+    `residual` is the relative inverse-kinematics residual
+    |r1 omega + r2 eta + q| / |q| of the pair read off the target, or, where
+    the exact pair was used instead, its disc's miss at the target.  Either
+    way `phi_gamma` has certified in closed form that the disc lies in M, to
+    `geodesics.RESIDUAL_TOL`.  `alternates` lists (branch, gamma1) of the
+    other candidates whose discs certify.
     """
 
     disc: AnalyticDisc
@@ -169,26 +172,27 @@ def geodesic_through(
     """Certificate geodesic through the origin and z on the variety of (a, b, 1).
 
     z is checked once, here: a finite point of the open tridisc
-    (DomainError) on the surface to within 1e-8 (NotOnVariety), whose third
-    coordinate dominates in modulus to a relative 1e-15, at any scale
-    (permute first).  The preimage is closed form.  With t = (z1, z2)/x, the
-    tangent parameter gamma1 lies on two hyperbolic circles, which meet in
-    at most two points (`_intersection_candidates`); those inside the lens
-    are the candidates.
+    (DomainError) on the surface (NotOnVariety: the residual of the defining
+    equation is at most 1e-8 min(1, S), S the sum of the moduli of its six
+    terms), whose third coordinate dominates in modulus to a relative 1e-15,
+    at any scale (permute first).  The preimage is closed form.  With
+    t = (z1, z2)/x, the tangent parameter gamma1 lies on two hyperbolic
+    circles, which meet in at most two points (`_intersection_candidates`);
+    those inside the lens are the candidates.
     For each, the unimodular pair is read off the target,
 
         omega = m_gamma1(t1) / x,    eta = m_gamma2(t2) / x,
 
-    so its disc passes through z by construction.  A candidate is accepted
-    when its relative inverse-kinematics (IK) residual
-    |r1 omega + r2 eta + q| / |q| is at most `tol`; plus-branch candidates
-    come first, then the smaller residual.  The accepted pair is labelled by
-    the nearer of the two `solve_omega_eta` solutions (by its own sign where
-    they coalesce), and `phi_gamma` certifies its disc in closed form: the
-    pair unimodular and both residual coefficients small (`_certify_disc`),
-    which the IK residual alone does not ensure.  With
-    `find_alternates`, the other accepted candidate is listed as an
-    alternate.
+    so its disc passes through z by construction.  Plus-branch candidates
+    come first, then the smaller relative inverse-kinematics (IK) residual
+    |r1 omega + r2 eta + q| / |q|.  The first whose disc `phi_gamma`
+    certifies in closed form (`_certify_disc`: the pair unimodular and both
+    residual coefficients at most RESIDUAL_TOL |q|) is the answer; the pair
+    is labelled by the nearer of the two `solve_omega_eta` solutions (by its
+    own sign where they coalesce).  With `find_alternates`, every other
+    candidate whose disc certifies is listed as an alternate: the disc of
+    its read pair or, where that fails, of the exact solution with the same
+    label, when that passes through z within `tol`.
 
     z_j / x holds omega x only to rounding, so the pair read off a target
     with small |x| carries an error of order eps/|x|, and for |x| below
@@ -198,18 +202,20 @@ def geodesic_through(
     (z = x (gamma1, gamma2, 1) + O(x^2)); one is kept when its disc passes
     through z within `tol`, and the others that pass are the alternates, each
     geodesic once: an option on the same branch as the answer or a listed
-    alternate, with gamma1 within `tol` of it, is not listed again.
-    The certificate's `residual` is the quantity the chosen candidate was
-    tested on: the IK residual of the read pair, or the miss of the exact
-    pair's disc at z.  Raises ConvergenceFailure when nothing passes.
+    alternate, with gamma1 within `tol` of it, is not listed again.  `tol`
+    bounds only the misses of exact pairs.
+    The certificate's `residual` is the IK residual of the read pair, or the
+    miss of the exact pair's disc at z.  Raises ConvergenceFailure when
+    nothing passes.
     """
     for c in (a, b):
         if not math.isfinite(c):
             raise DomainError(f"non-finite coefficient {complex(c)!r}")
     z1, z2, x = z = tuple(require_disc_point(w) for w in z)
     # the defining equation of (a, b, 1), whose coefficients are real
-    res0 = abs(a * z1 + b * z2 + x - z1 * z2 - b * z1 * x - a * z2 * x)
-    if res0 > 1e-8:
+    terms = (a * z1, b * z2, x, -z1 * z2, -b * z1 * x, -a * z2 * x)
+    res0 = abs(sum(terms))
+    if res0 > 1e-8 * min(1.0, sum(map(abs, terms))):
         raise NotOnVariety(f"residual {res0:.3e}")
     if x == 0:
         raise DomainError("target must differ from the origin")
@@ -232,9 +238,10 @@ def geodesic_through(
         minus = not (omega * -q.conjugate()).imag > 0.0
         ranked.append((minus, res, g, omega, eta))
     ranked.sort(key=lambda c: c[:2])  # plus branch first, then the smaller residual
-    accepted = [c for c in ranked if c[1] <= tol]
-    for cand in accepted:
-        minus, res, g, omega, eta = cand
+    # (gamma1, branch, disc, residual) of each read pair whose disc certifies,
+    # and of the exact pairs that stand in for the other read pairs
+    certified, exact = [], []
+    for minus, res, g, omega, eta in ranked:
         try:
             sols = solve_omega_eta(L, g)
         except Infeasible:
@@ -247,27 +254,32 @@ def geodesic_through(
         try:
             disc = phi_gamma(L, g, branch, omega_eta=OmegaEta(omega, eta, branch))
         except DomainError:
+            if find_alternates:
+                exact += [e for e in _exact_pair_discs(L, [g], x, z, tol) if e[1] == branch]
             continue
-        alternates = [(MINUS if c[0] else PLUS, c[2]) for c in accepted if c is not cand]
-        break
+        certified.append((g, branch, disc, res))
+        if not find_alternates:
+            break
+    if certified:
+        certified += exact
     else:
         # near the origin: exact pairs, at the candidates and at the
-        # small-parameter limit gamma1 = t1, since z = x (gamma1, gamma2, 1) + O(x^2)
+        # small-parameter limit gamma1 = t1, since z = x (gamma1, gamma2, 1) + O(x^2);
+        # one entry per geodesic: gamma1 within tol of a listed one, on the
+        # same branch, is the same option
         gammas = [c[2] for c in ranked] + ([t1] if L.contains(t1) else [])
-        exact = _exact_pair_discs(L, gammas, x, z, tol)
-        g, branch, disc, res = next(exact, (None,) * 4)
-        if disc is None:
+        for option in _exact_pair_discs(L, gammas, x, z, tol):
+            gg, br = option[:2]
+            if all(br != b0 or abs(gg - g0) > tol for g0, b0, _, _ in certified):
+                certified.append(option)
+            if not find_alternates:
+                break
+        if not certified:
             best = min((c[1] for c in ranked), default=math.inf)
             raise ConvergenceFailure(
                 f"no lens preimage located; best residual {best:.3e}", best_residual=best
             )
-        alternates = []
-        if find_alternates:
-            # one entry per geodesic: gamma1 within tol of a listed one, on
-            # the same branch, is the same option
-            for gg, br, _, _ in exact:
-                if all(br != b0 or abs(gg - g0) > tol for b0, g0 in [(branch, g), *alternates]):
-                    alternates.append((br, gg))
+    g, branch, disc, res = certified[0]
 
     # rho(0, w) = atanh|w|, bit for bit
     dists = [math.atanh(abs(w)) for w in z]
@@ -279,7 +291,7 @@ def geodesic_through(
         lempert_value=dists[2],
         gamma1=g,
         branch=branch,
-        alternates=tuple(alternates) if find_alternates else (),
+        alternates=tuple((br, gg) for gg, br, _, _ in certified[1:]),
     )
 
 
@@ -313,7 +325,6 @@ class LempertReport:
     worst_match: float
     worst_residual: float
     failed: tuple = ()
-    tolerance: float = MATCH_TOL
 
     def to_json(self) -> dict:
         return {
@@ -325,7 +336,7 @@ class LempertReport:
             "worst_match": self.worst_match,
             "worst_residual": self.worst_residual,
             "failed": list(self.failed),
-            "tolerance": self.tolerance,
+            "tolerance": MATCH_TOL,
         }
 
     def dumps(self) -> str:
@@ -351,38 +362,35 @@ def _sample_dab(d: DomainDab, seed: int, index: int) -> tuple[complex, complex]:
     raise SamplingExhausted(f"no point of D({d.a}, {d.b}) in {SAMPLE_DRAWS} draws")
 
 
-def _verify_one(d: DomainDab, seed: int, index: int, tol: float):
+def _verify_one(d: DomainDab, seed: int, index: int):
     w = _sample_dab(d, seed, index)
     lifted = (w[0], w[1], d.f(w[0], w[1]))
     perm = dominant_permutation(lifted)
     ap, bp = permuted_parameters(d.a, d.b, perm)
     zp = tuple(lifted[perm[j]] for j in range(3))
     try:
-        cert = geodesic_through(ap, bp, zp, tol=tol)
+        cert = geodesic_through(ap, bp, zp)
     except (ConvergenceFailure, NotOnVariety, DomainError) as exc:
         best = getattr(exc, "best_residual", float("nan"))
         return (index, False, float("nan"), best, f"{type(exc).__name__}: {exc}")
     c = c_dab(d, (0.0j, 0.0j), w)
     match = abs(c - cert.lempert_value)
-    ok = match < tol and cert.residual < tol
+    ok = match < MATCH_TOL and cert.residual < MATCH_TOL
     return (index, ok, match, cert.residual, "" if ok else "tolerance exceeded")
 
 
-def lempert_verify(
-    d: DomainDab,
-    samples: int,
-    seed: int,
-    tol: float = MATCH_TOL,
-) -> LempertReport:
+def lempert_verify(d: DomainDab, samples: int, seed: int) -> LempertReport:
     """Sampled equality check of the two extremal problems on the domain.
 
     Each sample draws a point, lifts it to the variety, constructs the
     geodesic through the origin, and compares the coordinate-max distance
-    against the disc-parameter distance.  Each sample is seeded by its index.
+    against the disc-parameter distance; a sample passes when both the match
+    and the certificate's residual are below MATCH_TOL.  Each sample is
+    seeded by its index.
     """
     if not d.interesting:
         raise DomainError("verification needs the triangle-inequality regime")
-    rows = [_verify_one(d, seed, i, tol) for i in range(samples)]
+    rows = [_verify_one(d, seed, i) for i in range(samples)]
     failures = [r for r in rows if not r[1]]
     finite_match = [r[2] for r in rows if math.isfinite(r[2])]
     finite_res = [r[3] for r in rows if math.isfinite(r[3])]
@@ -397,7 +405,6 @@ def lempert_verify(
         failed=tuple(
             {"index": r[0], "match": r[2], "residual": r[3], "reason": r[4]} for r in failures
         ),
-        tolerance=tol,
     )
 
 

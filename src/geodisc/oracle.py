@@ -103,9 +103,9 @@ def lempert_upper_bound(disc, z, w, lam_z=None, lam_w=None, tol: float = 1e-9) -
     """rho of the parameters at which an analytic disc hits z and w.
 
     Parameters may be given; otherwise they are recovered by inverting a
-    degree-one component of the disc, with a dense-sampling fallback.  The
-    disc must pass through both points within `tol` (sup-norm over
-    components), else NotThrough is raised.
+    component of degree one (`_param_for`).  The disc must pass through both
+    points within `tol` (sup-norm over components), else NotThrough is
+    raised.
     """
     lam_z = _param_for(disc, z) if lam_z is None else lam_z
     lam_w = _param_for(disc, w) if lam_w is None else lam_w
@@ -118,37 +118,24 @@ def lempert_upper_bound(disc, z, w, lam_z=None, lam_w=None, tol: float = 1e-9) -
 
 
 def _param_for(disc, pt) -> complex:
-    # try degree-one components first: Mobius inversion is exact
+    """The parameter in the disc at which a degree-one component takes its
+    coordinate of pt, by Mobius inversion; leading zero coefficients do not
+    count towards the degree.  NotThrough when no component gives one."""
     for comp, target in zip(disc.components, pt):
-        if len(comp.num) <= 2 and len(comp.den) <= 2:
-            lam = _invert_mobius_coeffs(comp.num, comp.den, target)
+        num, den = _strip(comp.num), _strip(comp.den)
+        if len(num) <= 2 and len(den) <= 2:
+            lam = _invert_mobius_coeffs(num, den, target)
             if lam is not None and abs(lam) < 1.0:
                 return lam
-    # dense sampling fallback over the disc
-    best_lam, best_err = 0.0 + 0.0j, float("inf")
-    for k in range(64):
-        for j in range(32):
-            lam = (j + 0.5) / 32 * cmath.exp(2j * math.pi * k / 64)
-            val = disc(lam)
-            err = max(abs(a - b) for a, b in zip(val, pt))
-            if err < best_err:
-                best_lam, best_err = lam, err
-    # local refinement by shrinking grid
-    step = 0.1
-    while step > 1e-13:
-        improved = False
-        for dre in (-step, 0.0, step):
-            for dim in (-step, 0.0, step):
-                lam = best_lam + complex(dre, dim)
-                if abs(lam) >= 1.0:
-                    continue
-                val = disc(lam)
-                err = max(abs(a - b) for a, b in zip(val, pt))
-                if err < best_err:
-                    best_lam, best_err, improved = lam, err, True
-        if not improved:
-            step *= 0.5
-    return best_lam
+    raise NotThrough(f"no component of degree one takes {pt!r} inside the disc")
+
+
+def _strip(cs):
+    """Descending coefficients without their leading zeros; at least one is kept."""
+    i = 0
+    while i < len(cs) - 1 and cs[i] == 0:
+        i += 1
+    return cs[i:]
 
 
 def _invert_mobius_coeffs(num, den, target):

@@ -31,6 +31,8 @@ from .errors import (
 )
 
 POLE_GUARD = 1e-13
+# bound on the base-point residual and on the coefficient miss in `transport`
+TRANSPORT_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -207,7 +209,7 @@ def _inverse_slot_matrix(m: MobiusMap) -> list:
     return [[1.0, m.nu], [-m.nu.conjugate() * rc, -rc]]
 
 
-def transport(alpha: Alpha, m: TridiscAutomorphism, tol: float = 1e-9) -> Alpha:
+def transport(alpha: Alpha, m: TridiscAutomorphism) -> Alpha:
     """Image triple beta with m(surface of alpha) = surface of beta.
 
     The defining equation is multi-affine, so it is the tensor T of
@@ -228,17 +230,18 @@ def transport(alpha: Alpha, m: TridiscAutomorphism, tol: float = 1e-9) -> Alpha:
     branch Re c >= 0 (positive imaginary part on ties).
 
     Requires m to send some point of the surface to the origin (checked via
-    the preimage of 0).  The result is checked coefficient by coefficient:
-    Q rescaled to beta3 must equal the tensor of beta to within `tol` in the
-    sum of moduli, which bounds the residual of beta on the image at every
-    point of the closed tridisc.
+    the preimage of 0, whose residual must be at most TRANSPORT_TOL).  The
+    result is checked coefficient by coefficient: Q rescaled to beta3 must
+    equal the tensor of beta to within TRANSPORT_TOL in the sum of moduli,
+    which bounds the residual of beta on the image at every point of the
+    closed tridisc.
     """
     import numpy as np
 
     base = m.inverse_point((0.0j, 0.0j, 0.0j))
     if max(abs(w) for w in base) >= 1.0:
         raise InvalidAutomorphism("preimage of 0 left the tridisc")
-    if abs(membership_residual(alpha, base)) > tol:
+    if abs(membership_residual(alpha, base)) > TRANSPORT_TOL:
         raise InvalidAutomorphism("m does not move a surface point to the origin")
 
     T = np.array(_equation_tensor(alpha)).transpose(m.perm)
@@ -255,7 +258,7 @@ def transport(alpha: Alpha, m: TridiscAutomorphism, tol: float = 1e-9) -> Alpha:
         c = -c
     beta = Alpha(c * E.conjugate(), c * D.conjugate(), -c.conjugate())
     worst = float(np.abs(Q * (beta.a3 / -F) - np.array(_equation_tensor(beta))).sum())
-    if not worst <= tol:
+    if not worst <= TRANSPORT_TOL:
         raise DegenerateImage(f"transported coefficients miss by {worst:.3e}, above tolerance")
     return beta
 

@@ -323,7 +323,7 @@ def test_criterion_8_ball_constructions():
             z = v / np.linalg.norm(v)
             if min(abs(z[1]), abs(1.0 - z[0])) < 1e-6:
                 continue
-            on = ball_mod.boundary_modulus_locus(z, tol=1e-9)
+            on = ball_mod.boundary_modulus_locus(z)
             dev = abs(ball_mod.boundary_modulus(z) - 1.0)
             if on:
                 assert dev < 1e-8

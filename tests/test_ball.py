@@ -315,7 +315,7 @@ def test_boundary_locus_agrees_with_modulus():
         z = v / np.linalg.norm(v)
         if np.linalg.norm(z - np.array([1.0, 0.0])) < 1e-6:
             continue
-        on = boundary_modulus_locus(z, tol=1e-9)
+        on = boundary_modulus_locus(z)
         if min(abs(z[1]), abs(1 - z[0])) < 1e-6:
             continue  # near the indeterminacy set the comparison is ill-posed
         m = boundary_modulus(z)

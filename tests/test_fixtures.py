@@ -10,9 +10,9 @@ import math
 
 import pytest
 
-from geodisc.discgeom import MATCH_TOL, Quadratic
-from geodisc.geodesics import AnalyticDisc
-from geodisc.metrics import c_dab, geodesic_through
+from geodisc.discgeom import Quadratic
+from geodisc.geodesics import AnalyticDisc, Lens, _certify_disc
+from geodisc.metrics import MATCH_TOL, c_dab, geodesic_through
 from geodisc.oracle import quadratic_roots
 from geodisc.varieties import DomainDab
 
@@ -86,3 +86,20 @@ def test_fixture_certifies(fixture):
         assert all(abs(c) == 0.0 for c in comp.den[:-3])
         roots = quadratic_roots(Quadratic(*comp.den[-3:]))
         assert all(abs(r) > 1.0 for r in roots)
+
+
+def test_alternates_certify():
+    # an alternate is listed only when its disc certifies; on fixture2 the
+    # minus candidate near gamma1 = -0.625 + 0.781i has a read pair with
+    # |k| / |q| = 1.04e-10 and an exact pair that misses z by 5.6e-6, so it
+    # is not listed, and every listed gamma1 certifies with its read pair
+    ap, bp, zp = _permuted_target(*FIXTURES[2])
+    L = Lens(ap, bp)
+    x = zp[2]
+    t1, t2 = zp[0] / x, zp[1] / x
+    cert = geodesic_through(ap, bp, zp, find_alternates=True)
+    for g in [cert.gamma1] + [g for _, g in cert.alternates]:
+        g2 = L.gamma2(g)
+        omega = (g - t1) / (1.0 - g.conjugate() * t1) / x
+        eta = (g2 - t2) / (1.0 - g2.conjugate() * t2) / x
+        _certify_disc(L, g, omega, eta)

@@ -3,14 +3,15 @@ import json
 import math
 
 import pytest
-from hypothesis import assume, given, reject, settings
+from hypothesis import assume, example, given, reject, settings
 from hypothesis import strategies as st
 
-from geodisc.discgeom import MATCH_TOL, MobiusMap, rho
+from geodisc.discgeom import MobiusMap, rho
 from geodisc import metrics
 from geodisc.errors import ConvergenceFailure, DomainError, GeodiscError, NotInDomain, NotOnVariety
 from geodisc.geodesics import MINUS, PLUS, AnalyticDisc, Lens, phi_gamma
 from geodisc.metrics import (
+    MATCH_TOL,
     UniversalMember,
     UniversalSet,
     c_dab,
@@ -67,6 +68,10 @@ def test_kappa_examples():
 def test_geodesic_through_rejects_off_surface_target():
     with pytest.raises(NotOnVariety):
         geodesic_through(0.8, 0.8, (0.5, 0.5, 0.5))
+    # below unit scale the residual is weighed against its terms: 1.3e-9 is
+    # under 1e-8 but 2.6 times the coordinates
+    with pytest.raises(NotOnVariety):
+        geodesic_through(0.8, 0.8, (5e-10, 5e-10, 5e-10))
 
 
 def test_psi_x_limits():
@@ -316,6 +321,12 @@ def test_no_candidate_raises_convergence_failure(monkeypatch):
     assert info.value.best_residual == math.inf
 
 
+def test_unit_ratio_has_no_candidate():
+    # |t1| = 1 collapses the first hyperbolic circle to its center
+    assert metrics._intersection_candidates(L88, 0.5, 1.0 + 0j, 0.3 + 0j) == []
+    assert metrics._intersection_candidates(L88, 0.5, 1j, 0.3 + 0j) == []
+
+
 def test_exact_options_list_each_geodesic_once():
     # at |x| = 1e-9 the read pairs fail, and every exact option at the two
     # candidates and at gamma1 = t1 passes through z: five options within
@@ -341,6 +352,10 @@ def test_exact_options_list_each_geodesic_once():
     r=st.floats(1e-300, 0.95, exclude_max=True),
     phase=st.floats(0.0, 2.0 * math.pi),
 )
+# near the lens boundary with small |x|: the plus read pair is off the unit
+# circle by 2.5e-10, so the minus candidate answers and the plus geodesic is
+# listed through its exact pair
+@example(a=6.5625, d=0.0, s=0.001, t=0.0, branch=PLUS, r=6.103515625e-05, phase=0.0)
 def test_geodesic_through_recovers_tangent_and_branch(a, d, s, t, branch, r, phase):
     # a lens point g = u + iv: u runs over the lens's real interval, v over
     # the chord of both discs above and below it; |x| stays in the normal

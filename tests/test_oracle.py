@@ -7,6 +7,7 @@ from geodisc.errors import DomainError, EmptyLens, NotThrough, ZeroPolynomial
 from geodisc.geodesics import IDENTITY_MAP, AnalyticDisc, Lens, RationalMap, phi_gamma
 from geodisc.metrics import c_polydisc
 from geodisc.oracle import (
+    _param_for,
     blaschke_degree,
     caratheodory_lower_bound,
     finite_diff_derivative,
@@ -98,6 +99,20 @@ def test_upper_bound_phi_gamma():
     # parameter recovery from the identity third component
     val2 = lempert_upper_bound(disc, disc(0.0), disc(x))
     assert val2 == pytest.approx(val, abs=1e-10)
+
+
+def test_param_recovery_inverts_the_identity_component():
+    # every package disc pads its components to three coefficients; the
+    # third component of phi_gamma is lam itself, so the recovered parameter
+    # is z3, exactly
+    disc = phi_gamma(Lens(0.8, 0.8), -0.5 + 0.2j)
+    for x in (0.37 - 0.21j, -0.9 + 0.01j, 1e-300 + 0j):
+        z = disc(x)
+        assert _param_for(disc, z) == z[2] == x
+    # no component of degree one: nothing to invert
+    quad = RationalMap(num=(1 + 0j, 0j, 0j), den=(0j, 0j, 1 + 0j))
+    with pytest.raises(NotThrough):
+        _param_for(AnalyticDisc(components=(quad, quad, quad), tag="Quadratic"), (0.25, 0.25, 0.25))
 
 
 def test_upper_bound_not_through():
