@@ -15,8 +15,8 @@ boundary locus of ``ball locus`` and ``plotdata locus``.
 
 Each subcommand imports the layers it needs when it runs.  The module itself
 loads only the standard library, ``errors``, ``discgeom`` and ``varieties``,
-so ``classify``, ``normalize``, ``lens``, ``geodesic`` and every argument
-error (exit 2) run without numpy.
+so ``classify``, ``normalize``, ``transport``, ``lens``, ``geodesic`` and
+every argument error (exit 2) run without numpy.
 """
 
 from __future__ import annotations

@@ -55,8 +55,8 @@ class Lens:
     def gamma2(self, gamma1: complex) -> complex:
         return -(self.a * gamma1 + 1.0) / self.b
 
-    def contains(self, gamma1: complex, tol: float = 0.0) -> bool:
-        return abs(gamma1) < 1.0 - tol and abs(self.a * gamma1 + 1.0) < self.b - tol
+    def contains(self, gamma1: complex) -> bool:
+        return abs(gamma1) < 1.0 and abs(self.a * gamma1 + 1.0) < self.b
 
     def corners(self) -> tuple[complex, complex]:
         """Intersection points of |g1| = 1 and |a g1 + 1| = b (law of cosines)."""

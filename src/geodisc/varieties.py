@@ -10,13 +10,14 @@ inside the open tridisc.  The triple is classified by the strict triangle
 inequality on the moduli; in the non-retract regime the surface carries the
 explicit geodesic families built in :mod:`geodisc.geodesics`.
 
-numpy is imported only by :func:`transport`, so that the scalar functions
-here load without it.
+Everything here computes on Python ``complex``, :func:`transport` included,
+so the module loads and runs without numpy.
 """
 
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -160,6 +161,18 @@ def normalize(alpha: Alpha) -> NormalForm:
     return NormalForm(a=a, b=b, rotations=(u1, u2, u3))
 
 
+# Flat index 4i + 2j + k of the coefficient of z1^i z2^j z3^k in the 2x2x2
+# equation tensor, and for each permutation the source index of each entry of
+# the tensor with its axes transposed by that permutation (new axis n is old
+# axis perm[n], as numpy's transpose).
+_TRANSPOSE = {
+    perm: tuple(sum(((f >> (2 - n)) & 1) << (2 - perm[n]) for n in range(3)) for f in range(8))
+    for perm in itertools.permutations(range(3))
+}
+# the four (low, high) index pairs along each axis
+_AXIS_PAIRS = tuple(tuple((f, f | s) for f in range(8) if not f & s) for s in (4, 2, 1))
+
+
 @dataclass(frozen=True)
 class TridiscAutomorphism:
     """Coordinate permutation followed by per-coordinate Mobius maps.
@@ -171,18 +184,24 @@ class TridiscAutomorphism:
     maps: tuple[MobiusMap, MobiusMap, MobiusMap]
 
     def __post_init__(self):
-        if sorted(self.perm) != [0, 1, 2]:
+        try:
+            perm = tuple(self.perm)
+            ok = perm in _TRANSPOSE
+        except TypeError:
+            ok = False
+        if not ok:
             raise DomainError(f"perm {self.perm!r} is not a permutation of (0,1,2)")
+        try:
+            maps = tuple(self.maps)
+        except TypeError:
+            maps = ()
+        if len(maps) != 3 or not all(isinstance(s, MobiusMap) for s in maps):
+            raise DomainError(f"maps {self.maps!r} are not three MobiusMap slots")
+        object.__setattr__(self, "perm", perm)
+        object.__setattr__(self, "maps", maps)
 
     def __call__(self, z):
         return tuple(m(z[p]) for m, p in zip(self.maps, self.perm))
-
-    def inverse_point(self, w):
-        """Preimage of w (enough for base-point checks; avoids composing)."""
-        z = [0.0j, 0.0j, 0.0j]
-        for j in range(3):
-            z[self.perm[j]] = self.maps[j].inverse()(w[j])
-        return tuple(z)
 
     @classmethod
     def moving_to_origin(cls, p, perm=(0, 1, 2)) -> "TridiscAutomorphism":
@@ -190,74 +209,69 @@ class TridiscAutomorphism:
         return cls(perm=perm, maps=tuple(MobiusMap(p[q]) for q in perm))
 
 
-def _equation_tensor(alpha: Alpha) -> list:
-    """The defining equation as nested 2x2x2 lists: entry [i][j][k] is the
+def _equation_tensor(alpha: Alpha) -> tuple[complex, ...]:
+    """The defining equation as the flat 8-tuple: entry 4i + 2j + k is the
     coefficient of z1^i z2^j z3^k."""
     a1, a2, a3 = alpha.coeffs()
-    return [[[0j, a3], [a2, -a1.conjugate()]], [[a1, -a2.conjugate()], [-a3.conjugate(), 0j]]]
-
-
-def _inverse_slot_matrix(m: MobiusMap) -> list:
-    """How substituting the inverse of m into one coordinate acts on that axis.
-
-    The inverse of lam -> rot (nu - lam)/(1 - conj(nu) lam) is
-    w -> (nu - conj(rot) w)/(1 - conj(nu rot) w).  With its denominator
-    cleared, z^0 becomes 1 - conj(nu rot) w and z^1 becomes nu - conj(rot) w;
-    column a of the 2x2 nested list holds the coefficients (of w^0, w^1) of z^a.
-    """
-    rc = m.rotation.conjugate()
-    return [[1.0, m.nu], [-m.nu.conjugate() * rc, -rc]]
+    return (0j, a3, a2, -a1.conjugate(), a1, -a2.conjugate(), -a3.conjugate(), 0j)
 
 
 def transport(alpha: Alpha, m: TridiscAutomorphism) -> Alpha:
     """Image triple beta with m(surface of alpha) = surface of beta.
 
-    The defining equation is multi-affine, so it is the tensor T of
-    :func:`_equation_tensor`.  A point w lies on the image iff m^-1(w) lies
-    on the surface.  Coordinate perm[j] of m^-1(w) depends on w_j alone, so
-    the permutation transposes the axes of T and each Mobius slot acts on
-    one axis through the 2x2 matrix of its inverse with the denominator
-    cleared (the denominators do not vanish on the closed tridisc):
+    The defining equation is multi-affine, so it is the 2x2x2 tensor T of
+    :func:`_equation_tensor`, held flat.  A point w lies on the image iff
+    m^-1(w) lies on the surface.  Coordinate perm[j] of m^-1(w) depends on
+    w_j alone, so the permutation transposes the axes of T (one index table
+    per permutation), and each Mobius slot then acts on its own axis.  The
+    inverse of lam -> rot (nu - lam)/(1 - conj(nu) lam) is
+    w -> (nu - conj(rot) w)/(1 - conj(nu rot) w); with its denominator cleared
+    (it does not vanish on the closed tridisc), each pair (x0, x1) of
+    coefficients of z^0, z^1 along the axis becomes the pair of w^0, w^1
 
-        Q = einsum("abc,ia,jb,kc->ijk", T.transpose(perm), M1, M2, M3).
+        (x0 + nu x1,  -conj(rot) (conj(nu) x0 + x1)).
 
-    Q is the image equation up to a nonzero factor.  Its constant entry is
-    the equation at m^-1(0), and its w1 w2 w3 entry the equation at the
-    reflection of m^-1(0) in the torus (z -> 1/conj(z)), so both vanish.
+    The result Q is the image equation up to a nonzero factor.  Its constant
+    entry is the equation at m^-1(0), and its w1 w2 w3 entry the equation at
+    the reflection of m^-1(0) in the torus (z -> 1/conj(z)), so both vanish.
     Read as the graph w3 = (A w1 + B w2 + C w1 w2)/(D w1 + E w2 + F),
     A = Q100, B = Q010, C = Q110, D = -Q101, E = -Q011 and F = -Q001.  With
     F normalized to 1, beta = (c conj(E), c conj(D), -conj(c)) where c^2 = C,
     branch Re c >= 0 (positive imaginary part on ties).
 
-    Requires m to send some point of the surface to the origin (checked via
-    the preimage of 0, whose residual must be at most TRANSPORT_TOL).  The
-    result is checked coefficient by coefficient: Q rescaled to beta3 must
-    equal the tensor of beta to within TRANSPORT_TOL in the sum of moduli,
-    which bounds the residual of beta on the image at every point of the
-    closed tridisc.
+    Requires m to send some point of the surface to the origin.  Each slot
+    sends its own pole to 0, so m^-1(0) has coordinate perm[j] equal to
+    maps[j].nu; its residual must be at most TRANSPORT_TOL.  The result is
+    checked coefficient by coefficient: Q rescaled to beta3 must equal the
+    tensor of beta to within TRANSPORT_TOL in the sum of moduli, which bounds
+    the residual of beta on the image at every point of the closed tridisc.
     """
-    import numpy as np
-
-    base = m.inverse_point((0.0j, 0.0j, 0.0j))
-    if max(abs(w) for w in base) >= 1.0:
-        raise InvalidAutomorphism("preimage of 0 left the tridisc")
+    base = [0j, 0j, 0j]
+    for p, s in zip(m.perm, m.maps):
+        base[p] = s.nu
     if abs(membership_residual(alpha, base)) > TRANSPORT_TOL:
         raise InvalidAutomorphism("m does not move a surface point to the origin")
 
-    T = np.array(_equation_tensor(alpha)).transpose(m.perm)
-    Q = np.einsum("abc,ia,jb,kc->ijk", T, *(np.array(_inverse_slot_matrix(s)) for s in m.maps))
-    F = -complex(Q[0, 0, 1])
-    if abs(F) < 1e-12 * float(np.abs(Q).max()):
+    t = _equation_tensor(alpha)
+    q = [t[i] for i in _TRANSPOSE[m.perm]]
+    for pairs, s in zip(_AXIS_PAIRS, m.maps):
+        nu, nuc, rc = s.nu, s.nu.conjugate(), -s.rotation.conjugate()
+        for lo, hi in pairs:
+            x0, x1 = q[lo], q[hi]
+            q[lo] = x0 + nu * x1
+            q[hi] = rc * (nuc * x0 + x1)
+    F = -q[1]
+    if abs(F) < 1e-12 * max(map(abs, q)):
         raise DegenerateImage("image surface has F = 0; not a graph over (z1, z2)")
-    coeffs = (Q[1, 0, 0], Q[0, 1, 0], Q[1, 1, 0], -Q[1, 0, 1], -Q[0, 1, 1])
-    A, B, C, D, E = (complex(x) / F for x in coeffs)
+    C, D, E = q[6] / F, -q[5] / F, -q[3] / F
     if abs(C) < 1e-9:
         raise DegenerateImage("image collapsed to a linear graph z3 = A z1 + B z2")
     c = cmath.sqrt(C)
     if c.real < 0 or (c.real == 0 and c.imag < 0):
         c = -c
     beta = Alpha(c * E.conjugate(), c * D.conjugate(), -c.conjugate())
-    worst = float(np.abs(Q * (beta.a3 / -F) - np.array(_equation_tensor(beta))).sum())
+    scale = beta.a3 / -F
+    worst = sum(abs(x * scale - y) for x, y in zip(q, _equation_tensor(beta)))
     if not worst <= TRANSPORT_TOL:
         raise DegenerateImage(f"transported coefficients miss by {worst:.3e}, above tolerance")
     return beta

@@ -74,7 +74,7 @@ def _rand_interesting(rng, lo=0.35, hi=1.6):
 def _rand_lens_point(L, rng, margin=0.01):
     for _ in range(10000):
         g = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
-        if L.contains(g, tol=margin):
+        if abs(g) < 1 - margin and abs(L.a * g + 1) < L.b - margin:
             return g
     raise RuntimeError("lens sampling failed")
 

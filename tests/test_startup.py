@@ -109,6 +109,7 @@ def test_unknown_name_raises_attribute_error():
 
 BASE = {"geodisc", "geodisc.discgeom", "geodisc.errors", "geodisc.varieties"}
 NONRETRACT = '{"class": "NonRetract"}\n'
+TRANSPORT = '{"alpha": [[-0.6, 0.0], [-0.8, 0.0], [-1.0, -0.0]]}\n'
 NORMAL_FORM = ('{"a": 0.9428090415820635, "b": 1.3333333333333333, "rotations": [[0.0, 1.0], '
                '[0.7071067811865476, 0.7071067811865476], [0.7071067811865476, -0.7071067811865476]]}\n')
 CSTAR = '{"cstar": 0.5954801616253105, "distance": 0.6861146161004036}\n'
@@ -139,6 +140,8 @@ GEODESIC = ('{"alternates": [{"branch": "minus", "gamma1": [-0.6916666666666667,
 @pytest.mark.parametrize("argv, code, stdout, modules", [
     (["-m", "geodisc.cli", "classify", "--alpha", "3,0", "4,0", "5,0"], 0, NONRETRACT, BASE),
     (["-m", "geodisc.cli", "normalize", "--alpha", "1,1", "2,0", "0,-1.5"], 0, NORMAL_FORM, BASE),
+    (["-m", "geodisc.cli", "transport", "--alpha", "3,0", "4,0", "5,0", "--nu", "0,0", "0,0", "0,0"], 0, TRANSPORT,
+     BASE),
     (["-m", "geodisc.cli", "ball", "cstar", "--z", "0.1,0.2", "0.3,0", "--w", "-0.2,0", "0,0.4"], 0, CSTAR,
      BASE | {"geodisc.ball"}),
     (["-m", "geodisc.cli", "ball", "extremal", "--base", "0.3,0.1", "0,-0.2", "--direction", "0.2,0", "1,0.5",
@@ -149,7 +152,8 @@ GEODESIC = ('{"alternates": [{"branch": "minus", "gamma1": [-0.6916666666666667,
      BASE | {"geodisc.geodesics"}),
     (["-m", "geodisc.cli", "geodesic", "--a", "0.8", "--b", "0.8", "--z", "0.5,0", "0,0"], 0, GEODESIC,
      BASE | {"geodisc.geodesics", "geodisc.metrics"}),
-], ids=["classify", "normalize", "ball-cstar", "ball-extremal", "import", "validation-error", "lens", "geodesic"])
+], ids=["classify", "normalize", "transport", "ball-cstar", "ball-extremal", "import", "validation-error", "lens",
+        "geodesic"])
 def test_startup_loads_no_numpy(argv, code, stdout, modules):
     env = dict(os.environ, PYTHONPATH=str(SRC))
     proc = subprocess.run([sys.executable, "-X", "importtime", *argv], env=env, capture_output=True, text=True)

@@ -1,6 +1,8 @@
 import cmath
+import itertools
 import math
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -248,6 +250,62 @@ def test_transport_closed_form_property(coeffs, perm, angles, seed):
     for z in surface_samples(alpha, 50, seed=seed + 1):
         assert abs(membership_residual(beta, m(z))) < 1e-10
     assert classify(beta).retract == classify(alpha).retract
+
+
+def _einsum_beta(alpha, m):
+    """The contraction transport used before it moved to flat tuples, kept as
+    an independent reference: the nested 2x2x2 equation tensor, transposed by
+    numpy and contracted with the cleared inverse of each slot by einsum."""
+    a1, a2, a3 = alpha.coeffs()
+    T = np.array([[[0j, a3], [a2, -a1.conjugate()]], [[a1, -a2.conjugate()], [-a3.conjugate(), 0j]]])
+    slots = [np.array([[1.0, s.nu], [-s.nu.conjugate() * s.rotation.conjugate(), -s.rotation.conjugate()]])
+             for s in m.maps]
+    Q = np.einsum("abc,ia,jb,kc->ijk", T.transpose(m.perm), *slots)
+    F = -complex(Q[0, 0, 1])
+    C, D, E = complex(Q[1, 1, 0]) / F, -complex(Q[1, 0, 1]) / F, -complex(Q[0, 1, 1]) / F
+    c = cmath.sqrt(C)
+    if c.real < 0 or (c.real == 0 and c.imag < 0):
+        c = -c
+    return (c * E.conjugate(), c * D.conjugate(), -c.conjugate())
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.tuples(coefficients, coefficients, coefficients),
+    st.lists(st.floats(0.0, 2.0 * math.pi), min_size=3, max_size=3),
+    st.integers(0, 2**32 - 1),
+)
+def test_transport_matches_einsum_reference(coeffs, angles, seed):
+    # a wrong transposition table can still map a symmetric surface onto
+    # itself, so compare beta coefficient by coefficient for every permutation
+    alpha = Alpha(*coeffs)
+    base = surface_samples(alpha, 1, seed=seed)[0]
+    for perm in itertools.permutations(range(3)):
+        maps = tuple(MobiusMap(base[p], cmath.exp(1j * t)) for p, t in zip(perm, angles))
+        m = TridiscAutomorphism(perm=perm, maps=maps)
+        beta = transport(alpha, m).coeffs()
+        ref = _einsum_beta(alpha, m)
+        scale = max(map(abs, ref))
+        assert max(abs(b - r) for b, r in zip(beta, ref)) <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("perm, maps", [
+    ((0, 1, 2), (IDENTITY,) * 2),
+    ((0, 1, 2), (IDENTITY,) * 4),
+    ((0, 1, 2), (IDENTITY, IDENTITY, 0.5)),
+    ((0, 1, 1), (IDENTITY,) * 3),
+    ((0, 1), (IDENTITY,) * 3),
+    (None, (IDENTITY,) * 3),
+], ids=["two-maps", "four-maps", "non-map", "repeated-index", "short-perm", "no-perm"])
+def test_tridisc_automorphism_rejects_bad_slots(perm, maps):
+    with pytest.raises(DomainError):
+        TridiscAutomorphism(perm=perm, maps=maps)
+
+
+def test_tridisc_automorphism_stores_tuples():
+    m = TridiscAutomorphism(perm=[1, 2, 0], maps=[IDENTITY] * 3)
+    assert m.perm == (1, 2, 0) and m.maps == (IDENTITY,) * 3
+    assert transport(Alpha(3, 4, 5), m) == transport(Alpha(3, 4, 5), TridiscAutomorphism((1, 2, 0), (IDENTITY,) * 3))
 
 
 def test_transport_degenerate_image():
