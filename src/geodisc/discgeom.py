@@ -16,12 +16,17 @@ BOUNDARY_TOL = 1e-9
 
 
 def require_disc_point(z: complex) -> complex:
+    """z as a complex number of the open unit disc, else DomainError.
+
+    One comparison on success: abs(z) < 1 is false for NaN and infinity, and
+    only a failure is diagnosed as non-finite or outside the disc.
+    """
     z = complex(z)
+    if abs(z) < 1.0:
+        return z
     if not (math.isfinite(z.real) and math.isfinite(z.imag)):
         raise DomainError(f"non-finite point {z!r}")
-    if abs(z) >= 1.0:
-        raise DomainError(f"point {z!r} is not in the open unit disc")
-    return z
+    raise DomainError(f"point {z!r} is not in the open unit disc")
 
 
 def _pseudo_dist(z: complex, w: complex) -> float:

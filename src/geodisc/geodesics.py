@@ -25,7 +25,10 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from collections.abc import Mapping
+from dataclasses import dataclass
+from types import MappingProxyType
+from typing import NamedTuple
 
 from .discgeom import BOUNDARY_TOL, Quadratic, schur_roots_outside
 from .errors import DomainError, EmptyLens, Infeasible, Tangent
@@ -45,8 +48,8 @@ class Lens:
     b: float
 
     def __post_init__(self):
-        if not (self.a > 0 and self.b > 0):
-            raise DomainError("lens parameters must be positive")
+        if not (0.0 < self.a < math.inf and 0.0 < self.b < math.inf):
+            raise DomainError(f"lens parameters ({self.a}, {self.b}) must be positive and finite")
 
     @property
     def nonempty(self) -> bool:
@@ -59,8 +62,16 @@ class Lens:
         return abs(gamma1) < 1.0 and abs(self.a * gamma1 + 1.0) < self.b
 
     def corners(self) -> tuple[complex, complex]:
-        """Intersection points of |g1| = 1 and |a g1 + 1| = b (law of cosines)."""
-        x = (self.b**2 - self.a**2 - 1.0) / (2.0 * self.a)
+        """Intersection points of |g1| = 1 and |a g1 + 1| = b (law of cosines).
+
+        The real part is ((b - a)(b + a) - 1) / (2a), factored so that it
+        stays finite wherever the lens is nonempty; it overflows (DomainError)
+        only for parameters within a factor two of the largest float.
+        """
+        a, b = self.a, self.b
+        x = ((b - a) * (b + a) - 1.0) / (2.0 * a)
+        if math.isnan(x):
+            raise DomainError(f"lens corners of ({a}, {b}) overflow")
         y2 = 1.0 - x * x
         if y2 < 0.0:
             raise EmptyLens(f"lens of ({self.a}, {self.b}) has no corners")
@@ -88,19 +99,23 @@ class Lens:
         return out
 
 
-@dataclass(frozen=True)
-class OmegaEta:
+class OmegaEta(NamedTuple):
+    """A pair (omega, eta) for the disc of a tangent parameter, with its
+    branch label PLUS or MINUS.  A named tuple: it compares equal to the
+    plain tuple (omega, eta, branch)."""
+
     omega: complex
     eta: complex
-    branch: str  # PLUS | MINUS
+    branch: str
 
 
 def _ik_data(L: Lens, gamma1: complex):
-    g2 = L.gamma2(gamma1)
-    r1 = L.a * (1.0 - abs(gamma1) ** 2)
-    r2 = L.b * (1.0 - abs(g2) ** 2)
-    q = L.a * g2 + L.b * gamma1 + gamma1 * g2
-    return g2, r1, r2, q
+    """(gamma2, r1, r2, q) of the pair equation r1 omega + r2 eta = -q."""
+    a, b = L.a, L.b
+    g2 = -(a * gamma1 + 1.0) / b  # L.gamma2(gamma1), without the method call
+    r1 = a * (1.0 - abs(gamma1) ** 2)
+    r2 = b * (1.0 - abs(g2) ** 2)
+    return g2, r1, r2, a * g2 + b * gamma1 + gamma1 * g2
 
 
 def solvability_gaps(L: Lens, gamma1: complex) -> tuple[float, float]:
@@ -119,16 +134,19 @@ def solve_omega_eta(L: Lens, gamma1: complex) -> tuple[OmegaEta, OmegaEta]:
     The two branches are the two triangle configurations; `plus` carries the
     positive oriented angle from -q to r1*omega.  Raises Tangent when |q|
     meets r1+r2 or |r1-r2| within BOUNDARY_TOL, Infeasible when it leaves
-    the interval by more than that.
+    the interval by more than that, and DomainError for a non-finite gamma1.
     """
     _, r1, r2, q = _ik_data(L, gamma1)
     aq = abs(q)
     lo, hi = abs(r1 - r2), r1 + r2
-    if aq > hi + BOUNDARY_TOL or aq < lo - BOUNDARY_TOL:
-        raise Infeasible(
-            f"|q| = {aq:.6g} outside ({lo:.6g}, {hi:.6g}); parameter not in the lens"
-        )
-    if aq >= hi - BOUNDARY_TOL or aq <= lo + BOUNDARY_TOL:
+    # false for every NaN, so a non-finite gamma1 takes the failure path
+    if not lo + BOUNDARY_TOL < aq < hi - BOUNDARY_TOL:
+        if not cmath.isfinite(gamma1):
+            raise DomainError(f"non-finite tangent parameter {gamma1!r}")
+        if aq > hi + BOUNDARY_TOL or aq < lo - BOUNDARY_TOL:
+            raise Infeasible(
+                f"|q| = {aq:.6g} outside ({lo:.6g}, {hi:.6g}); parameter not in the lens"
+            )
         raise Tangent(f"|q| = {aq:.6g} within tolerance of the interval ends")
     u = -q / aq
     # 1 - cos and 1 + cos of the angle at r1*omega, each a product of side
@@ -138,17 +156,15 @@ def solve_omega_eta(L: Lens, gamma1: complex) -> tuple[OmegaEta, OmegaEta]:
     one_plus = (r1 + aq - r2) * (r1 + aq + r2) / (2.0 * r1 * aq)
     ct = 1.0 - one_minus if one_minus < one_plus else one_plus - 1.0
     st = math.sqrt(max(0.0, one_minus * one_plus))
-    out = []
-    for sign, name in ((+1.0, PLUS), (-1.0, MINUS)):
-        w = u * complex(ct, sign * st)
-        e = (-q - r1 * w) / r2
-        out.append(OmegaEta(omega=w, eta=e, branch=name))
-    return tuple(out)
+    wp, wm = u * complex(ct, st), u * complex(ct, -st)
+    return (OmegaEta(wp, (-q - r1 * wp) / r2, PLUS), OmegaEta(wm, (-q - r1 * wm) / r2, MINUS))
 
 
-@dataclass(frozen=True)
-class RationalMap:
-    """Quotient of polynomials; coefficients descending in the argument."""
+class RationalMap(NamedTuple):
+    """Quotient of polynomials; coefficients descending in the argument.
+
+    A named tuple: it compares equal to the plain tuple (num, den).
+    """
 
     num: tuple[complex, ...]
     den: tuple[complex, ...]
@@ -172,29 +188,34 @@ def _horner(cs, lam):
     return acc
 
 
-IDENTITY_MAP = RationalMap(num=(0.0j, 1.0 + 0.0j, 0.0j), den=(0.0j, 0.0j, 1.0 + 0.0j))
+IDENTITY_MAP = RationalMap((0.0j, 1.0 + 0.0j, 0.0j), (0.0j, 0.0j, 1.0 + 0.0j))
 
 
-@dataclass(frozen=True)
-class AnalyticDisc:
-    """Disc -> polydisc map with rational components; serializable and exact."""
+class AnalyticDisc(NamedTuple):
+    """Disc -> polydisc map with rational components; serializable and exact.
+
+    `params` maps names to JSON scalars and [re, im] pairs.  A named tuple:
+    it compares equal to the plain tuple (components, tag, params).
+    """
 
     components: tuple[RationalMap, ...]
     tag: str  # PhiGamma | BlaschkeFamily
-    params: dict = field(default_factory=dict)
+    params: Mapping = MappingProxyType({})
 
     def __call__(self, lam: complex) -> tuple[complex, ...]:
         return tuple(c(lam) for c in self.components)
 
     def to_json(self) -> dict:
-        return {
-            "components": [
-                {"num": [[c.real, c.imag] for c in m.num], "den": [[c.real, c.imag] for c in m.den]}
-                for m in self.components
-            ],
-            "tag": self.tag,
-            "params": self.params,
-        }
+        """The disc in fresh containers: editing them leaves the disc as it is."""
+        components = []
+        for num, den in self.components:
+            components.append(
+                {"num": [[c.real, c.imag] for c in num], "den": [[c.real, c.imag] for c in den]}
+            )
+        params = {}
+        for k, v in self.params.items():
+            params[k] = v[:] if type(v) is list else v
+        return {"components": components, "tag": self.tag, "params": params}
 
     @classmethod
     def from_json(cls, obj: dict) -> "AnalyticDisc":
@@ -228,9 +249,10 @@ def _certify_disc(L: Lens, gamma1: complex, omega: complex, eta: complex) -> Non
     near the lens boundary it exceeds RESIDUAL_TOL on discs whose residual
     on the circle stays far below it.
     """
-    for c in (gamma1, omega, eta):
-        if not cmath.isfinite(c):
-            raise DomainError(f"non-finite coefficient {c!r}")
+    if not (cmath.isfinite(gamma1) and cmath.isfinite(omega) and cmath.isfinite(eta)):
+        for c in (gamma1, omega, eta):
+            if not cmath.isfinite(c):
+                raise DomainError(f"non-finite coefficient {c!r}")
     g2, r1, r2, q = _ik_data(L, gamma1)
     if not (abs(gamma1) < 1.0 and abs(g2) < 1.0):
         raise DomainError(f"tangent parameters {gamma1!r}, {g2!r} are not in the open unit disc")
@@ -244,14 +266,6 @@ def _certify_disc(L: Lens, gamma1: complex, omega: complex, eta: complex) -> Non
     worst = max(abs(kappa), abs(kappa2))
     if not worst <= RESIDUAL_TOL * abs(q):
         raise DomainError(f"constructed disc misses the variety: coefficient {worst:.3e}, |q| {abs(q):.3e}")
-
-
-def _mobius_factor_map(nu: complex, rot: complex) -> RationalMap:
-    """lam -> lam * m_nu(rot*lam) as a quadratic-over-quadratic pair."""
-    return RationalMap(
-        num=(-rot, nu, 0.0j),
-        den=(0.0j, -nu.conjugate() * rot, 1.0 + 0.0j),
-    )
 
 
 def phi_gamma(
@@ -275,21 +289,25 @@ def phi_gamma(
         sol = sols[0] if branch == PLUS else sols[1]
     else:
         sol = omega_eta
-    _certify_disc(L, gamma1, sol.omega, sol.eta)
+    omega, eta, label = sol
+    _certify_disc(L, gamma1, omega, eta)
+    g2 = L.gamma2(gamma1)
+    # lam m_nu(rot lam) = (-rot lam^2 + nu lam) / (1 - conj(nu) rot lam) for
+    # (nu, rot) = (gamma1, omega) and (gamma2, eta)
     return AnalyticDisc(
-        components=(
-            _mobius_factor_map(gamma1, sol.omega),
-            _mobius_factor_map(L.gamma2(gamma1), sol.eta),
+        (
+            RationalMap((-omega, gamma1, 0.0j), (0.0j, -gamma1.conjugate() * omega, 1.0 + 0.0j)),
+            RationalMap((-eta, g2, 0.0j), (0.0j, -g2.conjugate() * eta, 1.0 + 0.0j)),
             IDENTITY_MAP,
         ),
-        tag="PhiGamma",
-        params={
+        "PhiGamma",
+        {
             "a": L.a,
             "b": L.b,
             "gamma1": [gamma1.real, gamma1.imag],
-            "branch": sol.branch,
-            "omega": [sol.omega.real, sol.omega.imag],
-            "eta": [sol.eta.real, sol.eta.imag],
+            "branch": label,
+            "omega": [omega.real, omega.imag],
+            "eta": [eta.real, eta.imag],
         },
     )
 
@@ -353,15 +371,15 @@ def blaschke_family(L: Lens, gamma: complex, omega: complex):
     q, r = _family_qr(L, gamma, omega)
     if not schur_roots_outside(r):
         return None  # inequality marginally true but certificate fails
-    middle = RationalMap(num=q.coeffs() + (0.0j,), den=r.coeffs())
+    middle = RationalMap(q.coeffs() + (0.0j,), r.coeffs())
     return AnalyticDisc(
-        components=(
-            _mobius_factor_map(gamma, omega),
+        (
+            RationalMap((-omega, gamma, 0.0j), (0.0j, -gamma.conjugate() * omega, 1.0 + 0.0j)),
             middle,
             IDENTITY_MAP,
         ),
-        tag="BlaschkeFamily",
-        params={
+        "BlaschkeFamily",
+        {
             "a": L.a,
             "b": L.b,
             "gamma": [gamma.real, gamma.imag],

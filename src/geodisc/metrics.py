@@ -15,7 +15,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .discgeom import MobiusMap, _pseudo_dist, gamma_disc, require_disc_point, rho
 from .errors import (
@@ -72,8 +72,7 @@ def kappa_dab_origin(d: DomainDab, X) -> float:
     return max(abs(X1), abs(X2), abs(d.a * X1 + d.b * X2))
 
 
-@dataclass(frozen=True)
-class GeodesicCertificate:
+class GeodesicCertificate(NamedTuple):
     """A disc through the origin and the target, hitting it at param_at_target.
 
     `residual` is the relative inverse-kinematics residual
@@ -81,7 +80,8 @@ class GeodesicCertificate:
     the exact pair was used instead, its disc's miss at the target.  Either
     way `phi_gamma` has certified in closed form that the disc lies in M, to
     `geodesics.RESIDUAL_TOL`.  `alternates` lists (branch, gamma1) of the
-    other candidates whose discs certify.
+    other candidates whose discs certify.  A named tuple: it compares equal
+    to the plain tuple of its eight fields.
     """
 
     disc: AnalyticDisc
@@ -94,25 +94,25 @@ class GeodesicCertificate:
     alternates: tuple = ()
 
     def to_json(self) -> dict:
+        disc, x, residual, c_value, l_value, g, branch, alternates = self
         return {
-            "disc": self.disc.to_json(),
-            "param_at_target": [self.param_at_target.real, self.param_at_target.imag],
-            "residual": self.residual,
-            "caratheodory_value": self.caratheodory_value,
-            "lempert_value": self.lempert_value,
-            "gamma1": [self.gamma1.real, self.gamma1.imag],
-            "branch": self.branch,
-            "alternates": [
-                {"branch": br, "gamma1": [g.real, g.imag]} for br, g in self.alternates
-            ],
+            "disc": disc.to_json(),
+            "param_at_target": [x.real, x.imag],
+            "residual": residual,
+            "caratheodory_value": c_value,
+            "lempert_value": l_value,
+            "gamma1": [g.real, g.imag],
+            "branch": branch,
+            "alternates": [{"branch": br, "gamma1": [gg.real, gg.imag]} for br, gg in alternates],
         }
 
 
 def _h_circle(center: complex, s: float) -> tuple[complex, float]:
     """Euclidean center and radius of the hyperbolic circle of radius
     arctanh(s) around `center`."""
-    den = 1.0 - s * s * abs(center) ** 2
-    return center * (1.0 - s * s) / den, s * (1.0 - abs(center) ** 2) / den
+    ss, cc = s * s, abs(center) ** 2
+    den = 1.0 - ss * cc
+    return center * (1.0 - ss) / den, s * (1.0 - cc) / den
 
 
 def _intersection_candidates(L: Lens, x, t1, t2) -> list[complex]:
@@ -121,8 +121,8 @@ def _intersection_candidates(L: Lens, x, t1, t2) -> list[complex]:
     Each slice component sits at hyperbolic distance arctanh|x| from its
     lens parameter, so gamma1 lies on the intersection of one hyperbolic
     circle around t1 and the affine pullback of another around t2; these
-    intersect in at most two points.  The first circle degenerates to a point
-    when |t1| = 1, and there is no candidate.
+    intersect in at most two points, listed once each.  The first circle
+    degenerates to a point when |t1| = 1, and there is no candidate.
     """
     s = abs(x)
     c1, r1 = _h_circle(t1, s)
@@ -141,7 +141,8 @@ def _intersection_candidates(L: Lens, x, t1, t2) -> list[complex]:
     ct = min(1.0, max(-1.0, ct))
     st = math.sqrt(1.0 - ct * ct)
     u = (m2 - c1) / d
-    return [c1 + r1 * u * complex(ct, st), c1 + r1 * u * complex(ct, -st)]
+    up, dn = c1 + r1 * u * complex(ct, st), c1 + r1 * u * complex(ct, -st)
+    return [up] if up == dn else [up, dn]
 
 
 def _exact_pair_discs(L: Lens, gammas, x: complex, z, tol: float):
@@ -171,25 +172,31 @@ def geodesic_through(
 ) -> GeodesicCertificate:
     """Certificate geodesic through the origin and z on the variety of (a, b, 1).
 
-    z is checked once, here: a finite point of the open tridisc
+    a and b are checked first, by `Lens` (DomainError unless positive and
+    finite).  z is checked once, here: a finite point of the open tridisc
     (DomainError) on the surface (NotOnVariety: the residual of the defining
     equation is at most 1e-8 min(1, S), S the sum of the moduli of its six
     terms), whose third coordinate dominates in modulus to a relative 1e-15,
-    at any scale (permute first).  The preimage is closed form.  With
-    t = (z1, z2)/x, the tangent parameter gamma1 lies on two hyperbolic
-    circles, which meet in at most two points (`_intersection_candidates`);
-    those inside the lens are the candidates.
-    For each, the unimodular pair is read off the target,
+    at any scale (permute first).  The moduli |z_j| are taken once and serve
+    these checks and the values rho(0, z_j) = arctanh|z_j|.  The preimage is
+    closed form.  With t = (z1, z2)/x, the tangent parameter gamma1 lies on
+    two hyperbolic circles, which meet in at most two points
+    (`_intersection_candidates`, each listed once); those inside the lens
+    are the candidates.  For each, the unimodular pair is read off the target,
 
         omega = m_gamma1(t1) / x,    eta = m_gamma2(t2) / x,
 
-    so its disc passes through z by construction.  Plus-branch candidates
-    come first, then the smaller relative inverse-kinematics (IK) residual
-    |r1 omega + r2 eta + q| / |q|.  The first whose disc `phi_gamma`
-    certifies in closed form (`_certify_disc`: the pair unimodular and both
-    residual coefficients at most RESIDUAL_TOL |q|) is the answer; the pair
-    is labelled by the nearer of the two `solve_omega_eta` solutions (by its
-    own sign where they coalesce).  With `find_alternates`, every other
+    so its disc passes through z by construction.  The at most two
+    candidates are ranked by one comparison: plus branch first, then the
+    smaller relative inverse-kinematics (IK) residual
+    |r1 omega + r2 eta + q| / |q|, and in the order found on a tie.  The
+    first whose disc `phi_gamma` certifies in closed form (`_certify_disc`:
+    the pair unimodular and both residual coefficients at most
+    RESIDUAL_TOL |q|) is the answer.  Its pair is labelled by comparing its
+    distances |omega - omega_s| + |eta - eta_s| to the two exact
+    `solve_omega_eta` solutions s: minus when the minus solution is strictly
+    nearer, else plus; by its own sign where the two coalesce
+    (Tangent).  With `find_alternates`, every other
     candidate whose disc certifies is listed as an alternate: the disc of
     its read pair or, where that fails, of the exact solution with the same
     label, when that passes through z within `tol`.
@@ -208,26 +215,29 @@ def geodesic_through(
     miss of the exact pair's disc at z.  Raises ConvergenceFailure when
     nothing passes.
     """
-    for c in (a, b):
-        if not math.isfinite(c):
-            raise DomainError(f"non-finite coefficient {complex(c)!r}")
-    z1, z2, x = z = tuple(require_disc_point(w) for w in z)
+    L = Lens(a, b)  # a and b positive and finite
+    z1, z2, x = z
+    z = z1, z2, x = complex(z1), complex(z2), complex(x)
+    m1, m2, mx = abs(z1), abs(z2), abs(x)
+    # false for NaN and infinity: require_disc_point diagnoses a failure
+    if not (m1 < 1.0 and m2 < 1.0 and mx < 1.0):
+        for w in z:
+            require_disc_point(w)
     # the defining equation of (a, b, 1), whose coefficients are real
-    terms = (a * z1, b * z2, x, -z1 * z2, -b * z1 * x, -a * z2 * x)
-    res0 = abs(sum(terms))
-    if res0 > 1e-8 * min(1.0, sum(map(abs, terms))):
+    e1, e2, e3, e4, e5, e6 = a * z1, b * z2, x, -z1 * z2, -b * z1 * x, -a * z2 * x
+    res0 = abs(e1 + e2 + e3 + e4 + e5 + e6)
+    if res0 > 1e-8 * min(1.0, abs(e1) + abs(e2) + abs(e3) + abs(e4) + abs(e5) + abs(e6)):
         raise NotOnVariety(f"residual {res0:.3e}")
     if x == 0:
         raise DomainError("target must differ from the origin")
-    if abs(x) * (1.0 + 1e-15) < max(abs(z1), abs(z2)):
+    if mx * (1.0 + 1e-15) < max(m1, m2):
         raise DomainError("third coordinate must dominate; permute coordinates first")
     t1, t2 = z1 / x, z2 / x
-    L = Lens(a, b)
     if not L.nonempty:
         raise EmptyLens(f"lens of ({L.a}, {L.b}) is empty")
 
-    ranked = []  # (minus, residual, gamma1, omega, eta) per candidate
-    for g in dict.fromkeys(_intersection_candidates(L, x, t1, t2)):
+    ranked = []  # (minus, residual, gamma1, omega, eta): plus first, then the smaller residual
+    for g in _intersection_candidates(L, x, t1, t2):
         if not L.contains(g):
             continue
         g2, r1, r2, q = _ik_data(L, g)
@@ -236,21 +246,23 @@ def geodesic_through(
         res = abs(r1 * omega + r2 * eta + q) / abs(q) if q else math.inf
         # solve_omega_eta's convention: plus turns positively from -q to r1 omega
         minus = not (omega * -q.conjugate()).imag > 0.0
-        ranked.append((minus, res, g, omega, eta))
-    ranked.sort(key=lambda c: c[:2])  # plus branch first, then the smaller residual
+        if ranked and (minus < ranked[0][0] or minus == ranked[0][0] and res < ranked[0][1]):
+            ranked.insert(0, (minus, res, g, omega, eta))
+        else:
+            ranked.append((minus, res, g, omega, eta))
     # (gamma1, branch, disc, residual) of each read pair whose disc certifies,
     # and of the exact pairs that stand in for the other read pairs
     certified, exact = [], []
     for minus, res, g, omega, eta in ranked:
         try:
-            sols = solve_omega_eta(L, g)
+            (wp, ep, bp), (wm, em, bm) = solve_omega_eta(L, g)
         except Infeasible:
             continue
         except Tangent:
             branch = MINUS if minus else PLUS  # the solutions coalesce: the sign label stands
         else:
-            # the label of the nearer exact solution
-            branch = min(sols, key=lambda s: abs(s.omega - omega) + abs(s.eta - eta)).branch
+            # the label of the nearer exact solution, plus on a tie
+            branch = bm if abs(wm - omega) + abs(em - eta) < abs(wp - omega) + abs(ep - eta) else bp
         try:
             disc = phi_gamma(L, g, branch, omega_eta=OmegaEta(omega, eta, branch))
         except DomainError:
@@ -282,16 +294,16 @@ def geodesic_through(
     g, branch, disc, res = certified[0]
 
     # rho(0, w) = atanh|w|, bit for bit
-    dists = [math.atanh(abs(w)) for w in z]
+    lempert = math.atanh(mx)
     return GeodesicCertificate(
-        disc=disc,
-        param_at_target=x,
-        residual=res,
-        caratheodory_value=max(dists),
-        lempert_value=dists[2],
-        gamma1=g,
-        branch=branch,
-        alternates=tuple((br, gg) for gg, br, _, _ in certified[1:]),
+        disc,
+        x,
+        res,
+        max(math.atanh(m1), math.atanh(m2), lempert),
+        lempert,
+        g,
+        branch,
+        tuple([(br, gg) for gg, br, _, _ in certified[1:]]) if len(certified) > 1 else (),
     )
 
 
@@ -303,16 +315,20 @@ def dominant_permutation(z) -> tuple[int, int, int]:
 
     Ties pick the largest index, so an already-dominant third slot stays put.
     """
-    mods = [abs(complex(w)) for w in z]
-    k = max(range(3), key=lambda i: (mods[i], i))
+    k, top = 0, abs(z[0])
+    m = abs(z[1])
+    if m >= top:
+        k, top = 1, m
+    if abs(z[2]) >= top:
+        k = 2
     return _PERMS_TO_THIRD[k]
 
 
 def permuted_parameters(a: float, b: float, perm: tuple[int, int, int]) -> tuple[float, float]:
     """(a', b') of the variety after permuting coordinates of (a, b, 1)."""
-    alpha = [a, b, 1.0]
-    ap = [alpha[perm[0]], alpha[perm[1]], alpha[perm[2]]]
-    return (ap[0] / ap[2], ap[1] / ap[2])
+    alpha = (a, b, 1.0)
+    c = alpha[perm[2]]
+    return (alpha[perm[0]] / c, alpha[perm[1]] / c)
 
 
 @dataclass(frozen=True)
@@ -485,9 +501,13 @@ def linear_convexity_quadratic(d: DomainDab) -> tuple[complex, complex, bool]:
     The roots have product 1 and sum 2h, h = (b^2 + 1 - a^2) / (2b): for
     |h| < 1 they are h +- i sqrt(1 - h^2), upper half-plane first; otherwise
     they are real, the larger modulus h + sign(h) sqrt(h^2 - 1) first and
-    then its reciprocal.
+    then its reciprocal.  h is evaluated as ((b - a)(b + a) + 1) / (2b);
+    DomainError where (b - a)(b + a) or 2b leaves the float range.
     """
-    h = (d.b**2 + 1.0 - d.a**2) / (2.0 * d.b)
+    a, b = d.a, d.b
+    h = ((b - a) * (b + a) + 1.0) / (2.0 * b)
+    if not math.isfinite(h):
+        raise DomainError(f"witness quadratic of D({a}, {b}) overflows")
     if abs(h) < 1.0:
         s = math.sqrt(1.0 - h * h)
         r1, r2 = complex(h, s), complex(h, -s)

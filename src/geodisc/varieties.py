@@ -285,8 +285,8 @@ class DomainDab:
     b: float
 
     def __post_init__(self):
-        if not (self.a > 0 and self.b > 0):
-            raise DomainError("parameters a, b must be positive")
+        if not (0.0 < self.a < math.inf and 0.0 < self.b < math.inf):
+            raise DomainError(f"parameters a, b = {self.a}, {self.b} must be positive and finite")
 
     @property
     def interesting(self) -> bool:

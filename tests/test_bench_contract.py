@@ -6,9 +6,9 @@ and requires every item to succeed and pass its independent check.  Runs one
 short traced run of every workload and requires a well-formed result: every
 per-layer metric of ``BENCHMARK.json``, finite and strict JSON.  A change to
 the package that breaks what the benchmark calls fails here instead of at
-benchmark time.  The outputs of the first two chunks of ``verify-fat`` and
-``sweep-wide`` are pinned byte for byte, and each of their samples builds and
-certifies one disc.
+benchmark time.  The outputs of the first two chunks and of one full pass of
+``verify-fat`` and ``sweep-wide`` are pinned byte for byte, and each of their
+samples calls every traced entry point of the per-sample path once.
 """
 
 import hashlib
@@ -121,11 +121,32 @@ def test_first_two_chunks_are_byte_identical(bench, workload):
     assert hashlib.sha256(wl.encode(results)).hexdigest() == FIRST_TWO_CHUNKS_SHA256[workload]
 
 
+# SHA-256 of wl.encode over one full pass at seed 1 (3 000 and 180 points),
+# recorded before the per-sample path was rewritten to build each
+# certificate quantity once (x86-64, Python 3.11, numpy 2.4)
+FULL_PASS_SHA256 = {
+    "verify-fat": "b64727b7442c74c7dcc71f85e49644bd540bca6e154ea84c67af60c117934980",
+    "sweep-wide": "f9b510011edd4a8d31d5d980ef8af3c4400d7bd1c816d45e50aa51dfae9b89ee",
+}
+
+
+@pytest.mark.parametrize("workload", sorted(FULL_PASS_SHA256))
+def test_full_pass_is_byte_identical(bench, workload):
+    wl = bench[0]
+    inputs = wl.make_inputs(workload, 1)
+    results = []
+    for chunk in wl.chunks(workload, inputs):
+        results += wl.run_chunk(workload, inputs, chunk)
+    assert len(results) == wl.item_count(workload, inputs)
+    assert hashlib.sha256(wl.encode(results)).hexdigest() == FULL_PASS_SHA256[workload]
+
+
 @pytest.mark.parametrize("workload", ["verify-fat", "sweep-wide"])
 def test_each_sample_builds_and_certifies_one_disc(bench, workload):
     # counted through the traced run's wrappers, which replace the module-level
-    # names: the per-layer metrics of phi_gamma and _certify_disc need the
-    # calls to go through them
+    # names: every per-layer metric of the per-sample path needs its calls to
+    # go through them, so an entry point inlined or bound to a local alias
+    # fails here
     wl, _, traced = bench
     import tracer as tr  # loaded with traced
 
@@ -135,5 +156,6 @@ def test_each_sample_builds_and_certifies_one_disc(bench, workload):
     with tracer.patched():
         wl.run_chunk(workload, inputs, (kind, group, start, stop), on_item=tracer.set_sample)
     calls = Counter((span[tr.NAME], tuple(span[tr.SAMPLE])) for span in tracer.spans)
-    for name in (tr.PHI, tr.CERTIFY, "geodesics.solve_omega_eta"):
+    per_sample = (tr.GT, tr.PHI, tr.CERTIFY, "geodesics.solve_omega_eta", "metrics.c_dab", "varieties.lift_to_M")
+    for name in per_sample:
         assert [calls[name, (group, i)] for i in range(start, stop)] == [1] * (stop - start), name

@@ -161,6 +161,30 @@ def test_sweep_rejects_degenerate_without_flag(capsys):
     assert "error" in json.loads(out)
 
 
+@pytest.mark.parametrize("command, key, first", [
+    ("lens", "corners", [[-5e-201, 1.0], [-5e-201, -1.0]]),
+    ("convexity", "root1", [5e-201, 1.0]),
+])
+def test_large_parameters_give_finite_output(capsys, command, key, first):
+    # b**2 overflows at 1e200: no traceback, strict JSON
+    code, out = run_cli(capsys, command, "--a", "1e200", "--b", "1e200")
+    assert code == 0
+    obj = json.loads(out, parse_constant=lambda c: pytest.fail(f"non-strict JSON {c}"))
+    assert obj[key] == first
+
+
+@pytest.mark.parametrize("argv", [
+    ("lens", "--a", "0.8", "--b", "0.8", "--gamma", "nan,0"),
+    ("lens", "--a", "0.8", "--b", "0.8", "--gamma", "inf,0"),
+    ("lens", "--a", "inf", "--b", "inf"),
+    ("convexity", "--a", "inf", "--b", "0.8"),
+])
+def test_non_finite_parameters_are_computational_errors(capsys, argv):
+    code, out = run_cli(capsys, *argv)
+    assert code == 1
+    assert json.loads(out)["error"]["type"] == "DomainError"
+
+
 def test_plotdata_lens_contains_exact_corners(capsys):
     code, out = run_cli(capsys, "plotdata", "lens", "--a", "0.8", "--b", "0.8", "--n", "16")
     assert code == 0

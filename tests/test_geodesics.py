@@ -1,4 +1,5 @@
 import cmath
+import json
 import math
 
 import pytest
@@ -101,6 +102,27 @@ def test_solve_omega_eta_properties():
 def test_solve_omega_eta_outside_lens():
     with pytest.raises((Infeasible, Tangent)):
         solve_omega_eta(L88, 0.2)  # not in the lens
+
+
+@pytest.mark.parametrize("bad", [complex(math.nan, 0.0), complex(math.inf, 0.0), complex(0.0, -math.inf)])
+def test_solve_omega_eta_rejects_a_non_finite_parameter(bad):
+    # every comparison with NaN is false, so both interval tests let it through
+    with pytest.raises(DomainError, match="non-finite tangent parameter"):
+        solve_omega_eta(L88, bad)
+
+
+@pytest.mark.parametrize("a, b", [(math.inf, 0.8), (0.8, math.inf), (math.nan, 0.8), (0.0, 0.8), (0.8, -1.0)])
+def test_lens_parameters_are_positive_and_finite(a, b):
+    with pytest.raises(DomainError, match="positive and finite"):
+        Lens(a, b)
+
+
+def test_corners_of_a_large_lens_are_finite():
+    # b**2 overflows at 1e200; the factored form does not
+    c_up, c_dn = Lens(1e200, 1e200).corners()
+    assert (c_up, c_dn) == (complex(-5e-201, 1.0), complex(-5e-201, -1.0))
+    with pytest.raises(DomainError, match="overflow"):
+        Lens(1e308, 1e308).corners()
 
 
 def test_phi_gamma_construction():
@@ -255,6 +277,18 @@ def test_disc_json_round_trip():
     clone = AnalyticDisc.from_json(disc.to_json())
     for lam in (0.3, -0.5j, 0.1 + 0.6j):
         assert max(abs(u - v) for u, v in zip(disc(lam), clone(lam))) < 1e-15
+
+
+def test_disc_json_is_a_fresh_copy():
+    disc = phi_gamma(L88, -0.625)
+    before = json.dumps(disc.to_json(), sort_keys=True)
+    obj = disc.to_json()
+    obj["params"]["a"] = 99.0
+    obj["params"]["gamma1"][0] = 99.0
+    obj["components"][0]["num"][0][0] = 99.0
+    obj["components"][2]["den"].clear()
+    assert disc.params["a"] == 0.8 and disc.params["gamma1"][0] == -0.625
+    assert json.dumps(disc.to_json(), sort_keys=True) == before
 
 
 @st.composite

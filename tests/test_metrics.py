@@ -277,6 +277,37 @@ def test_geodesic_certificate_json():
     assert len(obj["disc"]["components"]) == 3
 
 
+def test_geodesic_certificate_json_leaves_the_disc_as_it_is():
+    cert = geodesic_through(0.8, 0.8, lift_to_M(D88, (0.5, 0.0)))
+    before = json.dumps(cert.to_json(), sort_keys=True)
+    obj = cert.to_json()
+    obj["disc"]["params"]["a"] = 99.0
+    obj["disc"]["params"]["omega"][1] = 99.0
+    obj["gamma1"][0] = 99.0
+    assert cert.disc.params["a"] == 0.8
+    assert json.dumps(cert.to_json(), sort_keys=True) == before
+
+
+@pytest.mark.parametrize("a, b", [(math.inf, 0.8), (0.8, math.nan), (-0.8, 0.8)])
+def test_geodesic_through_rejects_bad_parameters(a, b):
+    with pytest.raises(DomainError, match="positive and finite"):
+        geodesic_through(a, b, lift_to_M(D88, (0.5, 0.0)))
+
+
+@pytest.mark.parametrize("a, b", [(math.inf, 0.8), (0.8, math.inf), (math.nan, 0.8), (0.0, 0.8)])
+def test_domain_parameters_are_positive_and_finite(a, b):
+    with pytest.raises(DomainError, match="positive and finite"):
+        DomainDab(a, b)
+
+
+def test_linear_convexity_quadratic_of_large_parameters():
+    # b**2 overflows at 1e200; the factored form does not
+    r1, r2, uni = linear_convexity_quadratic(DomainDab(1e200, 1e200))
+    assert (r1, r2, uni) == (complex(5e-201, 1.0), complex(5e-201, -1.0), True)
+    with pytest.raises(DomainError, match="overflows"):
+        linear_convexity_quadratic(DomainDab(1e200, 1e300))
+
+
 def _permuted_target(d, seed, index):
     z = lift_to_M(d, _sample_dab(d, seed, index))
     perm = dominant_permutation(z)
