@@ -3,8 +3,8 @@ planar-pair domains, polydiscs, and the Euclidean ball.
 
 The names exported here are resolved on first use (PEP 562): ``import
 geodisc`` loads no submodule, and ``geodisc.X`` or ``from geodisc import X``
-imports only the submodule that defines X.  numpy is loaded with ``oracle``
-(the seeded samplers) or when an array is built, not by the package import.
+imports only the submodule that defines X.  numpy is loaded only with
+``oracle`` (the seeded samplers), not by the package import.
 """
 
 import importlib

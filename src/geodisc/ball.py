@@ -7,9 +7,8 @@ two-ball family are built as the psi_l of a line.
 Points are complex vectors; the Hermitian pairing is <z, w> = sum z_j conj(w_j).
 The kernels compute on tuples of Python ``complex``: the vectors here have two
 or three coordinates, where numpy's per-call overhead outweighs the
-arithmetic.  Inputs may be any sequence of numbers.  ``ball_automorphism``
-and ``minimal_norm_point`` return a 1-D ``numpy.ndarray`` at the public
-boundary; they are the only functions here that import numpy.
+arithmetic.  Inputs may be any sequence of numbers; vectors are returned as
+tuples of ``complex``.
 """
 
 from __future__ import annotations
@@ -75,8 +74,13 @@ def _ball_pair(w, z) -> tuple[Vec, Vec]:
     return w, z
 
 
-def _automorphism(a: Vec, z: Vec) -> Vec:
-    """ball_automorphism on checked ball points of equal dimension."""
+def ball_automorphism(a, z) -> Vec:
+    """Involutive automorphism swapping the base point a with the origin.
+
+    Rudin's (a - P z - s Q z) / (1 - <z, a>), with P the projection on a,
+    Q = 1 - P and s = sqrt(1 - |a|^2); the identity at a = 0.
+    """
+    a, z = _ball_pair(a, z)
     m = max(map(abs, a))
     if m == 0.0:
         return z
@@ -86,17 +90,6 @@ def _automorphism(a: Vec, z: Vec) -> Vec:
     s = math.sqrt(1.0 - _norm2(a))
     den = 1.0 - _herm(z, a)
     return tuple((ai - p * ui - s * (zi - p * ui)) / den for ai, ui, zi in zip(a, u, z))
-
-
-def ball_automorphism(a, z):
-    """Involutive automorphism swapping the base point a with the origin.
-
-    Rudin's (a - P z - s Q z) / (1 - <z, a>), with P the projection on a,
-    Q = 1 - P and s = sqrt(1 - |a|^2); the identity at a = 0.
-    """
-    import numpy as np
-
-    return np.array(_automorphism(*_ball_pair(a, z)))
 
 
 @dataclass(frozen=True)
@@ -116,19 +109,13 @@ class ComplexLine:
         object.__setattr__(self, "base", base)
 
 
-def _foot(l: ComplexLine) -> Vec:
+def minimal_norm_point(l: ComplexLine) -> Vec:
+    """Orthogonal foot of the origin on the line; must land inside the ball."""
     p = _herm(l.base, l.direction)
     foot = tuple(b - p * c for b, c in zip(l.base, l.direction))
     if not _norm2(foot) < 1.0:
         raise NoIntersection("line misses the open unit ball")
     return foot
-
-
-def minimal_norm_point(l: ComplexLine):
-    """Orthogonal foot of the origin on the line; must land inside the ball."""
-    import numpy as np
-
-    return np.array(_foot(l))
 
 
 def _pairs(v: Vec) -> list[list[float]]:
@@ -178,7 +165,7 @@ class BallExtremal:
 
 def psi_l(l: ComplexLine) -> BallExtremal:
     """Extremal for the geodesic cut by the line: see ``BallExtremal``."""
-    return BallExtremal(minimal_point=_foot(l), direction=l.direction)
+    return BallExtremal(minimal_point=minimal_norm_point(l), direction=l.direction)
 
 
 def universal_member_B2(a) -> BallExtremal:

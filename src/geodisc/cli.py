@@ -15,8 +15,8 @@ boundary locus of ``ball locus`` and ``plotdata locus``.
 
 Each subcommand imports the layers it needs when it runs.  The module itself
 loads only the standard library, ``errors``, ``discgeom`` and ``varieties``,
-so ``classify``, ``normalize``, ``transport``, ``lens``, ``geodesic`` and
-every argument error (exit 2) run without numpy.
+so ``classify``, ``normalize``, ``transport``, ``lens``, ``geodesic``,
+``ball`` and every argument error (exit 2) run without numpy.
 """
 
 from __future__ import annotations
@@ -91,18 +91,13 @@ def cmd_distance(args) -> int:
 
 
 def cmd_geodesic(args) -> int:
-    from .metrics import dominant_permutation, geodesic_through, permuted_parameters
+    from .metrics import geodesic_through
 
     d = DomainDab(args.a, args.b)
     z = tuple(args.z)
     if len(z) == 2:
         z = lift_to_M(d, z)
-    perm = dominant_permutation(z)
-    ap, bp = permuted_parameters(args.a, args.b, perm)
-    zp = tuple(z[perm[j]] for j in range(3))
-    cert = geodesic_through(ap, bp, zp, find_alternates=True)
-    out = cert.to_json()
-    out["permutation"] = [p + 1 for p in perm]
+    out = geodesic_through(args.a, args.b, z, find_alternates=True).to_json()
     out["point"] = [_cjson(w) for w in z]
     _emit_json(out)
     return 0

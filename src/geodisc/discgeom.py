@@ -65,10 +65,6 @@ class MobiusMap:
     def __call__(self, lam: complex) -> complex:
         return self.rotation * (self.nu - lam) / (1.0 - self.nu.conjugate() * lam)
 
-    def inverse(self) -> "MobiusMap":
-        # inverse of rot*m_nu is m_{rot*nu} followed by division by rot
-        return MobiusMap(self.rotation * self.nu, self.rotation.conjugate())
-
 
 @dataclass(frozen=True)
 class Quadratic:

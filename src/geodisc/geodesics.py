@@ -110,11 +110,15 @@ class OmegaEta(NamedTuple):
 
 
 def _ik_data(L: Lens, gamma1: complex):
-    """(gamma2, r1, r2, q) of the pair equation r1 omega + r2 eta = -q."""
+    """(gamma2, r1, r2, q) of the pair equation r1 omega + r2 eta = -q;
+    Infeasible where |gamma1|^2 or |gamma2|^2 overflows, far outside the lens."""
     a, b = L.a, L.b
     g2 = -(a * gamma1 + 1.0) / b  # L.gamma2(gamma1), without the method call
-    r1 = a * (1.0 - abs(gamma1) ** 2)
-    r2 = b * (1.0 - abs(g2) ** 2)
+    try:
+        r1 = a * (1.0 - abs(gamma1) ** 2)
+        r2 = b * (1.0 - abs(g2) ** 2)
+    except OverflowError:
+        raise Infeasible(f"tangent parameters {gamma1!r}, {g2!r} overflow; not in the lens") from None
     return g2, r1, r2, a * g2 + b * gamma1 + gamma1 * g2
 
 
@@ -253,9 +257,10 @@ def _certify_disc(L: Lens, gamma1: complex, omega: complex, eta: complex) -> Non
         for c in (gamma1, omega, eta):
             if not cmath.isfinite(c):
                 raise DomainError(f"non-finite coefficient {c!r}")
-    g2, r1, r2, q = _ik_data(L, gamma1)
+    g2 = L.gamma2(gamma1)
     if not (abs(gamma1) < 1.0 and abs(g2) < 1.0):
         raise DomainError(f"tangent parameters {gamma1!r}, {g2!r} are not in the open unit disc")
+    _, r1, r2, q = _ik_data(L, gamma1)
     if not (abs(gamma1 * omega) < 1.0 and abs(g2 * eta) < 1.0):
         raise DomainError("component denominator has a root in the closed disc")
     off = max(abs(abs(omega) - 1.0), abs(abs(eta) - 1.0))

@@ -173,12 +173,17 @@ def geodesic_through(
     """Certificate geodesic through the origin and z on the variety of (a, b, 1).
 
     a and b are checked first, by `Lens` (DomainError unless positive and
-    finite).  z is checked once, here: a finite point of the open tridisc
-    (DomainError) on the surface (NotOnVariety: the residual of the defining
-    equation is at most 1e-8 min(1, S), S the sum of the moduli of its six
-    terms), whose third coordinate dominates in modulus to a relative 1e-15,
-    at any scale (permute first).  The moduli |z_j| are taken once and serve
-    these checks and the values rho(0, z_j) = arctanh|z_j|.  The preimage is
+    finite).  z is any point of the surface; it is checked once, here: a
+    finite point of the open tridisc (DomainError) on the surface
+    (NotOnVariety: the residual of the defining equation is at most
+    1e-8 min(1, S), S the sum of the moduli of its six terms).  The
+    construction needs the dominant coordinate third, so unless
+    |z3| >= |z1|, |z2| it runs on the point and lens permuted by
+    `dominant_permutation` (ties to the larger index) and
+    `permuted_parameters`, and the disc's components are put back in z's own
+    order: disc(param_at_target) = z.  `gamma1`, `branch`, `alternates` and
+    `disc.params` refer to the permuted lens.  The moduli |z_j| serve the
+    checks and the values rho(0, z_j) = arctanh|z_j|.  The preimage is
     closed form.  With t = (z1, z2)/x, the tangent parameter gamma1 lies on
     two hyperbolic circles, which meet in at most two points
     (`_intersection_candidates`, each listed once); those inside the lens
@@ -219,6 +224,14 @@ def geodesic_through(
     z1, z2, x = z
     z = z1, z2, x = complex(z1), complex(z2), complex(x)
     m1, m2, mx = abs(z1), abs(z2), abs(x)
+    perm = None
+    if not (mx >= m1 and mx >= m2):
+        # the dominant coordinate goes third; each permutation is its own inverse
+        perm = dominant_permutation(z)
+        a, b = permuted_parameters(a, b, perm)
+        L = Lens(a, b)
+        z = z1, z2, x = z[perm[0]], z[perm[1]], z[perm[2]]
+        m1, m2, mx = abs(z1), abs(z2), abs(x)
     # false for NaN and infinity: require_disc_point diagnoses a failure
     if not (m1 < 1.0 and m2 < 1.0 and mx < 1.0):
         for w in z:
@@ -230,8 +243,6 @@ def geodesic_through(
         raise NotOnVariety(f"residual {res0:.3e}")
     if x == 0:
         raise DomainError("target must differ from the origin")
-    if mx * (1.0 + 1e-15) < max(m1, m2):
-        raise DomainError("third coordinate must dominate; permute coordinates first")
     t1, t2 = z1 / x, z2 / x
     if not L.nonempty:
         raise EmptyLens(f"lens of ({L.a}, {L.b}) is empty")
@@ -292,6 +303,8 @@ def geodesic_through(
                 f"no lens preimage located; best residual {best:.3e}", best_residual=best
             )
     g, branch, disc, res = certified[0]
+    if perm is not None:
+        disc = disc._replace(components=tuple(disc.components[p] for p in perm))
 
     # rho(0, w) = atanh|w|, bit for bit
     lempert = math.atanh(mx)
@@ -380,12 +393,8 @@ def _sample_dab(d: DomainDab, seed: int, index: int) -> tuple[complex, complex]:
 
 def _verify_one(d: DomainDab, seed: int, index: int):
     w = _sample_dab(d, seed, index)
-    lifted = (w[0], w[1], d.f(w[0], w[1]))
-    perm = dominant_permutation(lifted)
-    ap, bp = permuted_parameters(d.a, d.b, perm)
-    zp = tuple(lifted[perm[j]] for j in range(3))
     try:
-        cert = geodesic_through(ap, bp, zp)
+        cert = geodesic_through(d.a, d.b, (w[0], w[1], d.f(w[0], w[1])))
     except (ConvergenceFailure, NotOnVariety, DomainError) as exc:
         best = getattr(exc, "best_residual", float("nan"))
         return (index, False, float("nan"), best, f"{type(exc).__name__}: {exc}")

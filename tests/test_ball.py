@@ -66,7 +66,7 @@ def test_minimal_norm_point_examples():
     assert np.linalg.norm(minimal_norm_point(l)) == 0.0
     l = ComplexLine(base=(0.5, 0.0), direction=(0.0, 1.0))
     foot = minimal_norm_point(l)
-    assert np.allclose(foot, (0.5, 0.0))
+    assert type(foot) is tuple and foot == (0.5, 0.0)
     # orthogonality of the foot against the direction
     rng = rng_for(43, 0)
     for _ in range(100):
@@ -420,7 +420,7 @@ def test_scalar_kernels_match_reference(case):
         direction = (1.0,) + direction[1:]
     # the automorphism: reference, involution, and the swap of a and 0
     img = ball_automorphism(a, z)
-    assert isinstance(img, np.ndarray) and img.shape == (len(a),)
+    assert type(img) is tuple and len(img) == len(a) and all(type(c) is complex for c in img)
     assert close(img, ref_automorphism(a, z))
     assert close(ball_automorphism(a, img), z, 1e-12)
     assert close(ball_automorphism(a, a), np.zeros(len(a)))

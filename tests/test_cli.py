@@ -5,6 +5,7 @@ import math
 import pytest
 
 from geodisc.cli import build_parser, main
+from geodisc.geodesics import AnalyticDisc
 
 
 def run_cli(capsys, *argv):
@@ -69,7 +70,25 @@ def test_geodesic_command(capsys):
     obj = json.loads(out)
     assert obj["residual"] < 1e-9
     assert obj["caratheodory_value"] == pytest.approx(math.atanh(2.0 / 3.0), abs=1e-12)
-    assert obj["permutation"] == [1, 2, 3]
+    assert "permutation" not in obj
+
+
+def test_geodesic_command_passes_through_its_point(capsys):
+    # z1 dominates the lift: the disc comes back in the point's own coordinates
+    code, out = run_cli(capsys, "geodesic", "--a", "0.8", "--b", "0.8", "--z", "0.6,0", "-0.55,0")
+    assert code == 0
+    obj = json.loads(out)
+    point = [complex(*w) for w in obj["point"]]
+    assert abs(point[0]) > abs(point[2])
+    disc = AnalyticDisc.from_json(obj["disc"])
+    assert max(abs(u - v) for u, v in zip(disc(complex(*obj["param_at_target"])), point)) < 1e-9
+
+
+def test_lens_command_far_outside_is_infeasible(capsys):
+    # |gamma1|^2 leaves the float range: a typed error, not a traceback
+    code, out = run_cli(capsys, "lens", "--a", "0.8", "--b", "0.8", "--gamma", "1e200,0")
+    assert code == 1
+    assert json.loads(out)["error"]["type"] == "Infeasible"
 
 
 def test_lens_command(capsys):

@@ -91,12 +91,7 @@ def test_mobius_involution(nu):
         assert abs(m(m(lam)) - lam) < 1e-12
 
 
-def test_mobius_inverse_and_identity():
-    m = MobiusMap(0.3 + 0.4j, cmath.exp(0.7j))
-    mi = m.inverse()
-    for lam in (0.0, 0.2 - 0.5j, 0.8):
-        assert abs(mi(m(lam)) - lam) < 1e-12
-        assert abs(m(mi(lam)) - lam) < 1e-12
+def test_mobius_identity():
     assert MobiusMap(0j, -1 + 0j)(0.37 - 0.11j) == 0.37 - 0.11j
 
 

@@ -104,6 +104,17 @@ def test_solve_omega_eta_outside_lens():
         solve_omega_eta(L88, 0.2)  # not in the lens
 
 
+def test_huge_tangent_parameter_is_a_typed_error():
+    # |gamma1|^2 leaves the float range; so does |gamma2|^2 on a lens with tiny b
+    for L, g in ((L88, 1e200 + 0j), (Lens(1.0, 1e-160), 0.5 + 0j)):
+        with pytest.raises(Infeasible, match="overflow"):
+            solve_omega_eta(L, g)
+        with pytest.raises(DomainError, match="not in the open unit disc"):
+            _certify_disc(L, g, 1 + 0j, 1 + 0j)
+        with pytest.raises(DomainError, match="not in the open unit disc"):
+            phi_gamma(L, g, omega_eta=OmegaEta(1 + 0j, 1 + 0j, PLUS))
+
+
 @pytest.mark.parametrize("bad", [complex(math.nan, 0.0), complex(math.inf, 0.0), complex(0.0, -math.inf)])
 def test_solve_omega_eta_rejects_a_non_finite_parameter(bad):
     # every comparison with NaN is false, so both interval tests let it through

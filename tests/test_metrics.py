@@ -1,4 +1,5 @@
 import cmath
+import hashlib
 import json
 import math
 
@@ -141,15 +142,42 @@ def test_geodesic_through_symmetric_slice():
     assert any(abs(g - L.gamma2(gsym)) < 1e-7 for g in found_s)
 
 
-def test_geodesic_through_requires_dominant_third():
-    z = lift_to_M(D88, (0.6, -0.55))  # first coordinate dominates the lift
-    assert abs(z[0]) > abs(z[2])
-    with pytest.raises(DomainError):
-        geodesic_through(0.8, 0.8, z)
-    # the dominance test is relative, so it holds at any scale
-    for scale in (1e-9, 1e-15):
-        with pytest.raises(DomainError, match="third coordinate must dominate"):
-            geodesic_through(0.8, 0.8, (0.5 * scale, 0.0, -0.4 * scale))
+# fat, thin and large cells; the report writes a = 20 as given, an int
+CELLS = [(0.8, 0.8), (0.51, 0.5), (0.02, 0.99), (20, 20.5), (10.01, 10.745)]
+
+
+def _dominant_first_then_second(d):
+    """Lifted sample points of D(a, b) with z1, then z2, dominant."""
+    found = {}
+    for i in range(100):
+        z = lift_to_M(d, _sample_dab(d, 5, i))
+        found.setdefault(dominant_permutation(z), z)
+    return [found[(2, 1, 0)], found[(0, 2, 1)]]
+
+
+# z1 or z2 dominant at each cell, and z1 dominant below any absolute slack
+TARGETS = {f"{a},{b}-z{k}": (DomainDab(a, b), z) for a, b in CELLS
+           for k, z in enumerate(_dominant_first_then_second(DomainDab(a, b)), 1)}
+TARGETS.update({f"tiny-{s:g}": (D88, (0.5 * s, 0.0, -0.4 * s)) for s in (1e-9, 1e-15)})
+
+
+@pytest.mark.parametrize("d, z", list(TARGETS.values()), ids=list(TARGETS))
+def test_geodesic_through_certifies_any_dominant_coordinate(d, z):
+    cert = geodesic_through(d.a, d.b, z)
+    assert cert.residual <= MATCH_TOL
+    # the disc passes through z in z's own coordinates, after a JSON round trip
+    disc = AnalyticDisc.from_json(json.loads(json.dumps(cert.disc.to_json())))
+    upper = lempert_upper_bound(disc, (0j, 0j, 0j), z, lam_z=0j, lam_w=cert.param_at_target)
+    assert upper == pytest.approx(c_dab(d, (0j, 0j), z[:2]), abs=1e-9)
+    # and relative to the size of z, which the absolute 1e-9 above is not at tiny scales
+    miss = max(abs(u - v) for u, v in zip(disc(cert.param_at_target), z))
+    assert miss <= 1e-9 * max(map(abs, z))
+    # the same certificate as the pre-permuted call, its components reordered
+    perm = dominant_permutation(z)
+    assert perm != (0, 1, 2)
+    cp = geodesic_through(*permuted_parameters(d.a, d.b, perm), tuple(z[p] for p in perm))
+    assert cert.disc.components == tuple(cp.disc.components[p] for p in perm)
+    assert cert._replace(disc=cp.disc) == cp
 
 
 def test_dominant_permutation_and_parameters():
@@ -170,6 +198,15 @@ def test_lempert_verify_report():
     # seed reproducibility, byte identical
     rep2 = lempert_verify(D88, samples=120, seed=7)
     assert rep.dumps() == rep2.dumps()
+
+
+def test_lempert_verify_bytes_are_pinned():
+    # the reports of 1 000 samples at seed 5 on five cells, thin, fat and
+    # large, concatenated: any change in a certificate's outcome moves them
+    h = hashlib.sha256()
+    for a, b in CELLS:
+        h.update(lempert_verify(DomainDab(a, b), samples=1000, seed=5).dumps().encode())
+    assert h.hexdigest() == "174a01acbb3293a7f11c1c7e82c100e9b505e6373770ed47e9d2d1afa261369c"
 
 
 def test_lempert_verify_exercises_permutation():
@@ -308,25 +345,20 @@ def test_linear_convexity_quadratic_of_large_parameters():
         linear_convexity_quadratic(DomainDab(1e200, 1e300))
 
 
-def _permuted_target(d, seed, index):
-    z = lift_to_M(d, _sample_dab(d, seed, index))
-    perm = dominant_permutation(z)
-    return perm, permuted_parameters(d.a, d.b, perm), tuple(z[p] for p in perm)
-
-
 def test_closed_form_target_builds_no_lens_grid():
     # (20, 20.5) with z1 or z2 dominant: thin permuted lenses, on which a
     # sampled start would be expensive; the closed form needs none
     d = DomainDab(20.0, 20.5)
     seen = set()
     for i in range(400):
-        perm, (ap, bp), zp = _permuted_target(d, 41, i)
+        z = lift_to_M(d, _sample_dab(d, 41, i))
+        perm = dominant_permutation(z)
         if perm == (0, 1, 2) or perm in seen:
             continue
         seen.add(perm)
-        cert = geodesic_through(ap, bp, zp)
+        cert = geodesic_through(d.a, d.b, z)
         vals = cert.disc(cert.param_at_target)
-        assert max(abs(u - v) for u, v in zip(vals, zp)) < 1e-9
+        assert max(abs(u - v) for u, v in zip(vals, z)) < 1e-9
     assert seen == {(2, 1, 0), (0, 2, 1)}
 
 
@@ -363,10 +395,7 @@ def test_exact_options_list_each_geodesic_once():
     # candidates and at gamma1 = t1 passes through z: five options within
     # 7e-10 of the answer's gamma1, on both branches; an option on the same
     # branch with gamma1 within tol of a listed one is the same geodesic
-    z = lift_to_M(D88, (1e-9, 0.0))
-    perm = dominant_permutation(z)
-    ap, bp = permuted_parameters(0.8, 0.8, perm)
-    cert = geodesic_through(ap, bp, tuple(z[p] for p in perm), find_alternates=True)
+    cert = geodesic_through(0.8, 0.8, lift_to_M(D88, (1e-9, 0.0)), find_alternates=True)
     found = [(cert.branch, cert.gamma1), *cert.alternates]
     for i, (br, g) in enumerate(found):
         assert all(br != b0 or abs(g - g0) > MATCH_TOL for b0, g0 in found[:i])

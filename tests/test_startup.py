@@ -113,6 +113,7 @@ TRANSPORT = '{"alpha": [[-0.6, 0.0], [-0.8, 0.0], [-1.0, -0.0]]}\n'
 NORMAL_FORM = ('{"a": 0.9428090415820635, "b": 1.3333333333333333, "rotations": [[0.0, 1.0], '
                '[0.7071067811865476, 0.7071067811865476], [0.7071067811865476, -0.7071067811865476]]}\n')
 CSTAR = '{"cstar": 0.5954801616253105, "distance": 0.6861146161004036}\n'
+AUTO = '{"image": [[0.2084523553643545, -0.09325745402856334], [0.2917525094008477, -0.20813587976433756]]}\n'
 EXTREMAL = ('{"direction": [[0.1760901812651248, 0.0], [0.880450906325624, 0.440225453162812]], '
             '"minimal_point": [[0.3062015503875969, 0.12790697674418605], [-0.038759689922480633, -0.04496124031007748]], '
             '"unitary": [[[-0.17609018126512455, 0.0], [-0.8804509063256237, 0.44022545316281186]], '
@@ -133,7 +134,7 @@ GEODESIC = ('{"alternates": [{"branch": "minus", "gamma1": [-0.6916666666666667,
             '"gamma1": [-0.6916666666666667, -0.36429154990657336], "omega": [0.35000000000000037, '
             '0.9367496997597596]}, "tag": "PhiGamma"}, "gamma1": [-0.6916666666666667, -0.36429154990657336], '
             '"lempert_value": 0.8047189562170504, "param_at_target": [-0.6666666666666667, -0.0], '
-            '"permutation": [1, 2, 3], "point": [[0.5, 0.0], [0.0, 0.0], [-0.6666666666666667, -0.0]], '
+            '"point": [[0.5, 0.0], [0.0, 0.0], [-0.6666666666666667, -0.0]], '
             '"residual": 3.6753160314401474e-16}\n')
 
 
@@ -144,6 +145,8 @@ GEODESIC = ('{"alternates": [{"branch": "minus", "gamma1": [-0.6916666666666667,
      BASE),
     (["-m", "geodisc.cli", "ball", "cstar", "--z", "0.1,0.2", "0.3,0", "--w", "-0.2,0", "0,0.4"], 0, CSTAR,
      BASE | {"geodisc.ball"}),
+    (["-m", "geodisc.cli", "ball", "auto", "--base", "0.3,0.1", "0,-0.2", "--z", "0.1,0.2", "-0.3,0"], 0, AUTO,
+     BASE | {"geodisc.ball"}),
     (["-m", "geodisc.cli", "ball", "extremal", "--base", "0.3,0.1", "0,-0.2", "--direction", "0.2,0", "1,0.5",
       "--z", "0.1,0.2", "-0.3,0"], 0, EXTREMAL, BASE | {"geodisc.ball"}),
     (["-c", "import geodisc"], 0, "", {"geodisc"}),
@@ -152,8 +155,8 @@ GEODESIC = ('{"alternates": [{"branch": "minus", "gamma1": [-0.6916666666666667,
      BASE | {"geodisc.geodesics"}),
     (["-m", "geodisc.cli", "geodesic", "--a", "0.8", "--b", "0.8", "--z", "0.5,0", "0,0"], 0, GEODESIC,
      BASE | {"geodisc.geodesics", "geodisc.metrics"}),
-], ids=["classify", "normalize", "transport", "ball-cstar", "ball-extremal", "import", "validation-error", "lens",
-        "geodesic"])
+], ids=["classify", "normalize", "transport", "ball-cstar", "ball-auto", "ball-extremal", "import", "validation-error",
+        "lens", "geodesic"])
 def test_startup_loads_no_numpy(argv, code, stdout, modules):
     env = dict(os.environ, PYTHONPATH=str(SRC))
     proc = subprocess.run([sys.executable, "-X", "importtime", *argv], env=env, capture_output=True, text=True)
