@@ -52,24 +52,32 @@ def _unit(z: Vec, name: str) -> Vec:
     m = max(map(abs, z))
     if m == 0.0:
         raise DomainError(f"{name} must be nonzero")
-    z = tuple(c / m for c in z)
+    z = tuple([c / m for c in z])
     n = math.sqrt(_norm2(z))
-    return tuple(c / n for c in z)
+    return tuple([c / n for c in z])
 
 
-def require_ball_point(z) -> Vec:
-    """z as a tuple of complex, checked to be finite and in the open unit ball."""
+def _ball_point(z) -> tuple[Vec, float]:
+    """(v, |v|^2) for v = z as a tuple of complex, checked to be finite and in
+    the open unit ball; |v|^2 is the value the check compared with 1."""
     v = _vec(z)
-    if not _norm2(v) < 1.0:
+    n2 = _norm2(v)
+    if not n2 < 1.0:
         if not all(map(cmath.isfinite, v)):
             raise DomainError("non-finite coordinates")
         raise DomainError("point is not in the open unit ball")
-    return v
+    return v, n2
 
 
-def _ball_pair(w, z) -> tuple[Vec, Vec]:
-    w, z = require_ball_point(w), require_ball_point(z)
-    if len(w) != len(z):
+def require_ball_point(z) -> Vec:
+    """z as a tuple of complex, checked by `_ball_point`."""
+    return _ball_point(z)[0]
+
+
+def _ball_pair(w, z) -> tuple[tuple[Vec, float], tuple[Vec, float]]:
+    """`_ball_point` of w and of z, which must have the same dimension."""
+    w, z = _ball_point(w), _ball_point(z)
+    if len(w[0]) != len(z[0]):
         raise DomainError("dimension mismatch")
     return w, z
 
@@ -80,16 +88,16 @@ def ball_automorphism(a, z) -> Vec:
     Rudin's (a - P z - s Q z) / (1 - <z, a>), with P the projection on a,
     Q = 1 - P and s = sqrt(1 - |a|^2); the identity at a = 0.
     """
-    a, z = _ball_pair(a, z)
+    (a, na), (z, _) = _ball_pair(a, z)
     m = max(map(abs, a))
     if m == 0.0:
         return z
     # P z = <z, u> u / |u|^2 with u = a / m, since |a|^2 underflows below |a| ~ 1e-154
-    u = tuple(c / m for c in a)
+    u = tuple([c / m for c in a])
     p = _herm(z, u) / _norm2(u)
-    s = math.sqrt(1.0 - _norm2(a))
+    s = math.sqrt(1.0 - na)
     den = 1.0 - _herm(z, a)
-    return tuple((ai - p * ui - s * (zi - p * ui)) / den for ai, ui, zi in zip(a, u, z))
+    return tuple([(ai - p * ui - s * (zi - p * ui)) / den for ai, ui, zi in zip(a, u, z)])
 
 
 @dataclass(frozen=True)
@@ -112,7 +120,7 @@ class ComplexLine:
 def minimal_norm_point(l: ComplexLine) -> Vec:
     """Orthogonal foot of the origin on the line; must land inside the ball."""
     p = _herm(l.base, l.direction)
-    foot = tuple(b - p * c for b, c in zip(l.base, l.direction))
+    foot = tuple([b - p * c for b, c in zip(l.base, l.direction)])
     if not _norm2(foot) < 1.0:
         raise NoIntersection("line misses the open unit ball")
     return foot
@@ -127,14 +135,24 @@ def _householder_unitary(r: Vec) -> tuple[Vec, ...]:
 
     t is the phase of r0, so v_0 = 1 + |r0| cannot cancel; it is read from
     r0 / max(|Re|, |Im|), since r0 / |r0| is not unimodular for a subnormal r0.
+    Entry (i, j) is -t ((i == j) - (k v_i) conj(v_j)), k = 2 / |v|^2: the
+    product is subtracted from the integer 0 or 1, not negated, so its zero
+    parts become +0 before the factor -t.  Each row is built off the diagonal
+    first and its diagonal entry set afterwards.
     """
     m = max(abs(r[0].real), abs(r[0].imag))
     t = r[0] / m if m else 1.0 + 0j
     t /= abs(t)
-    v = tuple(t * c.conjugate() + (j == 0) for j, c in enumerate(r))
+    v = [t * c.conjugate() + (j == 0) for j, c in enumerate(r)]
     k = 2.0 / _norm2(v)
-    return tuple(tuple(-t * ((i == j) - k * vi * vj.conjugate()) for j, vj in enumerate(v))
-                 for i, vi in enumerate(v))
+    nt, vc = -t, [c.conjugate() for c in v]
+    rows = []
+    for i, vi in enumerate(v):
+        kvi = k * vi
+        row = [nt * (0 - kvi * c) for c in vc]
+        row[i] = nt * (1 - kvi * vc[i])
+        rows.append(tuple(row))
+    return tuple(rows)
 
 
 @dataclass(frozen=True)
@@ -147,15 +165,15 @@ class BallExtremal:
     direction: tuple[complex, ...]
 
     def __call__(self, z) -> complex:
-        a, z = _ball_pair(self.minimal_point, z)
-        return math.sqrt(1.0 - _norm2(a)) * _herm(z, self.direction) / (1.0 - _herm(z, a))
+        (a, na), (z, _) = _ball_pair(self.minimal_point, z)
+        return math.sqrt(1.0 - na) * _herm(z, self.direction) / (1.0 - _herm(z, a))
 
     def to_json(self) -> dict:
         """Foot, direction, and a unitary U with psi_l(z) = <U Phi_a(z), e1> for
         Phi_a = ``ball_automorphism``, the identity at a = 0: row 0 of U is -conj(d),
         or conj(d) for a foot of exactly 0, completed by a Householder reflection."""
         sign = -1.0 if any(self.minimal_point) else 1.0
-        r = tuple(sign * c.conjugate() for c in self.direction)
+        r = [sign * c.conjugate() for c in self.direction]
         return {
             "minimal_point": _pairs(self.minimal_point),
             "direction": _pairs(self.direction),
@@ -210,18 +228,25 @@ def f_t_geodesic(t: float, lam: complex) -> tuple[complex, complex]:
     """The fan of geodesics ((t^2 + lam)/(1 + t^2), t (lam - 1)/(1 + t^2)).
 
     Each member maps the disc into the ball, so lam must lie in the disc.
+    Where t^2 overflows, the same point is taken in s = 1/t:
+    ((1 + lam s^2)/(1 + s^2), s (lam - 1)/(1 + s^2)).
     """
     t = float(t)
     if not math.isfinite(t):
         raise DomainError(f"non-finite parameter t = {t!r}")
     lam = require_disc_point(lam)
-    return ((t * t + lam) / (1.0 + t * t), t * (lam - 1.0) / (1.0 + t * t))
+    tt = t * t
+    if math.isinf(tt):
+        s = 1.0 / t
+        ss = s * s
+        return ((1.0 + lam * ss) / (1.0 + ss), s * (lam - 1.0) / (1.0 + ss))
+    return ((tt + lam) / (1.0 + tt), t * (lam - 1.0) / (1.0 + tt))
 
 
 def c_star_ball(w, z) -> float:
     """sqrt(1 - (1-|w|^2)(1-|z|^2)/|1-<w,z>|^2): tanh of the ball distance."""
-    w, z = _ball_pair(w, z)
-    val = 1.0 - (1.0 - _norm2(w)) * (1.0 - _norm2(z)) / abs(1.0 - _herm(w, z)) ** 2
+    (w, nw), (z, nz) = _ball_pair(w, z)
+    val = 1.0 - (1.0 - nw) * (1.0 - nz) / abs(1.0 - _herm(w, z)) ** 2
     return math.sqrt(max(val, 0.0))
 
 

@@ -175,8 +175,9 @@ def geodesic_through(
     a and b are checked first, by `Lens` (DomainError unless positive and
     finite).  z is any point of the surface; it is checked once, here: a
     finite point of the open tridisc (DomainError) on the surface
-    (NotOnVariety: the residual of the defining equation is at most
-    1e-8 min(1, S), S the sum of the moduli of its six terms).  The
+    (NotOnVariety: the residual of the defining equation of (a, b, 1) at z
+    itself, before any permutation, is at most 1e-8 min(1, S), S the sum of
+    the moduli of its six terms).  The
     construction needs the dominant coordinate third, so unless
     |z3| >= |z1|, |z2| it runs on the point and lens permuted by
     `dominant_permutation` (ties to the larger index) and
@@ -224,6 +225,16 @@ def geodesic_through(
     z1, z2, x = z
     z = z1, z2, x = complex(z1), complex(z2), complex(x)
     m1, m2, mx = abs(z1), abs(z2), abs(x)
+    # false for NaN and infinity: require_disc_point diagnoses a failure
+    if not (m1 < 1.0 and m2 < 1.0 and mx < 1.0):
+        for w in z:
+            require_disc_point(w)
+    # the defining equation of (a, b, 1), whose coefficients are real, in z's
+    # own coordinates: after a permutation it would be divided by the moved coefficient
+    e1, e2, e3, e4, e5, e6 = a * z1, b * z2, x, -z1 * z2, -b * z1 * x, -a * z2 * x
+    res0 = abs(e1 + e2 + e3 + e4 + e5 + e6)
+    if res0 > 1e-8 * min(1.0, abs(e1) + abs(e2) + abs(e3) + abs(e4) + abs(e5) + abs(e6)):
+        raise NotOnVariety(f"residual {res0:.3e}")
     perm = None
     if not (mx >= m1 and mx >= m2):
         # the dominant coordinate goes third; each permutation is its own inverse
@@ -232,15 +243,6 @@ def geodesic_through(
         L = Lens(a, b)
         z = z1, z2, x = z[perm[0]], z[perm[1]], z[perm[2]]
         m1, m2, mx = abs(z1), abs(z2), abs(x)
-    # false for NaN and infinity: require_disc_point diagnoses a failure
-    if not (m1 < 1.0 and m2 < 1.0 and mx < 1.0):
-        for w in z:
-            require_disc_point(w)
-    # the defining equation of (a, b, 1), whose coefficients are real
-    e1, e2, e3, e4, e5, e6 = a * z1, b * z2, x, -z1 * z2, -b * z1 * x, -a * z2 * x
-    res0 = abs(e1 + e2 + e3 + e4 + e5 + e6)
-    if res0 > 1e-8 * min(1.0, abs(e1) + abs(e2) + abs(e3) + abs(e4) + abs(e5) + abs(e6)):
-        raise NotOnVariety(f"residual {res0:.3e}")
     if x == 0:
         raise DomainError("target must differ from the origin")
     t1, t2 = z1 / x, z2 / x
@@ -511,7 +513,8 @@ def linear_convexity_quadratic(d: DomainDab) -> tuple[complex, complex, bool]:
     |h| < 1 they are h +- i sqrt(1 - h^2), upper half-plane first; otherwise
     they are real, the larger modulus h + sign(h) sqrt(h^2 - 1) first and
     then its reciprocal.  h is evaluated as ((b - a)(b + a) + 1) / (2b);
-    DomainError where (b - a)(b + a) or 2b leaves the float range.
+    where h^2 overflows, the larger root is 2h to rounding.  DomainError
+    where (b - a)(b + a), 2b or that root leaves the float range.
     """
     a, b = d.a, d.b
     h = ((b - a) * (b + a) + 1.0) / (2.0 * b)
@@ -521,7 +524,9 @@ def linear_convexity_quadratic(d: DomainDab) -> tuple[complex, complex, bool]:
         s = math.sqrt(1.0 - h * h)
         r1, r2 = complex(h, s), complex(h, -s)
     else:
-        big = h + math.copysign(math.sqrt(h * h - 1.0), h)
+        big = 2.0 * h if math.isinf(h * h) else h + math.copysign(math.sqrt(h * h - 1.0), h)
+        if math.isinf(big):
+            raise DomainError(f"witness quadratic of D({a}, {b}) overflows")
         r1, r2 = complex(big), complex(1.0 / big)
     uni = all(abs(abs(r) - 1.0) < 1e-10 for r in (r1, r2))
     return (r1, r2, uni)

@@ -20,6 +20,7 @@ import cmath
 import itertools
 import math
 from dataclasses import dataclass
+from operator import mul, sub
 
 from .discgeom import MobiusMap, require_disc_point
 from .errors import (
@@ -44,10 +45,10 @@ class Alpha:
 
     def __post_init__(self):
         vals = self.coeffs()
-        for c in vals:
-            if not (math.isfinite(c.real) and math.isfinite(c.imag)):
-                raise DomainError(f"non-finite coefficient {c!r}")
-        if all(c == 0 for c in vals):
+        if not all(map(cmath.isfinite, vals)):
+            bad = next(c for c in vals if not cmath.isfinite(c))
+            raise DomainError(f"non-finite coefficient {bad!r}")
+        if not any(vals):
             raise DomainError("alpha must not be the zero triple")
 
     def coeffs(self) -> tuple[complex, complex, complex]:
@@ -92,7 +93,7 @@ def classify(alpha: Alpha) -> TriClass:
 
 def membership_residual(alpha: Alpha, z: tuple[complex, complex, complex]) -> complex:
     """Defining-equation residual; zero iff z lies on the surface."""
-    z1, z2, z3 = (require_disc_point(w) for w in z)
+    z1, z2, z3 = map(require_disc_point, z)
     a1, a2, a3 = alpha.coeffs()
     return (
         a1 * z1
@@ -146,7 +147,8 @@ def normalize(alpha: Alpha) -> NormalForm:
 
     The three unimodular factors are pinned by matching the defining
     equations coefficient by coefficient; the solution is unique.  Triples
-    with a1 or a2 equal to zero have no positive normal form.
+    with a1 or a2 equal to zero have no positive normal form, and DomainError
+    is raised where a or b overflows.
     """
     a1, a2, a3 = alpha.coeffs()
     if a3 == 0:
@@ -155,6 +157,8 @@ def normalize(alpha: Alpha) -> NormalForm:
         raise Unsupported("degenerate triple: positive normal form needs alpha1, alpha2 != 0")
     a = abs(a1) / abs(a3)
     b = abs(a2) / abs(a3)
+    if math.isinf(a) or math.isinf(b):
+        raise DomainError(f"normal form parameters a, b = {a}, {b} overflow")
     u1 = (a3.conjugate() / abs(a3)) * (abs(a2) / a2)
     u2 = (a3.conjugate() / abs(a3)) * (abs(a1) / a1)
     u3 = (abs(a1) / a1) * (abs(a2) / a2)
@@ -253,7 +257,7 @@ def transport(alpha: Alpha, m: TridiscAutomorphism) -> Alpha:
         raise InvalidAutomorphism("m does not move a surface point to the origin")
 
     t = _equation_tensor(alpha)
-    q = [t[i] for i in _TRANSPOSE[m.perm]]
+    q = list(map(t.__getitem__, _TRANSPOSE[m.perm]))
     for pairs, s in zip(_AXIS_PAIRS, m.maps):
         nu, nuc, rc = s.nu, s.nu.conjugate(), -s.rotation.conjugate()
         for lo, hi in pairs:
@@ -271,7 +275,7 @@ def transport(alpha: Alpha, m: TridiscAutomorphism) -> Alpha:
         c = -c
     beta = Alpha(c * E.conjugate(), c * D.conjugate(), -c.conjugate())
     scale = beta.a3 / -F
-    worst = sum(abs(x * scale - y) for x, y in zip(q, _equation_tensor(beta)))
+    worst = sum(map(abs, map(sub, map(mul, q, itertools.repeat(scale)), _equation_tensor(beta))))
     if not worst <= TRANSPORT_TOL:
         raise DegenerateImage(f"transported coefficients miss by {worst:.3e}, above tolerance")
     return beta

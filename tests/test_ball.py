@@ -1,6 +1,7 @@
 import cmath
 import json
 import math
+from operator import mul
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from geodisc.ball import (
     ComplexLine,
+    _householder_unitary,
     F_left_inverse,
     ball_automorphism,
     boundary_modulus,
@@ -449,3 +451,101 @@ def test_scalar_kernels_match_reference(case):
     leaves += [x for pair in obj["direction"] for x in pair]
     leaves += [x for row in obj["unitary"] for pair in row for x in pair]
     assert all(type(x) is float for x in leaves)
+
+
+# The ball kernels as first written on tuples: generator expressions, each norm
+# recomputed where it is used, and every Householder entry -t ((i == j) - k v_i
+# conj(v_j)) built in one nested expression.  The kernels must agree with them
+# bit for bit, signed zeros included.
+def gen_herm(z, w):
+    return sum(map(mul, z, map(complex.conjugate, w)))
+
+
+def gen_automorphism(a, z):
+    a, z = tuple(map(complex, a)), tuple(map(complex, z))
+    m = max(map(abs, a))
+    if m == 0.0:
+        return z
+    u = tuple(c / m for c in a)
+    p = gen_herm(z, u) / gen_herm(u, u).real
+    s = math.sqrt(1.0 - gen_herm(a, a).real)
+    den = 1.0 - gen_herm(z, a)
+    return tuple((ai - p * ui - s * (zi - p * ui)) / den for ai, ui, zi in zip(a, u, z))
+
+
+def gen_c_star(w, z):
+    w, z = tuple(map(complex, w)), tuple(map(complex, z))
+    val = 1.0 - (1.0 - gen_herm(w, w).real) * (1.0 - gen_herm(z, z).real) / abs(1.0 - gen_herm(w, z)) ** 2
+    return math.sqrt(max(val, 0.0))
+
+
+def gen_householder(r):
+    m = max(abs(r[0].real), abs(r[0].imag))
+    t = r[0] / m if m else 1.0 + 0j
+    t /= abs(t)
+    v = tuple(t * c.conjugate() + (j == 0) for j, c in enumerate(r))
+    k = 2.0 / gen_herm(v, v).real
+    return tuple(tuple(-t * ((i == j) - k * vi * vj.conjugate()) for j, vj in enumerate(v))
+                 for i, vi in enumerate(v))
+
+
+def gen_psi_value(psi, z):
+    a, z = psi.minimal_point, tuple(map(complex, z))
+    return math.sqrt(1.0 - gen_herm(a, a).real) * gen_herm(z, psi.direction) / (1.0 - gen_herm(z, a))
+
+
+def _leaves(x):
+    if isinstance(x, (tuple, list)):
+        return [y for item in x for y in _leaves(item)]
+    if isinstance(x, complex):
+        return [x.real, x.imag]
+    return [x]
+
+
+def assert_same_bits(got, want):
+    assert type(got) is type(want)
+    g, w = _leaves(got), _leaves(want)
+    assert g == w
+    assert [math.copysign(1.0, x) for x in g] == [math.copysign(1.0, x) for x in w]
+
+
+def assert_kernels_match_generator_forms(a, z, w, base, direction):
+    assert_same_bits(c_star_ball(w, z), gen_c_star(w, z))
+    assert_same_bits(ball_automorphism(a, z), gen_automorphism(a, z))
+    psi = psi_l(ComplexLine(base=base, direction=direction))
+    for p in (z, w):
+        assert_same_bits(psi(p), gen_psi_value(psi, p))
+    sign = -1.0 if any(psi.minimal_point) else 1.0
+    r = tuple(sign * c.conjugate() for c in psi.direction)
+    want = gen_householder(r)
+    assert_same_bits(_householder_unitary(r), want)
+    assert_same_bits(psi.to_json()["unitary"], [[[c.real, c.imag] for c in row] for row in want])
+
+
+@settings(max_examples=300, deadline=None)
+@given(ball_case())
+def test_kernels_match_generator_forms_bit_for_bit(case):
+    a, z, w, base, direction = case
+    if not any(direction):
+        direction = (1.0,) + direction[1:]
+    assert_kernels_match_generator_forms(a, z, w, base, direction)
+
+
+@pytest.mark.parametrize("a, z, w, base, direction", [
+    # directions with exact zero components, on lines with a nonzero foot
+    ((0.1, 0.2j), (0.3, -0.1), (0.0, 0.5j), (0.3, 0.1j), (0, 1)),
+    ((0.1, 0.2j), (0.3, -0.1), (0.0, 0.5j), (-0.2, 0.4), (1, 0)),
+    ((0.1, 0.2j), (0.3, -0.1), (0.0, 0.5j), (0.2j, 0.1), (0, -1j)),
+    ((0.1, 0.2j, -0.3), (0.3, -0.1, 0.2j), (0.0, 0.5j, 0.0), (0.1, 0.5, -0.3j), (3, 0, 0)),
+    # a foot of exactly 0: through the origin, and along the base itself
+    ((0.1, 0.2j), (0.3, -0.1), (0.0, 0.5j), (0.0, 0.0), (0.6, -0.8j)),
+    ((0.1, 0.2j), (0.3, -0.1), (0.0, 0.5j), (0.5, 0.0), (1, 0)),
+    ((0.1, 0.2j, -0.3), (0.3, -0.1, 0.2j), (0.0, 0.5j, 0.0), (0.0, 0.0, 0.0), (3, 0, 0)),
+    # a = 0: the automorphism is the identity
+    ((0.0, 0.0), (0.3, -0.1j), (0.0, -0.5j), (0.3, 0.1j), (0, 1)),
+    ((0.0, -0.0, 0j), (-0.0, 0.2, -0.4j), (0.1, 0.0, -0.0), (0.1, 0.5, -0.3j), (3, 0, 0)),
+])
+def test_kernels_match_generator_forms_at_exact_zeros(a, z, w, base, direction):
+    assert_kernels_match_generator_forms(a, z, w, base, direction)
+    if not any(a):
+        assert ball_automorphism(a, z) == tuple(map(complex, z))

@@ -192,6 +192,32 @@ def test_large_parameters_give_finite_output(capsys, command, key, first):
     assert obj[key] == first
 
 
+@pytest.mark.parametrize("argv, key, first", [
+    # t * t overflows: the point in 1/t
+    (("ball", "ft", "--t", "1e200", "--lam", "0.5,0"), "point", [[1.0, 0.0], [-5e-201, 0.0]]),
+    # h * h overflows: the larger root is 2h
+    (("convexity", "--a", "1e-300", "--b", "1e-300"), "moduli", [9.999999999999999e+299, 1e-300]),
+])
+def test_overflowing_intermediates_give_finite_output(capsys, argv, key, first):
+    code, out = run_cli(capsys, *argv)
+    assert code == 0
+    obj = json.loads(out, parse_constant=lambda c: pytest.fail(f"non-strict JSON {c}"))
+    assert obj[key] == first
+
+
+@pytest.mark.parametrize("argv", [
+    # a = |alpha1| / |alpha3| overflows
+    ("normalize", "--alpha", "1e308,0", "1e308,0", "1e-308,0"),
+    # the larger root 2h overflows
+    ("convexity", "--a", "1e-300", "--b", "4e-309"),
+])
+def test_overflowing_results_are_domain_errors(capsys, argv):
+    code, out = run_cli(capsys, *argv)
+    assert code == 1
+    obj = json.loads(out, parse_constant=lambda c: pytest.fail(f"non-strict JSON {c}"))
+    assert obj["error"]["type"] == "DomainError"
+
+
 @pytest.mark.parametrize("argv", [
     ("lens", "--a", "0.8", "--b", "0.8", "--gamma", "nan,0"),
     ("lens", "--a", "0.8", "--b", "0.8", "--gamma", "inf,0"),

@@ -75,6 +75,16 @@ def test_geodesic_through_rejects_off_surface_target():
         geodesic_through(0.8, 0.8, (5e-10, 5e-10, 5e-10))
 
 
+def test_geodesic_through_tests_membership_in_its_own_coordinates():
+    # neither point has a dominant third coordinate; the equation of the
+    # permuted lens is that of (20, 20.5, 1) divided by the moved coefficient
+    with pytest.raises(NotOnVariety, match=r"residual 1\.448e\+01"):
+        geodesic_through(20, 20.5, (0.5, 0.3, 0.1))
+    # 5.0e-8 off the surface: above the 1e-8 bound, below it once divided by 20
+    with pytest.raises(NotOnVariety, match=r"residual 5\.000e-08"):
+        geodesic_through(20, 20.5, (-0.69 + 0.1j, 0.6, 0.5245295401758411 - 0.27494895705652056j))
+
+
 def test_psi_x_limits():
     # the slice coordinates z_j / x of the disc tend to the tangent (gamma1, gamma2) as x -> 0
     g = -0.5 + 0.25j
