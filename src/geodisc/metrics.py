@@ -4,10 +4,9 @@ Distances from the origin on the variety of (a, b, 1) and on the planar-pair
 domain reduce to coordinate maxima of disc distances; the certificate that
 the maximum is attained is an explicit analytic disc through the target.
 Its tangent parameter is one of at most two closed-form preimage candidates,
-and its unimodular pair is read off the target, so the disc passes through
-the target by construction (near the origin, where that reading loses
-digits, an exact pair is used and its disc checked at the target); no
-iterative search is involved.
+computed with its unimodular pair in unknowns scaled by the target, so that
+no digits cancel however near the origin the target lies; no iterative
+search is involved.
 """
 
 from __future__ import annotations
@@ -73,12 +72,12 @@ def kappa_dab_origin(d: DomainDab, X) -> float:
 
 
 class GeodesicCertificate(NamedTuple):
-    """A disc through the origin and the target, hitting it at param_at_target.
+    """A disc through the origin and, within `tol` of `geodesic_through`,
+    the target, which it meets at param_at_target.
 
     `residual` is the relative inverse-kinematics residual
-    |r1 omega + r2 eta + q| / |q| of the pair read off the target, or, where
-    the exact pair was used instead, its disc's miss at the target.  Either
-    way `phi_gamma` has certified in closed form that the disc lies in M, to
+    |r1 omega + r2 eta + q| / |q| of the disc's pair, and `phi_gamma` has
+    certified in closed form that the disc lies in M, to
     `geodesics.RESIDUAL_TOL`.  `alternates` lists (branch, gamma1) of the
     other candidates whose discs certify.  A named tuple: it compares equal
     to the plain tuple of its eight fields.
@@ -107,60 +106,68 @@ class GeodesicCertificate(NamedTuple):
         }
 
 
-def _h_circle(center: complex, s: float) -> tuple[complex, float]:
-    """Euclidean center and radius of the hyperbolic circle of radius
-    arctanh(s) around `center`."""
-    ss, cc = s * s, abs(center) ** 2
-    den = 1.0 - ss * cc
-    return center * (1.0 - ss) / den, s * (1.0 - cc) / den
+def _intersection_candidates(L: Lens, z1: complex, x: complex) -> list[tuple[complex, complex, complex]]:
+    """Closed-form preimage candidates (gamma1, omega, eta), gamma1 inside
+    the lens, for the target with first and third coordinates z1 and x.
 
-
-def _intersection_candidates(L: Lens, x, t1, t2) -> list[complex]:
-    """Closed-form preimage candidates from the two distance constraints.
-
-    Each slice component sits at hyperbolic distance arctanh|x| from its
-    lens parameter, so gamma1 lies on the intersection of one hyperbolic
-    circle around t1 and the affine pullback of another around t2; these
-    intersect in at most two points, listed once each.  The first circle
-    degenerates to a point when |t1| = 1, and there is no candidate.
+    The unknowns are u = (gamma1 - t1)/x and v = (gamma2 - t2)/x, with
+    t1 = z1/x and t2 = z2/x at the point (z1, z2, x) of M, so that each
+    pair is exact on M; where b - z1 - a x = 0 there is no such point and
+    no candidate.  Each slice component sits at hyperbolic distance
+    arctanh|x| from its lens parameter: |omega| = 1 for
+    omega = u / (1 - conj(gamma1) t1), that is u on the circle around
+    -t1 conj(x) R1 of radius R1 = p1 / (1 - |x t1|^2), p1 = 1 - |t1|^2;
+    and v on the same circle of t2, with eta = v / (1 - conj(gamma2) t2).
+    Each denominator is p - conj(x u) t with the p of its circle, so
+    |omega| = |eta| = 1 hold to rounding even where p has lost digits
+    (|t| near 1).  The lens line gamma2 = -(a gamma1 + 1)/b is
+    v = e - (a/b) u with e = -(t1 t2 + b t1 + a t2)/b, the surface equation
+    divided by x, so nothing cancels.  The circles meet in at most two
+    points, read on the smaller one and listed once each (equal u is one
+    point).  A circle degenerates to a point when |t1| or |t2| is 1, and
+    there is no candidate.
     """
-    s = abs(x)
-    c1, r1 = _h_circle(t1, s)
-    if r1 <= 0.0:
+    a, b = L.a, L.b
+    den = b - z1 - a * x
+    if not den:
         return []
-    c2, r2 = _h_circle(t2, s)
-    # gamma2 = -(a gamma1 + 1)/b on circle(c2, r2) pulls back to a circle
-    m2 = -(1.0 + L.b * c2) / L.a
-    q2 = L.b * r2 / L.a
-    d = abs(m2 - c1)
-    if d < 1e-15:
+    t1 = z1 / x
+    t2 = (b * z1 - a * t1 - 1.0) / den
+    ss = abs(x) ** 2
+    tt1, tt2 = abs(t1) ** 2, abs(t2) ** 2
+    p1, p2 = 1.0 - tt1, 1.0 - tt2
+    r1, r2 = p1 / (1.0 - ss * tt1), p2 / (1.0 - ss * tt2)
+    if not (r1 > 0.0 and r2 > 0.0):
         return []
-    ct = (r1 * r1 + d * d - q2 * q2) / (2.0 * r1 * d)
+    xc = x.conjugate()
+    k = a / b
+    e = -(t1 * t2 + b * t1 + a * t2) / b
+    # the smaller circle (c, r) and the other (co, ro), in the smaller one's plane
+    on_u = k * r1 <= r2
+    if on_u:
+        c, r, co, ro = -t1 * xc * r1, r1, (e + t2 * xc * r2) / k, r2 / k
+    else:
+        c, r, co, ro = -t2 * xc * r2, r2, e + k * (t1 * xc * r1), k * r1
+    d = abs(co - c)
+    if not d > 0.0:
+        return []
+    ct = (r * r + d * d - ro * ro) / (2.0 * r * d)
     if abs(ct) > 1.0 + 1e-9:
         return []
     ct = min(1.0, max(-1.0, ct))
     st = math.sqrt(1.0 - ct * ct)
-    u = (m2 - c1) / d
-    up, dn = c1 + r1 * u * complex(ct, st), c1 + r1 * u * complex(ct, -st)
-    return [up] if up == dn else [up, dn]
-
-
-def _exact_pair_discs(L: Lens, gammas, x: complex, z, tol: float):
-    """(gamma1, branch, disc, miss) for each exact solution at each of
-    `gammas` whose disc is on the variety and passes through z within tol."""
-    for g in gammas:
-        try:
-            sols = solve_omega_eta(L, g)
-        except (Infeasible, Tangent):
-            continue
-        for sol in sols:
-            try:
-                disc = phi_gamma(L, g, sol.branch, omega_eta=sol)
-            except DomainError:
-                continue
-            miss = max(abs(u - v) for u, v in zip(disc(x), z))
-            if miss <= tol:
-                yield g, sol.branch, disc, miss
+    n = r * (co - c) / d
+    out, prev = [], None
+    for w in (c + n * complex(ct, st), c + n * complex(ct, -st)):
+        u, v = (w, e - k * w) if on_u else ((e - w) / k, w)
+        if u == prev:
+            break
+        prev = u
+        xu = x * u
+        g = t1 + xu
+        if L.contains(g):
+            out.append((g, u / (p1 - xu.conjugate() * t1), v / (p2 - (x * v).conjugate() * t2)))
+    return out
 
 
 def geodesic_through(
@@ -182,44 +189,27 @@ def geodesic_through(
     |z3| >= |z1|, |z2| it runs on the point and lens permuted by
     `dominant_permutation` (ties to the larger index) and
     `permuted_parameters`, and the disc's components are put back in z's own
-    order: disc(param_at_target) = z.  `gamma1`, `branch`, `alternates` and
-    `disc.params` refer to the permuted lens.  The moduli |z_j| serve the
-    checks and the values rho(0, z_j) = arctanh|z_j|.  The preimage is
-    closed form.  With t = (z1, z2)/x, the tangent parameter gamma1 lies on
-    two hyperbolic circles, which meet in at most two points
-    (`_intersection_candidates`, each listed once); those inside the lens
-    are the candidates.  For each, the unimodular pair is read off the target,
-
-        omega = m_gamma1(t1) / x,    eta = m_gamma2(t2) / x,
-
-    so its disc passes through z by construction.  The at most two
-    candidates are ranked by one comparison: plus branch first, then the
-    smaller relative inverse-kinematics (IK) residual
-    |r1 omega + r2 eta + q| / |q|, and in the order found on a tie.  The
-    first whose disc `phi_gamma` certifies in closed form (`_certify_disc`:
-    the pair unimodular and both residual coefficients at most
-    RESIDUAL_TOL |q|) is the answer.  Its pair is labelled by comparing its
-    distances |omega - omega_s| + |eta - eta_s| to the two exact
-    `solve_omega_eta` solutions s: minus when the minus solution is strictly
-    nearer, else plus; by its own sign where the two coalesce
-    (Tangent).  With `find_alternates`, every other
-    candidate whose disc certifies is listed as an alternate: the disc of
-    its read pair or, where that fails, of the exact solution with the same
-    label, when that passes through z within `tol`.
-
-    z_j / x holds omega x only to rounding, so the pair read off a target
-    with small |x| carries an error of order eps/|x|, and for |x| below
-    about 1e-8 the two circles cannot be resolved either.  When no read pair
-    gives a certified disc, the exact solutions of `solve_omega_eta` are
-    tried at each candidate and at the small-parameter limit gamma1 = t1
-    (z = x (gamma1, gamma2, 1) + O(x^2)); one is kept when its disc passes
-    through z within `tol`, and the others that pass are the alternates, each
-    geodesic once: an option on the same branch as the answer or a listed
-    alternate, with gamma1 within `tol` of it, is not listed again.  `tol`
-    bounds only the misses of exact pairs.
-    The certificate's `residual` is the IK residual of the read pair, or the
-    miss of the exact pair's disc at z.  Raises ConvergenceFailure when
-    nothing passes.
+    order: disc(param_at_target) = z within `tol`.  `gamma1`, `branch`,
+    `alternates` and `disc.params` refer to the permuted lens.  The moduli
+    |z_j| serve the checks and the values rho(0, z_j) = arctanh|z_j|.  The
+    preimage is closed form: `_intersection_candidates` gives at most two
+    tangent parameters gamma1 inside the lens, each with its unimodular pair
+    (omega, eta), computed in unknowns scaled by x so that nothing cancels
+    as x tends to 0, and exact on M.  They are ranked by one comparison:
+    plus branch first, then the smaller relative inverse-kinematics (IK)
+    residual |r1 omega + r2 eta + q| / |q|, and in the order found on a
+    tie.  The first whose disc `phi_gamma` certifies in closed form
+    (`_certify_disc`: the pair unimodular and both residual coefficients at
+    most RESIDUAL_TOL |q|) and whose value at x is within `tol` of z in
+    every coordinate is the answer: x is met exactly and z1 to rounding, z2
+    only to within z's own membership residual.  Its pair is labelled by
+    comparing its distances |omega - omega_s| + |eta - eta_s| to the two
+    exact `solve_omega_eta` solutions s: minus when the minus solution is
+    strictly nearer, else plus; by its own sign where the two coalesce
+    (Tangent).  With `find_alternates`, every other candidate that passes
+    the same tests is listed as an alternate.  The certificate's `residual`
+    is the IK residual of its pair.  Raises ConvergenceFailure when no
+    candidate passes.
     """
     L = Lens(a, b)  # a and b positive and finite
     z1, z2, x = z
@@ -245,28 +235,21 @@ def geodesic_through(
         m1, m2, mx = abs(z1), abs(z2), abs(x)
     if x == 0:
         raise DomainError("target must differ from the origin")
-    t1, t2 = z1 / x, z2 / x
     if not L.nonempty:
         raise EmptyLens(f"lens of ({L.a}, {L.b}) is empty")
 
-    ranked = []  # (minus, residual, gamma1, omega, eta): plus first, then the smaller residual
-    for g in _intersection_candidates(L, x, t1, t2):
-        if not L.contains(g):
-            continue
+    ranked = []  # (minus, residual, gamma1, gamma2, omega, eta): plus first, then the smaller residual
+    for g, omega, eta in _intersection_candidates(L, z1, x):
         g2, r1, r2, q = _ik_data(L, g)
-        omega = (g - t1) / (1.0 - g.conjugate() * t1) / x
-        eta = (g2 - t2) / (1.0 - g2.conjugate() * t2) / x
         res = abs(r1 * omega + r2 * eta + q) / abs(q) if q else math.inf
         # solve_omega_eta's convention: plus turns positively from -q to r1 omega
         minus = not (omega * -q.conjugate()).imag > 0.0
         if ranked and (minus < ranked[0][0] or minus == ranked[0][0] and res < ranked[0][1]):
-            ranked.insert(0, (minus, res, g, omega, eta))
+            ranked.insert(0, (minus, res, g, g2, omega, eta))
         else:
-            ranked.append((minus, res, g, omega, eta))
-    # (gamma1, branch, disc, residual) of each read pair whose disc certifies,
-    # and of the exact pairs that stand in for the other read pairs
-    certified, exact = [], []
-    for minus, res, g, omega, eta in ranked:
+            ranked.append((minus, res, g, g2, omega, eta))
+    certified = []  # (gamma1, branch, disc, residual) of each disc that certifies and passes z within tol
+    for minus, res, g, g2, omega, eta in ranked:
         try:
             (wp, ep, bp), (wm, em, bm) = solve_omega_eta(L, g)
         except Infeasible:
@@ -279,31 +262,23 @@ def geodesic_through(
         try:
             disc = phi_gamma(L, g, branch, omega_eta=OmegaEta(omega, eta, branch))
         except DomainError:
-            if find_alternates:
-                exact += [e for e in _exact_pair_discs(L, [g], x, z, tol) if e[1] == branch]
+            continue
+        # the disc's first two components lam (g - w lam)/(1 - conj(g) w lam)
+        # at lam = x, against z1 and z2 (the third is x itself); in closed
+        # form, since disc(x) costs several times as much on the per-sample path
+        w1, w2 = omega * x, eta * x
+        miss1 = abs(x * (g - w1) / (1.0 - g.conjugate() * w1) - z1)
+        if not max(miss1, abs(x * (g2 - w2) / (1.0 - g2.conjugate() * w2) - z2)) <= tol:
             continue
         certified.append((g, branch, disc, res))
         if not find_alternates:
             break
-    if certified:
-        certified += exact
-    else:
-        # near the origin: exact pairs, at the candidates and at the
-        # small-parameter limit gamma1 = t1, since z = x (gamma1, gamma2, 1) + O(x^2);
-        # one entry per geodesic: gamma1 within tol of a listed one, on the
-        # same branch, is the same option
-        gammas = [c[2] for c in ranked] + ([t1] if L.contains(t1) else [])
-        for option in _exact_pair_discs(L, gammas, x, z, tol):
-            gg, br = option[:2]
-            if all(br != b0 or abs(gg - g0) > tol for g0, b0, _, _ in certified):
-                certified.append(option)
-            if not find_alternates:
-                break
-        if not certified:
-            best = min((c[1] for c in ranked), default=math.inf)
-            raise ConvergenceFailure(
-                f"no lens preimage located; best residual {best:.3e}", best_residual=best
-            )
+    if not certified:
+        best = min((c[1] for c in ranked), default=math.inf)
+        raise ConvergenceFailure(
+            f"no certified disc meets the target within {tol:g}; best residual {best:.3e}",
+            best_residual=best,
+        )
     g, branch, disc, res = certified[0]
     if perm is not None:
         disc = disc._replace(components=tuple(disc.components[p] for p in perm))

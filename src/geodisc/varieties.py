@@ -17,6 +17,7 @@ so the module loads and runs without numpy.
 from __future__ import annotations
 
 import cmath
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -35,6 +36,17 @@ from .errors import (
 POLE_GUARD = 1e-13
 # bound on the base-point residual and on the coefficient miss in `transport`
 TRANSPORT_TOL = 1e-9
+
+
+def _moduli_in_range(fn):
+    """fn raising DomainError where a modulus of finite parts overflows."""
+    @functools.wraps(fn)
+    def checked(*args):
+        try:
+            return fn(*args)
+        except OverflowError:
+            raise DomainError(f"{fn.__name__}: a modulus leaves the float range") from None
+    return checked
 
 
 @dataclass(frozen=True)
@@ -77,6 +89,7 @@ class TriClass:
         return {"class": "NonRetract"}
 
 
+@_moduli_in_range
 def classify(alpha: Alpha) -> TriClass:
     """Non-retract iff the moduli satisfy all three strict triangle inequalities.
 
@@ -142,13 +155,14 @@ class NormalForm:
         }
 
 
+@_moduli_in_range
 def normalize(alpha: Alpha) -> NormalForm:
     """Diagonal-rotation normal form with a = |a1|/|a3|, b = |a2|/|a3|.
 
     The three unimodular factors are pinned by matching the defining
     equations coefficient by coefficient; the solution is unique.  Triples
     with a1 or a2 equal to zero have no positive normal form, and DomainError
-    is raised where a or b overflows.
+    is raised where a or b overflows or underflows to 0.
     """
     a1, a2, a3 = alpha.coeffs()
     if a3 == 0:
@@ -157,8 +171,8 @@ def normalize(alpha: Alpha) -> NormalForm:
         raise Unsupported("degenerate triple: positive normal form needs alpha1, alpha2 != 0")
     a = abs(a1) / abs(a3)
     b = abs(a2) / abs(a3)
-    if math.isinf(a) or math.isinf(b):
-        raise DomainError(f"normal form parameters a, b = {a}, {b} overflow")
+    if not (0.0 < a < math.inf and 0.0 < b < math.inf):
+        raise DomainError(f"normal form parameters a, b = {a}, {b} leave the positive float range")
     u1 = (a3.conjugate() / abs(a3)) * (abs(a2) / a2)
     u2 = (a3.conjugate() / abs(a3)) * (abs(a1) / a1)
     u3 = (abs(a1) / a1) * (abs(a2) / a2)
@@ -220,6 +234,7 @@ def _equation_tensor(alpha: Alpha) -> tuple[complex, ...]:
     return (0j, a3, a2, -a1.conjugate(), a1, -a2.conjugate(), -a3.conjugate(), 0j)
 
 
+@_moduli_in_range
 def transport(alpha: Alpha, m: TridiscAutomorphism) -> Alpha:
     """Image triple beta with m(surface of alpha) = surface of beta.
 

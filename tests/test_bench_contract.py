@@ -103,12 +103,12 @@ def test_traced_run_reports_every_layer_metric(bench, workload, tmp_path):
     json.loads(json.dumps(line, allow_nan=False))
 
 
-# SHA-256 of wl.encode over the first two chunks at seed 1, recorded with the
-# per-sample path as it was before it was rewritten for speed (x86-64,
-# Python 3.11, numpy 2.4); the rewrite keeps every output byte
+# SHA-256 of wl.encode over the first two chunks at seed 1, recorded after
+# the preimage moved to unknowns scaled by the target, which changed the
+# certificates in rounding only (x86-64, Python 3.11, numpy 2.4)
 FIRST_TWO_CHUNKS_SHA256 = {
-    "verify-fat": "26dc2aa6fdb4cb07d793d8ca0669fcd236362802b43655ebdfc0fa7c51f5973f",
-    "sweep-wide": "94ebb55a8e2f147baac1ef943e65a81dae87b65ec5946f6d2a7f156127f175d9",
+    "verify-fat": "0e3922394298b817f4b5f25a3f0b8d3c54774f46a0f64946d985110eac6f6936",
+    "sweep-wide": "c0aa09f79f137f95ccc1140d75618e5620e60460bb9cff63d39cb4bba2b09910",
 }
 
 
@@ -123,13 +123,12 @@ def test_first_two_chunks_are_byte_identical(bench, workload):
 
 
 # SHA-256 of wl.encode over one full pass at seed 1 (3 000 and 180 points),
-# recorded before the per-sample path was rewritten to build each
-# certificate quantity once, and for ``automorphisms`` (400 transports, 800
-# ball items) before the ball kernels reused the norms of their input checks
-# (x86-64, Python 3.11, numpy 2.4)
+# recorded after the preimage moved to scaled unknowns, and for
+# ``automorphisms`` (400 transports, 800 ball items) before the ball kernels
+# reused the norms of their input checks (x86-64, Python 3.11, numpy 2.4)
 FULL_PASS_SHA256 = {
-    "verify-fat": "b64727b7442c74c7dcc71f85e49644bd540bca6e154ea84c67af60c117934980",
-    "sweep-wide": "f9b510011edd4a8d31d5d980ef8af3c4400d7bd1c816d45e50aa51dfae9b89ee",
+    "verify-fat": "0c8d39d1e8ea61bda3657bdb0d865a53566050dc70dc9fa87809c7ec1476557f",
+    "sweep-wide": "18ff8cc3e77b76111baff75bd73171e3f781ab369ba15bdeb3f9f1dbe67a6632",
     "automorphisms": "1259d8d1ee51e894cb67666d0780278047630225b65472da621c8e5e597e2937",
 }
 

@@ -208,6 +208,12 @@ def test_overflowing_intermediates_give_finite_output(capsys, argv, key, first):
 @pytest.mark.parametrize("argv", [
     # a = |alpha1| / |alpha3| overflows
     ("normalize", "--alpha", "1e308,0", "1e308,0", "1e-308,0"),
+    # a underflows to 0
+    ("normalize", "--alpha", "1e-200,0", "1,0", "1e200,0"),
+    # |alpha1| overflows although both its parts are finite
+    ("classify", "--alpha", "1.7e308,1.7e308", "1,0", "1,0"),
+    ("normalize", "--alpha", "1.7e308,1.7e308", "1,0", "1,0"),
+    ("transport", "--alpha", "1.7e308,1.7e308", "1,0", "1,0", "--nu", "0,0", "0,0", "0,0"),
     # the larger root 2h overflows
     ("convexity", "--a", "1e-300", "--b", "4e-309"),
 ])
@@ -368,6 +374,13 @@ def test_geodesic_tiny_target_is_computational_error(capsys):
     code, out = run_cli(capsys, "geodesic", "--a", "0.8", "--b", "0.8", "--z", "5e-10,0", "5e-10,0", "5e-10,0")
     assert code == 1
     assert json.loads(out)["error"]["type"] == "NotOnVariety"
+
+
+def test_verify_lempert_certifies_a_target_near_the_torus(capsys):
+    # sample 1284 at seed 5 has |z3| = 0.99959
+    code, out = run_cli(capsys, "verify-lempert", "--a", "0.02", "--b", "0.99", "--samples", "1285", "--seed", "5")
+    assert code == 0
+    assert json.loads(out)["failures"] == 0
 
 
 def test_verify_lempert_reads_tol_match(capsys):

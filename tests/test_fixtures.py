@@ -11,8 +11,8 @@ import math
 import pytest
 
 from geodisc.discgeom import Quadratic
-from geodisc.geodesics import AnalyticDisc, Lens, _certify_disc
-from geodisc.metrics import MATCH_TOL, c_dab, geodesic_through
+from geodisc.geodesics import MINUS, PLUS, AnalyticDisc, Lens, _certify_disc
+from geodisc.metrics import MATCH_TOL, _intersection_candidates, c_dab, geodesic_through
 from geodisc.oracle import quadratic_roots
 from geodisc.varieties import DomainDab
 
@@ -23,6 +23,9 @@ from geodisc.varieties import DomainDab
 # where |z2| and |z3| tie to 2e-5, and three certificates that pass their own
 # residual yet whose discs miss the target by 4e-7, 1e-6 and 3e-9, all with
 # |z3| above 0.999.  These failures were those of an iterative inversion.
+# The last, sample 1284 of lempert_verify at (0.02, 0.99) with seed 5
+# (|z3| = 0.99959), failed with ConvergenceFailure while the pair was read
+# off the target in unscaled unknowns.
 FIXTURES = (
     (0.8, 0.8, 0.8035035523696945 - 0.28547648879861764j, 0.07984285114202017 - 0.7532957631102906j),
     (0.8, 0.8, -0.1814676078692723 + 0.46849426153451024j, -0.10924709492528795 + 0.7224358280738274j),
@@ -30,6 +33,7 @@ FIXTURES = (
     (10.01, 10.745, -0.6287778060391143 - 0.3014976353631573j, 0.3302457861263741 - 0.7241557427803471j),
     (20.0, 20.5, 0.5629907798311138 - 0.4905226643343963j, -0.5647537603262622 - 0.18935645116913946j),
     (20.0, 20.5, 0.5153205695366978 + 0.8004770348578885j, -0.6694844258032555 + 0.3496152536016346j),
+    (0.02, 0.99, -0.08697140915812618 - 0.12407810735888192j, 0.9862877311456675 + 0.10246796404590008j),
 )
 
 # 64 interior nodes: eight radii up to 0.96 on eight rays each
@@ -89,17 +93,14 @@ def test_fixture_certifies(fixture):
 
 
 def test_alternates_certify():
-    # an alternate is listed only when its disc certifies; on fixture2 the
-    # minus candidate near gamma1 = -0.625 + 0.781i has a read pair with
-    # |k| / |q| = 1.04e-10 and an exact pair that misses z by 5.6e-6, so it
-    # is not listed, and every listed gamma1 certifies with its read pair
+    # an alternate is listed only when its disc certifies; on fixture2 both
+    # candidates do with their own pairs, the minus one near
+    # gamma1 = -0.625 + 0.781i with |k| / |q| = 5.6e-11
     ap, bp, zp = _permuted_target(*FIXTURES[2])
     L = Lens(ap, bp)
-    x = zp[2]
-    t1, t2 = zp[0] / x, zp[1] / x
+    pairs = {g: (omega, eta) for g, omega, eta in _intersection_candidates(L, zp[0], zp[2])}
     cert = geodesic_through(ap, bp, zp, find_alternates=True)
-    for g in [cert.gamma1] + [g for _, g in cert.alternates]:
-        g2 = L.gamma2(g)
-        omega = (g - t1) / (1.0 - g.conjugate() * t1) / x
-        eta = (g2 - t2) / (1.0 - g2.conjugate() * t2) / x
-        _certify_disc(L, g, omega, eta)
+    listed = [(cert.branch, cert.gamma1), *cert.alternates]
+    assert [br for br, _ in listed] == [PLUS, MINUS]
+    for _, g in listed:
+        _certify_disc(L, g, *pairs[g])

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from geodisc.discgeom import MobiusMap, rho
 from geodisc import metrics
 from geodisc.errors import ConvergenceFailure, DomainError, GeodiscError, NotInDomain, NotOnVariety
-from geodisc.geodesics import MINUS, PLUS, AnalyticDisc, Lens, phi_gamma
+from geodisc.geodesics import MINUS, PLUS, RESIDUAL_TOL, AnalyticDisc, Lens, _ik_data, phi_gamma
 from geodisc.metrics import (
     MATCH_TOL,
     UniversalMember,
@@ -216,7 +216,7 @@ def test_lempert_verify_bytes_are_pinned():
     h = hashlib.sha256()
     for a, b in CELLS:
         h.update(lempert_verify(DomainDab(a, b), samples=1000, seed=5).dumps().encode())
-    assert h.hexdigest() == "174a01acbb3293a7f11c1c7e82c100e9b505e6373770ed47e9d2d1afa261369c"
+    assert h.hexdigest() == "5743879ebf856759ab7d7551858348b312788d909e490fccfc9f1cd32eba8822"
 
 
 def test_lempert_verify_exercises_permutation():
@@ -395,21 +395,79 @@ def test_no_candidate_raises_convergence_failure(monkeypatch):
 
 
 def test_unit_ratio_has_no_candidate():
-    # |t1| = 1 collapses the first hyperbolic circle to its center
-    assert metrics._intersection_candidates(L88, 0.5, 1.0 + 0j, 0.3 + 0j) == []
-    assert metrics._intersection_candidates(L88, 0.5, 1j, 0.3 + 0j) == []
+    # |t1| = |z1 / x| = 1 collapses the first hyperbolic circle to its center
+    assert metrics._intersection_candidates(L88, 0.5 + 0j, 0.5 + 0j) == []
+    assert metrics._intersection_candidates(L88, 0.5j, 0.5 + 0j) == []
 
 
-def test_exact_options_list_each_geodesic_once():
-    # at |x| = 1e-9 the read pairs fail, and every exact option at the two
-    # candidates and at gamma1 = t1 passes through z: five options within
-    # 7e-10 of the answer's gamma1, on both branches; an option on the same
-    # branch with gamma1 within tol of a listed one is the same geodesic
-    cert = geodesic_through(0.8, 0.8, lift_to_M(D88, (1e-9, 0.0)), find_alternates=True)
-    found = [(cert.branch, cert.gamma1), *cert.alternates]
-    for i, (br, g) in enumerate(found):
-        assert all(br != b0 or abs(g - g0) > MATCH_TOL for b0, g0 in found[:i])
-    assert sorted(br for br, _ in found) == [MINUS, PLUS]
+@pytest.mark.parametrize("s", [1e-9, 1e-15, 1e-300])
+def test_tiny_targets_list_both_branches_from_their_own_pairs(monkeypatch, s):
+    # the pair in the scaled unknowns keeps its digits however small |x| is:
+    # both candidates certify, one on each branch, and each disc is built
+    # once from its candidate's own pair, with no retry
+    calls = []
+
+    def traced(L, g, branch, omega_eta=None):
+        calls.append((L, g, omega_eta))
+        return phi_gamma(L, g, branch, omega_eta=omega_eta)
+
+    monkeypatch.setattr(metrics, "phi_gamma", traced)
+    z = lift_to_M(D88, (s, 0.0))
+    cert = geodesic_through(0.8, 0.8, z, find_alternates=True)
+    assert [br for br, _ in cert.alternates] == [MINUS if cert.branch == PLUS else PLUS]
+    assert [g for _, g, _ in calls] == [cert.gamma1, cert.alternates[0][1]]
+    assert cert.residual <= RESIDUAL_TOL
+    for L, g, (omega, eta, _) in calls:
+        _, r1, r2, q = _ik_data(L, g)
+        assert abs(r1 * omega + r2 * eta + q) <= RESIDUAL_TOL * abs(q)
+    miss = max(abs(u - v) for u, v in zip(cert.disc(cert.param_at_target), z))
+    assert miss <= 1e-9 * max(map(abs, z))
+    calls.clear()
+    geodesic_through(0.8, 0.8, z)
+    assert len(calls) == 1
+
+
+def _pole_target(d):
+    """A target of (1.5, 0.8, 1) with |z3| = 1 - d on the pole of the point of
+    M over (z1, z3): b - z1 - a z3 = 0 exactly, and the residual is about
+    1.5 d, inside the membership test."""
+    a, b = 1.5, 0.8
+    h = (a * a + b * b - 1.0) / (2.0 * a * b)
+    x = (1.0 - d) * complex(h, math.sqrt(1.0 - h * h))
+    z1 = b - a * x
+    assert b - z1 - a * x == 0 and abs(z1) < abs(x)
+    return a, b, (z1, 0j, x)
+
+
+def _moved_off(z1, z2, j, shift):
+    z = list(lift_to_M(D88, (z1, z2)))
+    z[j] += shift
+    return 0.8, 0.8, tuple(z)
+
+
+# (z1, z2, j, shift): the lifted point with z_j moved off M inside the
+# membership test (residual <= 1e-8 min(1, S)); the disc meets z only to
+# within that residual, above tol at unit scale and far below it at 1e-9 scale
+OFF_SURFACE = {
+    "unit-z2": (0.3 + 0.1j, 0.2 - 0.2j, 1, 5e-9),
+    "unit-z1": (0.3 + 0.1j, 0.2 - 0.2j, 0, 5e-9j),
+    "tiny-z2": (3e-10 + 1e-10j, 2e-10 - 2e-10j, 1, 3e-18),
+    "tiny-z3": (3e-10 + 1e-10j, 2e-10 - 2e-10j, 2, -3e-18j),
+}
+
+
+@pytest.mark.parametrize("a, b, z", [
+    *(_moved_off(*case) for case in OFF_SURFACE.values()),
+    _pole_target(1e-12),
+    _pole_target(1e-9),
+], ids=[*OFF_SURFACE, "pole-1e-12", "pole-1e-9"])
+def test_target_off_the_surface_is_met_within_tol_or_fails(a, b, z):
+    try:
+        cert = geodesic_through(a, b, z, tol=MATCH_TOL)
+    except ConvergenceFailure:
+        return
+    disc = AnalyticDisc.from_json(json.loads(json.dumps(cert.disc.to_json())))
+    assert max(abs(u - v) for u, v in zip(disc(cert.param_at_target), z)) <= MATCH_TOL
 
 
 @settings(max_examples=300, deadline=None)
@@ -422,9 +480,7 @@ def test_exact_options_list_each_geodesic_once():
     r=st.floats(1e-300, 0.95, exclude_max=True),
     phase=st.floats(0.0, 2.0 * math.pi),
 )
-# near the lens boundary with small |x|: the plus read pair is off the unit
-# circle by 2.5e-10, so the minus candidate answers and the plus geodesic is
-# listed through its exact pair
+# near the lens boundary with small |x|: the two candidates lie 7e-8 apart
 @example(a=6.5625, d=0.0, s=0.001, t=0.0, branch=PLUS, r=6.103515625e-05, phase=0.0)
 def test_geodesic_through_recovers_tangent_and_branch(a, d, s, t, branch, r, phase):
     # a lens point g = u + iv: u runs over the lens's real interval, v over

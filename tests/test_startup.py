@@ -123,19 +123,19 @@ LENS = ('{"a": 0.8, "b": 0.8, "corners": [[-0.625, 0.7806247497997998], [-0.625,
         '"nonempty": true, "solutions": [{"branch": "plus", "eta": [0.6249999999999999, -0.7806247497997999], '
         '"omega": [0.625, 0.7806247497997999]}, {"branch": "minus", "eta": [0.6249999999999999, '
         '0.7806247497997999], "omega": [0.625, -0.7806247497997999]}]}\n')
-GEODESIC = ('{"alternates": [{"branch": "minus", "gamma1": [-0.6916666666666667, 0.36429154990657336]}], '
+GEODESIC = ('{"alternates": [{"branch": "minus", "gamma1": [-0.6916666666666664, 0.36429154990657336]}], '
             '"branch": "plus", "caratheodory_value": 0.8047189562170504, "disc": {"components": [{"den": [[0.0, '
-            '0.0], [0.5833333333333337, 0.5204164998665329], [1.0, 0.0]], "num": [[-0.35000000000000037, '
-            '-0.9367496997597596], [-0.6916666666666667, -0.36429154990657336], [0.0, 0.0]]}, {"den": [[0.0, 0.0], '
-            '[0.6666666666666666, 5.551115123125783e-17], [1.0, 0.0]], "num": [[-0.8374999999999998, '
-            '0.54643732485986], [-0.5583333333333332, 0.36429154990657336], [0.0, 0.0]]}, {"den": [[0.0, 0.0], '
+            '0.0], [0.5833333333333333, 0.5204164998665329], [1.0, 0.0]], "num": [[-0.3499999999999998, '
+            '-0.9367496997597596], [-0.6916666666666664, -0.36429154990657336], [0.0, 0.0]]}, {"den": [[0.0, 0.0], '
+            '[0.666666666666667, -1.1102230246251565e-16], [1.0, 0.0]], "num": [[-0.8375, '
+            '0.54643732485986], [-0.5583333333333336, 0.36429154990657336], [0.0, 0.0]]}, {"den": [[0.0, 0.0], '
             '[0.0, 0.0], [1.0, 0.0]], "num": [[0.0, 0.0], [1.0, 0.0], [0.0, 0.0]]}], "params": {"a": 0.8, '
-            '"b": 0.8, "branch": "plus", "eta": [0.8374999999999998, -0.54643732485986], '
-            '"gamma1": [-0.6916666666666667, -0.36429154990657336], "omega": [0.35000000000000037, '
-            '0.9367496997597596]}, "tag": "PhiGamma"}, "gamma1": [-0.6916666666666667, -0.36429154990657336], '
+            '"b": 0.8, "branch": "plus", "eta": [0.8375, -0.54643732485986], '
+            '"gamma1": [-0.6916666666666664, -0.36429154990657336], "omega": [0.3499999999999998, '
+            '0.9367496997597596]}, "tag": "PhiGamma"}, "gamma1": [-0.6916666666666664, -0.36429154990657336], '
             '"lempert_value": 0.8047189562170504, "param_at_target": [-0.6666666666666667, -0.0], '
             '"point": [[0.5, 0.0], [0.0, 0.0], [-0.6666666666666667, -0.0]], '
-            '"residual": 3.6753160314401474e-16}\n')
+            '"residual": 9.80831006035263e-16}\n')
 
 
 @pytest.mark.parametrize("argv, code, stdout, modules", [
