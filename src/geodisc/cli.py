@@ -30,7 +30,7 @@ import re
 import sys
 
 from .discgeom import MobiusMap
-from .errors import GeodiscError
+from .errors import DomainError, GeodiscError
 from .varieties import Alpha, DomainDab, TridiscAutomorphism, classify, lift_to_M, normalize, transport
 
 
@@ -195,6 +195,7 @@ def cmd_ball(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    from .geodesics import Lens
     from .metrics import lempert_verify
 
     cells = []
@@ -207,9 +208,9 @@ def cmd_sweep(args) -> int:
     def run_cell(cell):
         idx, a, b = cell
         d = DomainDab(a, b)
-        if not d.interesting:
+        if not Lens(a, b).nonempty:
             if not args.allow_degenerate:
-                raise GeodiscError(
+                raise DomainError(
                     f"grid cell ({a:.6g}, {b:.6g}) leaves the triangle-inequality "
                     "regime; pass --allow-degenerate to mark such cells"
                 )
@@ -405,8 +406,11 @@ def _argument_problem(args) -> str | None:
     leaves to the subcommand."""
     key = (args.command, getattr(args, "domain", None) or getattr(args, "kind", None))
     missing = [f"--{n}" for n in _NEEDS.get(key, ()) if getattr(args, n) is None]
-    if args.command == "universal" and args.X is None:
-        missing = [f"--{n}" for n in ("z", "w") if getattr(args, n) is None]
+    if args.command == "universal":
+        used, unused = (("z", "w"), ("at",)) if args.X is None else ((), ("z", "w"))
+        missing = [f"--{n}" for n in used if getattr(args, n) is None]
+        if any(getattr(args, n) is not None for n in unused):
+            return "universal takes --z and --w, or --X with an optional --at"
     if missing:
         return f"{' '.join(k for k in key if k)} requires {' and '.join(missing)}"
     if key in _Z_LENGTH and len(args.z) != _Z_LENGTH[key]:

@@ -15,6 +15,11 @@ from .errors import DomainError, ZeroPolynomial
 BOUNDARY_TOL = 1e-9
 
 
+def _strict_triangle(m1: float, m2: float, m3: float) -> bool:
+    """|m1 - m2| < m3 < m1 + m2 in floating point: the test of the non-retract regime."""
+    return abs(m1 - m2) < m3 < m1 + m2
+
+
 def require_disc_point(z: complex) -> complex:
     """z as a complex number of the open unit disc, else DomainError.
 

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from types import MappingProxyType
 from typing import NamedTuple
 
-from .discgeom import BOUNDARY_TOL, Quadratic, schur_roots_outside
+from .discgeom import BOUNDARY_TOL, Quadratic, _strict_triangle, schur_roots_outside
 from .errors import DomainError, EmptyLens, Infeasible, Tangent
 
 RESIDUAL_TOL = 1e-10
@@ -53,7 +53,7 @@ class Lens:
 
     @property
     def nonempty(self) -> bool:
-        return abs(self.a - self.b) < 1.0 < self.a + self.b
+        return _strict_triangle(self.a, self.b, 1.0)
 
     def gamma2(self, gamma1: complex) -> complex:
         return -(self.a * gamma1 + 1.0) / self.b
@@ -361,7 +361,7 @@ def blaschke_family(L: Lens, gamma: complex, omega: complex):
     (lam m_gamma(omega lam), lam q(lam)/r(lam), lam) whose middle component
     is lam times the degree-two Blaschke factor q/r; the denominator r is
     certified zero-free on the closed disc via the Schur criterion.  Returns
-    None (inadmissible) when the arc inequality fails.
+    None (inadmissible) when it fails: the test is the arc inequality.
 
     The middle component is solved from the defining equation, so the
     disc's residual vanishes identically for every omega, and no residual
@@ -371,11 +371,9 @@ def blaschke_family(L: Lens, gamma: complex, omega: complex):
         raise DomainError("gamma must lie in the open unit disc")
     if abs(abs(omega) - 1.0) > BOUNDARY_TOL:
         raise DomainError("omega must be unimodular")
-    if admissibility_margin(L, gamma, omega) <= 0.0:
-        return None
     q, r = _family_qr(L, gamma, omega)
     if not schur_roots_outside(r):
-        return None  # inequality marginally true but certificate fails
+        return None
     middle = RationalMap(q.coeffs() + (0.0j,), r.coeffs())
     return AnalyticDisc(
         (

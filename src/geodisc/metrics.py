@@ -184,10 +184,10 @@ def geodesic_through(
     finite point of the open tridisc (DomainError) on the surface
     (NotOnVariety: the residual of the defining equation of (a, b, 1) at z
     itself, before any permutation, is at most 1e-8 min(1, S), S the sum of
-    the moduli of its six terms).  The
-    construction needs the dominant coordinate third, so unless
-    |z3| >= |z1|, |z2| it runs on the point and lens permuted by
-    `dominant_permutation` (ties to the larger index) and
+    the moduli of its six terms); then z = 0 raises DomainError and an empty
+    Lens(a, b) EmptyLens.  The construction needs the dominant coordinate
+    third, so unless |z3| >= |z1|, |z2| it runs on the point and lens
+    permuted by `dominant_permutation` (ties to the larger index) and
     `permuted_parameters`, and the disc's components are put back in z's own
     order: disc(param_at_target) = z within `tol`.  `gamma1`, `branch`,
     `alternates` and `disc.params` refer to the permuted lens.  The moduli
@@ -225,18 +225,18 @@ def geodesic_through(
     res0 = abs(e1 + e2 + e3 + e4 + e5 + e6)
     if res0 > 1e-8 * min(1.0, abs(e1) + abs(e2) + abs(e3) + abs(e4) + abs(e5) + abs(e6)):
         raise NotOnVariety(f"residual {res0:.3e}")
+    if not (m1 or m2 or mx):
+        raise DomainError("target must differ from the origin")
+    # decided on z's own lens: a permuted lens is rescaled and can round the other way
+    if not L.nonempty:
+        raise EmptyLens(f"lens of ({L.a}, {L.b}) is empty")
     perm = None
     if not (mx >= m1 and mx >= m2):
         # the dominant coordinate goes third; each permutation is its own inverse
         perm = dominant_permutation(z)
-        a, b = permuted_parameters(a, b, perm)
-        L = Lens(a, b)
+        L = Lens(*permuted_parameters(a, b, perm))
         z = z1, z2, x = z[perm[0]], z[perm[1]], z[perm[2]]
         m1, m2, mx = abs(z1), abs(z2), abs(x)
-    if x == 0:
-        raise DomainError("target must differ from the origin")
-    if not L.nonempty:
-        raise EmptyLens(f"lens of ({L.a}, {L.b}) is empty")
 
     ranked = []  # (minus, residual, gamma1, gamma2, omega, eta): plus first, then the smaller residual
     for g, omega, eta in _intersection_candidates(L, z1, x):
@@ -390,7 +390,7 @@ def lempert_verify(d: DomainDab, samples: int, seed: int) -> LempertReport:
     and the certificate's residual are below MATCH_TOL.  Each sample is
     seeded by its index.
     """
-    if not d.interesting:
+    if not Lens(d.a, d.b).nonempty:
         raise DomainError("verification needs the triangle-inequality regime")
     rows = [_verify_one(d, seed, i) for i in range(samples)]
     failures = [r for r in rows if not r[1]]
@@ -425,7 +425,6 @@ class UniversalMember:
 @dataclass(frozen=True)
 class UniversalSet:
     members: tuple[UniversalMember, ...]
-    domain: str
 
     def __post_init__(self):
         if not self.members:
@@ -443,7 +442,7 @@ def dab_universal_set(d: DomainDab) -> UniversalSet:
             lambda z: d.f_gradient(complex(z[0]), complex(z[1])),
         ),
     )
-    return UniversalSet(members=members, domain=f"D({d.a},{d.b})")
+    return UniversalSet(members=members)
 
 
 def compose_with_mobius(member: UniversalMember, m: MobiusMap) -> UniversalMember:

@@ -23,7 +23,7 @@ import math
 from dataclasses import dataclass
 from operator import mul, sub
 
-from .discgeom import MobiusMap, require_disc_point
+from .discgeom import MobiusMap, _strict_triangle, require_disc_point
 from .errors import (
     DegenerateImage,
     DomainError,
@@ -73,10 +73,6 @@ class Alpha:
     def to_json(self) -> dict:
         return {"alpha": [[c.real, c.imag] for c in self.coeffs()]}
 
-    @classmethod
-    def from_json(cls, obj: dict) -> "Alpha":
-        return cls(*(complex(re, im) for re, im in obj["alpha"]))
-
 
 @dataclass(frozen=True)
 class TriClass:
@@ -94,14 +90,15 @@ def classify(alpha: Alpha) -> TriClass:
     """Non-retract iff the moduli satisfy all three strict triangle inequalities.
 
     Otherwise the surface is a graph over the complement of the coordinate
-    whose modulus dominates (smallest index on ties).
+    whose modulus dominates (smallest index on ties).  Ties are decided in
+    floating point as |m1 - m2| < m3 < m1 + m2 on the computed moduli, in
+    the triple's own order, as `Lens.nonempty` decides (a, b, 1); a
+    transport that is correct to rounding can still move a triple across it.
     """
     m = [abs(c) for c in alpha.coeffs()]
-    for k in range(3):
-        i, j = [t for t in range(3) if t != k]
-        if m[i] + m[j] <= m[k]:
-            return TriClass(retract=True, axis=k + 1)
-    return TriClass(retract=False)
+    if _strict_triangle(*m):
+        return TriClass(retract=False)
+    return TriClass(retract=True, axis=m.index(max(m)) + 1)
 
 
 def membership_residual(alpha: Alpha, z: tuple[complex, complex, complex]) -> complex:
@@ -306,11 +303,6 @@ class DomainDab:
     def __post_init__(self):
         if not (0.0 < self.a < math.inf and 0.0 < self.b < math.inf):
             raise DomainError(f"parameters a, b = {self.a}, {self.b} must be positive and finite")
-
-    @property
-    def interesting(self) -> bool:
-        """True in the triangle-inequality regime |a-b| < 1 < a+b."""
-        return abs(self.a - self.b) < 1.0 < self.a + self.b
 
     def f(self, z1: complex, z2: complex) -> complex:
         """The defining rational map (a z1 + b z2 - z1 z2)/(a z2 + b z1 - 1)."""

@@ -344,7 +344,7 @@ def test_criterion_9_universal_set_consistency():
                 continue
             m = MobiusMap(nu, cmath.exp(2j * math.pi * rng.uniform()))
             extra.append(compose_with_mobius(U.members[int(rng.integers(3))], m))
-        U_big = UniversalSet(members=U.members + tuple(extra), domain=U.domain)
+        U_big = UniversalSet(members=U.members + tuple(extra))
         from geodisc.metrics import _sample_dab
 
         for i in range(1000):

@@ -177,7 +177,7 @@ def test_sweep_rejects_degenerate_without_flag(capsys):
         "--samples", "5", "--seed", "11",
     )
     assert code == 1
-    assert "error" in json.loads(out)
+    assert json.loads(out)["error"]["type"] == "DomainError"
 
 
 @pytest.mark.parametrize("command, key, first", [
@@ -293,6 +293,10 @@ def test_json_numbers_round_trip(capsys):
         ("ball", "cstar", "--z", "0.5,0", "0,0"),
         ("ball", "cstar", "--z", "0.5,0", "0,0", "--w", "0,0", "0,0", "0,0"),
         ("universal", "--a", "0.8", "--b", "0.8", "--z", "0,0", "0,0"),
+        ("universal", "--a", "0.8", "--b", "0.8", "--z", "0,0", "0,0", "--w", "0.5,0", "0,0",
+         "--at", "0.1,0", "0,0"),
+        ("universal", "--a", "0.8", "--b", "0.8", "--z", "0,0", "0,0", "--w", "0.5,0", "0,0",
+         "--X", "1,0", "0,0"),
         ("geodesic", "--a", "0.8", "--b", "0.8", "--z", "0.5,0"),
     ],
 )

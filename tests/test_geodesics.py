@@ -246,6 +246,24 @@ def test_blaschke_family_inadmissible():
     assert blaschke_family(L88, -0.625, cmath.exp(2.2j)) is None
 
 
+def test_blaschke_family_is_none_exactly_off_the_admissible_arc():
+    # the Schur test on the returned denominator is the arc inequality
+    rng = rng_for(26, 0)
+    decided = 0
+    for _ in range(100):
+        a, b = rand_interesting(rng)
+        L = Lens(a, b)
+        for g in lens_interior_points(a, b, 4, seed=int(rng.integers(1 << 30))):
+            for _ in range(10):
+                w = cmath.exp(2j * math.pi * rng.uniform())
+                margin = admissibility_margin(L, g, w)
+                if abs(margin) <= 1e-12:
+                    continue
+                assert (blaschke_family(L, g, w) is None) == (margin <= 0.0)
+                decided += 1
+    assert decided > 3900
+
+
 def test_blaschke_family_projection_left_inverse():
     # the parameter slot is the third coordinate: z -> z3 recovers lam
     disc = blaschke_family(L88, -0.625, cmath.exp(0.35j))

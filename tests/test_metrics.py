@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from geodisc.discgeom import MobiusMap, rho
 from geodisc import metrics
-from geodisc.errors import ConvergenceFailure, DomainError, GeodiscError, NotInDomain, NotOnVariety
+from geodisc.errors import ConvergenceFailure, DomainError, EmptyLens, GeodiscError, NotInDomain, NotOnVariety
 from geodisc.geodesics import MINUS, PLUS, RESIDUAL_TOL, AnalyticDisc, Lens, _ik_data, phi_gamma
 from geodisc.metrics import (
     MATCH_TOL,
@@ -31,7 +31,7 @@ from geodisc.metrics import (
 )
 from geodisc.oracle import lens_interior_points, lempert_upper_bound, quadratic_roots, rng_for
 from geodisc.discgeom import Quadratic
-from geodisc.varieties import DomainDab, lift_to_M
+from geodisc.varieties import Alpha, DomainDab, classify, dab_contains, lift_to_M
 
 
 D88 = DomainDab(0.8, 0.8)
@@ -239,6 +239,76 @@ def test_lempert_verify_requires_interesting_regime():
         lempert_verify(DomainDab(0.3, 0.3), samples=5, seed=1)
 
 
+# b - a < 1 exactly; a classify with its own rounding called them RetractGraph,
+# and the verifier aborted on the last two with EmptyLens from a permuted lens
+NEAR_TIE_PAIRS = [
+    (3.3270701728262524, 4.327070172826252),
+    (3.093451662965775, 4.093451662965775),
+    (0.08265427487481344, 1.0826542748748134),
+]
+
+
+@pytest.mark.parametrize("a, b", NEAR_TIE_PAIRS)
+def test_near_tie_pairs_are_non_retract_and_verify(a, b):
+    assert not classify(Alpha(a, b, 1)).retract
+    assert Lens(a, b).nonempty
+    rep = lempert_verify(DomainDab(a, b), samples=50, seed=0)
+    assert rep.samples == 50 and rep.failures == 0
+
+
+def test_geodesic_through_error_order():
+    # off the surface, then z = 0, then the surface's own empty lens
+    z = lift_to_M(DomainDab(0.3, 0.3), (0.1, 0.0))
+    with pytest.raises(NotOnVariety):
+        geodesic_through(0.3, 0.3, (z[0], z[1], z[2] + 0.1))
+    with pytest.raises(DomainError) as exc:
+        geodesic_through(0.3, 0.3, (0j, 0j, 0j))
+    assert type(exc.value) is DomainError
+    with pytest.raises(EmptyLens):
+        geodesic_through(0.3, 0.3, z)
+
+
+def _ulps(x, k):
+    """x moved k representable floats up (k > 0) or down."""
+    for _ in range(abs(k)):
+        x = math.nextafter(x, math.copysign(math.inf, k))
+    return x
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.floats(1e-3, 10.0),
+    st.sampled_from(["sum", "a above", "b above"]),
+    st.integers(-4, 4),
+    st.integers(-4, 4),
+    st.floats(0.05, 0.95),
+    st.floats(-0.5, 0.5),
+)
+def test_near_tie_regime_is_decided_once(x, tie, ka, kb, t, phase):
+    # (a, b) within a few ulps of a + b = 1 or |a - b| = 1
+    a, b = {"sum": (x, 1.0 - x), "a above": (x + 1.0, x), "b above": (x, x + 1.0)}[tie]
+    a, b = _ulps(a, ka), _ulps(b, kb)
+    assume(a > 0.0 and b > 0.0)
+    nonempty = Lens(a, b).nonempty
+    assert classify(Alpha(a, b, 1)).retract == (not nonempty)
+    if not nonempty:
+        return
+    # a point near the negative real axis of one coordinate; kept where that
+    # coordinate dominates the lift, so the target runs on a permuted lens
+    d = DomainDab(a, b)
+    s = -t * cmath.exp(1j * phase)
+    for w in ((s, 0j), (0j, s)):
+        if not dab_contains(d, w):
+            continue
+        z = lift_to_M(d, w)
+        if abs(z[2]) >= max(abs(z[0]), abs(z[1])):
+            continue
+        try:
+            geodesic_through(a, b, z)
+        except ConvergenceFailure:
+            pass  # a thin lens can leave no candidate within tol; the regime stands
+
+
 def test_universal_c_equals_c_dab():
     U = dab_universal_set(D88)
     from geodisc.metrics import _sample_dab
@@ -264,7 +334,7 @@ def test_universal_gamma_matches_kappa_formula():
 
 def test_universal_singleton_identity_reproduces_rho():
     ident = UniversalMember("id", lambda z: complex(z[0]), lambda z: (1.0 + 0.0j,))
-    U = UniversalSet(members=(ident,), domain="disc")
+    U = UniversalSet(members=(ident,))
     assert universal_c(U, (0.3,), (-0.5j,)) == pytest.approx(rho(0.3, -0.5j), abs=1e-15)
 
 
@@ -278,7 +348,7 @@ def test_universal_augmentation_changes_nothing():
             continue
         m = MobiusMap(nu, cmath.exp(2j * math.pi * rng.uniform()))
         extra.append(compose_with_mobius(U.members[int(rng.integers(3))], m))
-    U_big = UniversalSet(members=U.members + tuple(extra), domain=U.domain)
+    U_big = UniversalSet(members=U.members + tuple(extra))
     from geodisc.metrics import _sample_dab
 
     for i in range(100):

@@ -16,10 +16,12 @@ from geodisc.errors import (
     PoleError,
     Unsupported,
 )
+from geodisc.geodesics import Lens
 from geodisc.oracle import rng_for, surface_samples
 from geodisc.varieties import (
     Alpha,
     DomainDab,
+    TriClass,
     TridiscAutomorphism,
     classify,
     dab_contains,
@@ -55,6 +57,18 @@ def test_classify_examples():
     tc = classify(Alpha(1, 0, 0))
     assert tc.retract and tc.axis == 1
     assert classify(Alpha(3, 4, 5)).to_json() == {"class": "NonRetract"}
+
+
+@pytest.mark.parametrize("coeffs, axis", [
+    ((1, 1, 2), 3),
+    ((1j, 1j, 2), 3),
+    ((1, 1, 0), 1),
+    ((2, 1, 1), 1),
+    ((0.2, 0.8, 1), 3),  # 0.2 + 0.8 rounds to 1
+    ((0.3, 1.3, 1), 2),  # 1.3 - 0.3 rounds to 1
+])
+def test_classify_ties_are_retract_on_the_first_largest_modulus(coeffs, axis):
+    assert classify(Alpha(*coeffs)) == TriClass(retract=True, axis=axis)
 
 
 def test_classify_scaling_and_permutation_invariance():
@@ -320,8 +334,8 @@ def test_dab_membership_examples():
     assert dab_contains(d, (0.0, 0.0))
     assert dab_contains(d, (0.5, 0.0))  # |F| = 2/3 < 1
     assert not dab_contains(d, (1.0, 0.0))
-    assert d.interesting
-    assert not DomainDab(0.3, 0.3).interesting
+    assert Lens(0.8, 0.8).nonempty
+    assert not Lens(0.3, 0.3).nonempty
 
 
 def test_lift_examples():
