@@ -11,7 +11,13 @@ No option sets a tolerance.  Each check uses the one value of the module
 that makes it: ``metrics.MATCH_TOL`` for the verifier's match (echoed as the
 report's ``tolerance``), ``geodesics.RESIDUAL_TOL`` for the disc certificate,
 ``varieties.TRANSPORT_TOL`` for ``transport`` and ``ball.LOCUS_TOL`` for the
-boundary locus of ``ball locus`` and ``plotdata locus``.
+boundary locus of ``ball locus`` and ``plotdata locus``.  Every residual gate
+(the disc certificate, the membership test of ``geodesic`` and the base point
+of ``transport``) follows one convention, ``discgeom._residual_within``: a
+residual passes when it is at most tol * size + 8 eps * (the sum of the
+moduli of the terms it adds up), so rounding alone never refuses an answer.
+The size is |q| for the certificate and min(1, S), S that sum, for the two
+membership tests, which therefore do not change with the scale of the input.
 
 Each subcommand imports the layers it needs when it runs.  The module itself
 loads only the standard library, ``errors``, ``discgeom`` and ``varieties``,

@@ -7,6 +7,7 @@ types are immutable values and all operations are pure functions.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 from .errors import DomainError, ZeroPolynomial
@@ -18,6 +19,39 @@ BOUNDARY_TOL = 1e-9
 def _strict_triangle(m1: float, m2: float, m3: float) -> bool:
     """|m1 - m2| < m3 < m1 + m2 in floating point: the test of the non-retract regime."""
     return abs(m1 - m2) < m3 < m1 + m2
+
+
+# k of `_residual_within`, derived from the rounding of the residuals it
+# gates.  Each is a sum of terms t_i, products of stored values, evaluated
+# left to right.  To first order in u = eps/2 the computed sum is off by at
+# most n u sum|t_i|, n the largest count of rounding units on one term's
+# path: u for a complex sum, a real-by-complex product, a square or a
+# subtraction from 1, 2u for a modulus (hypot), 2 sqrt(2) u for a complex
+# product (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed.,
+# lemma 3.5).  The longest path is the gamma1 gamma2 term of
+# kappa' = r1 eta + r2 omega + omega eta conj(q) in `_certify_disc`: three
+# complex products (gamma1 gamma2, omega eta, and that times conj(q)) and
+# two sums, n < 10.5.  kappa needs n = 8 (b |gamma2|^2 eta: modulus, square,
+# 1 -, times b, times eta, two sums), the six-term defining equation
+# n < 8.7 (two complex products, three sums).  k = 8, that is 16 units,
+# covers 10.5 with room for the second-order terms, for |omega| and |eta|
+# off 1 by up to RESIDUAL_TOL, and for the rounding of sum|t_i| itself.
+# Errors in the stored values (a pair that is not exact) are not rounding
+# of the evaluation; they must fit in tol * size.
+_ROUNDING_K = 8
+_EPS = sys.float_info.epsilon
+
+
+def _residual_within(residual: float, tol: float, size: float, terms: float) -> bool:
+    """residual <= tol * size + k * eps * terms, false for NaN: the one
+    backward-error gate on a residual.
+
+    `tol * size` is the stated tolerance on its own scale; `terms` is the
+    sum of the moduli of the terms whose sum the residual is, and k eps
+    times it bounds the rounding of that sum, so that a residual which is
+    rounding only always passes.
+    """
+    return residual <= tol * size + _ROUNDING_K * _EPS * terms
 
 
 def require_disc_point(z: complex) -> complex:

@@ -30,7 +30,14 @@ from dataclasses import dataclass
 from types import MappingProxyType
 from typing import NamedTuple
 
-from .discgeom import BOUNDARY_TOL, Quadratic, _strict_triangle, schur_roots_outside
+from .discgeom import (
+    BOUNDARY_TOL,
+    Quadratic,
+    _residual_within,
+    _strict_triangle,
+    require_disc_point,
+    schur_roots_outside,
+)
 from .errors import DomainError, EmptyLens, Infeasible, Tangent
 
 RESIDUAL_TOL = 1e-10
@@ -245,20 +252,31 @@ def _certify_disc(L: Lens, gamma1: complex, omega: complex, eta: complex) -> Non
     and k' = omega eta conj(k) when |omega| = |eta| = 1.  Checked: gamma1,
     omega and eta are finite; |g1|, |g2|, |g1 omega| and |g2 eta| are below
     1, so D1 D2 has no zero in the closed disc; omega and eta are unimodular
-    to RESIDUAL_TOL; and max(|k|, |k'|) <= RESIDUAL_TOL |q|.
+    to RESIDUAL_TOL; and max(|k|, |k'|) passes
+    `discgeom._residual_within(., RESIDUAL_TOL, |q|, T)`, that is
 
-    The claim is a backward bound on the two coefficients, relative to |q|.
-    The forward supremum of the residual over the closed disc is at most
-    (|k| + |k'|) / ((1 - |g1 omega|)(1 - |g2 eta|)), which is not tested:
-    near the lens boundary it exceeds RESIDUAL_TOL on discs whose residual
-    on the circle stays far below it.
+        max(|k|, |k'|) <= RESIDUAL_TOL |q| + 8 eps T,
+        T = a (1 + |g1|^2) + b (1 + |g2|^2) + a |g2| + b |g1| + |g1 g2|,
+
+    T the sum of the moduli of the seven terms that k and k' expand to
+    (r1 = a - a |g1|^2 is two of them, and r1 itself cancels).  The eps
+    term bounds the rounding of k and k' (the factor 8 is derived beside
+    the helper): on a thin lens, where T is far above |q|, it admits a
+    correct disc that RESIDUAL_TOL |q| alone would refuse.
+
+    The claim is a backward bound on the two coefficients, relative to |q|
+    up to rounding.  The forward supremum of the residual over the closed
+    disc is at most (|k| + |k'|) / ((1 - |g1 omega|)(1 - |g2 eta|)), which
+    is not tested: near the lens boundary it exceeds RESIDUAL_TOL on discs
+    whose residual on the circle stays far below it.
     """
     if not (cmath.isfinite(gamma1) and cmath.isfinite(omega) and cmath.isfinite(eta)):
         for c in (gamma1, omega, eta):
             if not cmath.isfinite(c):
                 raise DomainError(f"non-finite coefficient {c!r}")
     g2 = L.gamma2(gamma1)
-    if not (abs(gamma1) < 1.0 and abs(g2) < 1.0):
+    m1, m2 = abs(gamma1), abs(g2)
+    if not (m1 < 1.0 and m2 < 1.0):
         raise DomainError(f"tangent parameters {gamma1!r}, {g2!r} are not in the open unit disc")
     _, r1, r2, q = _ik_data(L, gamma1)
     if not (abs(gamma1 * omega) < 1.0 and abs(g2 * eta) < 1.0):
@@ -269,7 +287,10 @@ def _certify_disc(L: Lens, gamma1: complex, omega: complex, eta: complex) -> Non
     kappa = r1 * omega + r2 * eta + q
     kappa2 = r1 * eta + r2 * omega + omega * eta * q.conjugate()
     worst = max(abs(kappa), abs(kappa2))
-    if not worst <= RESIDUAL_TOL * abs(q):
+    # the moduli of the seven terms kappa and kappa' expand to, with |omega| = |eta| = 1
+    a, b = L.a, L.b
+    terms = a * (1.0 + m1 * m1) + b * (1.0 + m2 * m2) + a * m2 + b * m1 + m1 * m2
+    if not _residual_within(worst, RESIDUAL_TOL, abs(q), terms):
         raise DomainError(f"constructed disc misses the variety: coefficient {worst:.3e}, |q| {abs(q):.3e}")
 
 
@@ -283,9 +304,9 @@ def phi_gamma(
 
     The unimodular pair is the `branch` solution of `solve_omega_eta`, unless
     `omega_eta` gives the pair (with its own branch label) to use as it is.
-    Either way `_certify_disc` checks the disc in closed form against
-    RESIDUAL_TOL before it is built, and raises DomainError when it is not
-    in M.
+    Either way `_certify_disc` checks the disc in closed form, to
+    RESIDUAL_TOL relative to |q| plus rounding, before it is built, and
+    raises DomainError when it is not in M.
     """
     if branch not in (PLUS, MINUS):
         raise DomainError(f"unknown branch {branch!r}")
@@ -367,8 +388,7 @@ def blaschke_family(L: Lens, gamma: complex, omega: complex):
     disc's residual vanishes identically for every omega, and no residual
     check is made.
     """
-    if abs(gamma) >= 1.0:
-        raise DomainError("gamma must lie in the open unit disc")
+    require_disc_point(gamma)
     if abs(abs(omega) - 1.0) > BOUNDARY_TOL:
         raise DomainError("omega must be unimodular")
     q, r = _family_qr(L, gamma, omega)
@@ -396,8 +416,10 @@ def admissible_arc(L: Lens, gamma: complex) -> list[tuple[float, float]]:
 
     The inequality |omega v + w| < R with v, w fixed defines an arc; its
     endpoints come from the circle-line geometry, accurate to the floating
-    solve of one arccos.
+    solve of one arccos.  DomainError unless gamma lies in the open disc,
+    as for `blaschke_family`.
     """
+    require_disc_point(gamma)
     v, w, R = _arc_terms(L, gamma)
     if R <= 0.0:
         return []

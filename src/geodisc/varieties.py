@@ -23,7 +23,7 @@ import math
 from dataclasses import dataclass
 from operator import mul, sub
 
-from .discgeom import MobiusMap, _strict_triangle, require_disc_point
+from .discgeom import MobiusMap, _residual_within, _strict_triangle, require_disc_point
 from .errors import (
     DegenerateImage,
     DomainError,
@@ -34,7 +34,8 @@ from .errors import (
 )
 
 POLE_GUARD = 1e-13
-# bound on the base-point residual and on the coefficient miss in `transport`
+# bound on the base-point residual (relative to min(1, S), S the sum of its
+# term moduli) and on the coefficient miss in `transport`
 TRANSPORT_TOL = 1e-9
 
 
@@ -101,18 +102,20 @@ def classify(alpha: Alpha) -> TriClass:
     return TriClass(retract=True, axis=m.index(max(m)) + 1)
 
 
+def _membership(
+    a1: complex, a2: complex, a3: complex, z1: complex, z2: complex, z3: complex
+) -> tuple[complex, float]:
+    """(residual, S): the defining equation of (a1, a2, a3) at z, and S the
+    sum of the moduli of its six terms, the scale of its rounding."""
+    e1, e2, e3 = a1 * z1, a2 * z2, a3 * z3
+    e4, e5, e6 = a3.conjugate() * z1 * z2, a2.conjugate() * z1 * z3, a1.conjugate() * z2 * z3
+    return e1 + e2 + e3 - e4 - e5 - e6, abs(e1) + abs(e2) + abs(e3) + abs(e4) + abs(e5) + abs(e6)
+
+
 def membership_residual(alpha: Alpha, z: tuple[complex, complex, complex]) -> complex:
     """Defining-equation residual; zero iff z lies on the surface."""
     z1, z2, z3 = map(require_disc_point, z)
-    a1, a2, a3 = alpha.coeffs()
-    return (
-        a1 * z1
-        + a2 * z2
-        + a3 * z3
-        - a3.conjugate() * z1 * z2
-        - a2.conjugate() * z1 * z3
-        - a1.conjugate() * z2 * z3
-    )
+    return _membership(*alpha.coeffs(), z1, z2, z3)[0]
 
 
 def graph_value(alpha: Alpha, z1: complex, z2: complex) -> complex:
@@ -257,15 +260,19 @@ def transport(alpha: Alpha, m: TridiscAutomorphism) -> Alpha:
 
     Requires m to send some point of the surface to the origin.  Each slot
     sends its own pole to 0, so m^-1(0) has coordinate perm[j] equal to
-    maps[j].nu; its residual must be at most TRANSPORT_TOL.  The result is
-    checked coefficient by coefficient: Q rescaled to beta3 must equal the
-    tensor of beta to within TRANSPORT_TOL in the sum of moduli, which bounds
-    the residual of beta on the image at every point of the closed tridisc.
+    maps[j].nu.  Its residual, with S the sum of the moduli of its six
+    terms, must pass `_residual_within(|residual|, TRANSPORT_TOL, min(1, S),
+    S)`, the membership test of `geodesic_through` with TRANSPORT_TOL, so
+    the test does not change with the scale of alpha.  The result is checked
+    coefficient by coefficient: Q rescaled to beta3 must equal the tensor of
+    beta to within TRANSPORT_TOL in the sum of moduli, which bounds the
+    residual of beta on the image at every point of the closed tridisc.
     """
     base = [0j, 0j, 0j]
     for p, s in zip(m.perm, m.maps):
         base[p] = s.nu
-    if abs(membership_residual(alpha, base)) > TRANSPORT_TOL:
+    res, S = _membership(*alpha.coeffs(), *base)
+    if not _residual_within(abs(res), TRANSPORT_TOL, min(1.0, S), S):
         raise InvalidAutomorphism("m does not move a surface point to the origin")
 
     t = _equation_tensor(alpha)

@@ -341,6 +341,25 @@ def test_transport_degenerate_image_exit_code(capsys):
     assert json.loads(out)["error"]["type"] == "DegenerateImage"
 
 
+def test_transport_of_a_large_triple(capsys):
+    # the surface of (0.8, 0.8, 1) scaled by 1e9, moved by the lift of
+    # (0.3+0.2i, -0.1+0.4i): the same image as the unscaled triple
+    code, out = run_cli(capsys, "transport", "--alpha", "8e8,0", "8e8,0", "1e9,0",
+                        "--nu", "0.3,0.2", "-0.1,0.4", "-0.04743589743589736,-0.4794871794871796")
+    assert code == 0
+    _, small = run_cli(capsys, "transport", "--alpha", "0.8,0", "0.8,0", "1,0",
+                       "--nu", "0.3,0.2", "-0.1,0.4", "-0.04743589743589736,-0.4794871794871796")
+    beta, ref = json.loads(out)["alpha"], json.loads(small)["alpha"]
+    assert max(abs(complex(*u) - complex(*v)) for u, v in zip(beta, ref)) <= 1e-12
+
+
+@pytest.mark.parametrize("gamma", ["nan,0", "1.5,0"])
+def test_plotdata_arc_outside_the_disc_is_a_domain_error(capsys, gamma):
+    code, out = run_cli(capsys, "plotdata", "arc", "--a", "0.8", "--b", "0.8", "--gamma", gamma)
+    assert code == 1
+    assert json.loads(out)["error"]["type"] == "DomainError"
+
+
 def test_sampling_failure_exit_code(capsys, monkeypatch):
     from geodisc import metrics
 

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from geodisc.discgeom import (
     MobiusMap,
     Quadratic,
+    _residual_within,
     gamma_disc,
     mobius_dist,
     rho,
@@ -116,3 +117,15 @@ def test_schur_agrees_with_root_oracle():
         checked += 1
         assert schur_roots_outside(q) == all(abs(r) > 1.0 for r in roots)
     assert checked > 19000
+
+
+def test_residual_within_adds_the_rounding_of_the_terms():
+    eps = 2.0 ** -52
+    assert _residual_within(0.0, 0.0, 0.0, 0.0)
+    assert _residual_within(1e-10, 1e-10, 1.0, 0.0)
+    assert not _residual_within(2e-10, 1e-10, 1.0, 0.0)
+    # 8 eps per unit of the term sum on top of tol * size
+    assert _residual_within(1e-10 + 8 * eps * 1e3, 1e-10, 1.0, 1e3)
+    assert not _residual_within(1e-10 + 9 * eps * 1e3, 1e-10, 1.0, 1e3)
+    assert not _residual_within(math.nan, 1e-10, 1.0, 1e3)
+    assert not _residual_within(0.0, 1e-10, 1.0, math.nan)

@@ -289,6 +289,14 @@ def test_admissible_arc_agreement_and_openness():
             assert arc_contains(arcs, th) == (margin > 0)
 
 
+@pytest.mark.parametrize("gamma", [complex(math.nan, 0.0), 1.5 + 0j, 1.0 + 0j])
+def test_admissible_arc_and_family_need_gamma_in_the_disc(gamma):
+    with pytest.raises(DomainError):
+        admissible_arc(L88, gamma)
+    with pytest.raises(DomainError):
+        blaschke_family(L88, gamma, 1.0 + 0j)
+
+
 def test_admissible_arc_degenerates_at_boundary():
     # marching toward the |gamma2| -> 1 boundary (g -> -0.25 on the real
     # axis) drives the bound b^2 - |a g + 1|^2 to zero and the arc with it

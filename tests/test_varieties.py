@@ -240,6 +240,29 @@ def test_transport_rejects_bad_base_point():
         transport(alpha, m)
 
 
+# the lift of (0.3+0.2i, -0.1+0.4i) to the surface of (0.8, 0.8, 1)
+SCALE_BASE = lift_to_M(DomainDab(0.8, 0.8), (0.3 + 0.2j, -0.1 + 0.4j))
+
+
+def test_transport_does_not_depend_on_the_scale_of_alpha():
+    # the base-point test is relative to min(1, S), S the sum of its term
+    # moduli, plus their rounding: at 1e9 the residual's rounding alone is
+    # far above the absolute TRANSPORT_TOL, at 1e-12 the whole equation is
+    m = TridiscAutomorphism.moving_to_origin(SCALE_BASE)
+    ref = transport(Alpha(0.8, 0.8, 1.0), m).coeffs()
+    for s in (1e-12, 1e-6, 1.0, 1e6, 1e9, 1e12):
+        beta = transport(Alpha(0.8 * s, 0.8 * s, s), m).coeffs()
+        assert max(abs(u - v) for u, v in zip(beta, ref)) <= 1e-12
+
+
+@pytest.mark.parametrize("s", [1.0, 1e-12])
+def test_transport_rejects_an_off_surface_base_at_any_scale(s):
+    # the residual of (0.8, 0.8, 1) at (0.5, 0.5, 0.5) is 0.65 of a term sum of 2.05
+    m = TridiscAutomorphism.moving_to_origin((0.5, 0.5, 0.5))
+    with pytest.raises(InvalidAutomorphism):
+        transport(Alpha(0.8 * s, 0.8 * s, s), m)
+
+
 coefficients = st.complex_numbers(max_magnitude=2.0, allow_nan=False, allow_infinity=False).filter(
     lambda c: abs(c) > 0.1
 )
