@@ -3,8 +3,7 @@ planar-pair domains, polydiscs, and the Euclidean ball.
 
 The names exported here are resolved on first use (PEP 562): ``import
 geodisc`` loads no submodule, and ``geodisc.X`` or ``from geodisc import X``
-imports only the submodule that defines X.  numpy is loaded only with
-``oracle`` (the seeded samplers), not by the package import.
+imports only the submodule that defines X.
 """
 
 import importlib

@@ -20,9 +20,7 @@ The size is |q| for the certificate and min(1, S), S that sum, for the two
 membership tests, which therefore do not change with the scale of the input.
 
 Each subcommand imports the layers it needs when it runs.  The module itself
-loads only the standard library, ``errors``, ``discgeom`` and ``varieties``,
-so ``classify``, ``normalize``, ``transport``, ``lens``, ``geodesic``,
-``ball`` and every argument error (exit 2) run without numpy.
+loads only the standard library, ``errors``, ``discgeom`` and ``varieties``.
 """
 
 from __future__ import annotations

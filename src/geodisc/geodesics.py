@@ -181,7 +181,7 @@ class RationalMap(NamedTuple):
     den: tuple[complex, ...]
 
     def __call__(self, lam: complex) -> complex:
-        """Value at lam; a numpy array of points gives the array of values."""
+        """Value at lam."""
         return _horner(self.num, lam) / _horner(self.den, lam)
 
     @classmethod

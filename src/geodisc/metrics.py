@@ -357,14 +357,33 @@ class LempertReport:
 
 SAMPLE_DRAWS = 100_000
 
+_WORD = (1 << 64) - 1
+
+
+def _philox_block(counter: int, key0: int, key1: int) -> tuple[int, int, int, int]:
+    """Philox4x64-10 (Salmon et al., SC'11) of the counter (counter, 0, 0, 0).
+
+    The block numpy's Philox keyed by the words (key0, key1) produces at that
+    counter; both words lie in [0, 2^64).
+    """
+    x0, x1, x2, x3 = counter, 0, 0, 0
+    for _ in range(10):
+        p0 = 0xD2E7470EE14C6C93 * x0
+        p1 = 0xCA5A826395121157 * x2
+        x0, x1, x2, x3 = (p1 >> 64) ^ x1 ^ key0, p1 & _WORD, (p0 >> 64) ^ x3 ^ key1, p0 & _WORD
+        key0 = (key0 + 0x9E3779B97F4A7C15) & _WORD
+        key1 = (key1 + 0xBB67AE8584CAA73B) & _WORD
+    return x0, x1, x2, x3
+
 
 def _sample_dab(d: DomainDab, seed: int, index: int) -> tuple[complex, complex]:
-    from .oracle import rng_for  # numpy, loaded by the commands that sample
-
-    rng = rng_for(seed, index)
-    for _ in range(SAMPLE_DRAWS):
-        z1 = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
-        z2 = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+    # Draw k is the Philox block at counter k + 1 under the key (seed, index)
+    # mod 2^64, each word u giving -1 + 2 (u >> 11) 2^-53: bit for bit the
+    # uniform(-1, 1) of numpy's Generator on that Philox, four calls a draw.
+    key0, key1 = seed & _WORD, index & _WORD
+    for k in range(SAMPLE_DRAWS):
+        x1, y1, x2, y2 = (-1.0 + 2.0 * ((u >> 11) * 2.0 ** -53) for u in _philox_block(k + 1, key0, key1))
+        z1, z2 = complex(x1, y1), complex(x2, y2)
         if abs(z1) >= 0.995 or abs(z2) >= 0.995:
             continue
         if abs(d.a * z2 + d.b * z1 - 1.0) < 1e-6:

@@ -1,4 +1,7 @@
-"""Independent brute-force cross-checks used by the test suites.
+"""Independent brute-force cross-checks for the test suites and the benchmark.
+
+A test and benchmark module on no runtime path: no other module of the
+package imports it, and it is the only one that imports numpy.
 
 The code here deliberately shares no evaluation paths with the primary
 implementations it is used to check: roots come from the explicit quadratic
@@ -21,9 +24,13 @@ from .varieties import Alpha, graph_value
 
 
 def rng_for(seed: int, index: int) -> np.random.Generator:
-    """Deterministic generator for sample `index` of stream `seed`."""
+    """Deterministic generator for sample `index` of stream `seed`.
+
+    The key words are seed and index mod 2^64, passed as exact uint64 words:
+    a Python list would send words of 2^63 and above through float64.
+    """
     mask = (1 << 64) - 1
-    return np.random.Generator(np.random.Philox(key=[seed & mask, index & mask]))
+    return np.random.Generator(np.random.Philox(key=np.array([seed & mask, index & mask], dtype=np.uint64)))
 
 
 def quadratic_roots(q: Quadratic) -> tuple[complex, ...]:

@@ -10,8 +10,7 @@ inside the open tridisc.  The triple is classified by the strict triangle
 inequality on the moduli; in the non-retract regime the surface carries the
 explicit geodesic families built in :mod:`geodisc.geodesics`.
 
-Everything here computes on Python ``complex``, :func:`transport` included,
-so the module loads and runs without numpy.
+Everything here computes on Python ``complex``, :func:`transport` included.
 """
 
 from __future__ import annotations

@@ -219,6 +219,47 @@ def test_lempert_verify_bytes_are_pinned():
     assert h.hexdigest() == "5743879ebf856759ab7d7551858348b312788d909e490fccfc9f1cd32eba8822"
 
 
+def _numpy_sample_dab(d, seed, index):
+    # the sampler drawn from the oracle's numpy stream, four uniforms a draw
+    rng = rng_for(seed, index)
+    while True:
+        z1 = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+        z2 = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+        if abs(z1) < 0.995 and abs(z2) < 0.995 and abs(d.a * z2 + d.b * z1 - 1.0) >= 1e-6 and dab_contains(d, (z1, z2)):
+            return (z1, z2)
+
+
+words = st.integers(0, 2**64 - 1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(words, words)
+@example(0, 0)
+@example(2**63 - 1, 2**63)
+@example(2**64 - 1, 2**63 - 1)
+@example(-1, -5)
+@example(-5, 2**64 - 1)
+@example(2**63, -1)
+def test_sampler_draws_the_oracle_stream(seed, index):
+    # the library's Philox blocks are numpy's raw words, and its sampler
+    # returns the point numpy's uniform(-1, 1) draws give, bit for bit
+    mask = 2**64 - 1
+    raw = rng_for(seed, index).bit_generator.random_raw(12).tolist()
+    assert [u for k in range(3) for u in metrics._philox_block(k + 1, seed & mask, index & mask)] == raw
+    for d in (D88, DomainDab(20.0, 20.5)):
+        assert _sample_dab(d, seed, index) == _numpy_sample_dab(d, seed, index)
+
+
+def test_sampler_keys_are_exact_words():
+    # no two seeds share a stream: numpy keys built from a Python list sent
+    # words of 2^63 and above through float64, so every negative seed drew
+    # the points of seed 0
+    for s, t in ((-5, -6), (-5, 0), (2**63, 2**63 + 1), (0, 2**64)):
+        same = s % 2**64 == t % 2**64
+        assert (_sample_dab(D88, s, 0) == _sample_dab(D88, t, 0)) == same
+        assert (rng_for(s, 0).uniform(-1, 1) == rng_for(t, 0).uniform(-1, 1)) == same
+
+
 def test_lempert_verify_exercises_permutation():
     # w = (0.5, 0) at a = b = 0.8 has |F| = 2/3 dominant: the lifted third
     # slot dominates, while samples with z1 dominant exercise permutation

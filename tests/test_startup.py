@@ -1,5 +1,5 @@
-"""The package namespace resolves its names on demand, and the array-free CLI
-paths start without numpy."""
+"""The package namespace resolves its names on demand, and the runtime needs
+nothing beyond the standard library: every CLI path starts without numpy."""
 
 import ast
 import importlib
@@ -136,6 +136,10 @@ GEODESIC = ('{"alternates": [{"branch": "minus", "gamma1": [-0.6916666666666664,
             '"lempert_value": 0.8047189562170504, "param_at_target": [-0.6666666666666667, -0.0], '
             '"point": [[0.5, 0.0], [0.0, 0.0], [-0.6666666666666667, -0.0]], '
             '"residual": 9.80831006035263e-16}\n')
+VERIFY = ('{"a": 0.8, "b": 0.8, "failed": [], "failures": 0, "samples": 3, "seed": 0, "tolerance": 1e-09, '
+          '"worst_match": 0.0, "worst_residual": 1.2265816259300712e-15}\n')
+SWEEP = ("index,a,b,status,samples,failures,worst_match,worst_residual\n"
+         "0,0.8,0.8,ok,3,0,0.0,1.2265816259300712e-15\n")
 
 
 @pytest.mark.parametrize("argv, code, stdout, modules", [
@@ -155,8 +159,12 @@ GEODESIC = ('{"alternates": [{"branch": "minus", "gamma1": [-0.6916666666666664,
      BASE | {"geodisc.geodesics"}),
     (["-m", "geodisc.cli", "geodesic", "--a", "0.8", "--b", "0.8", "--z", "0.5,0", "0,0"], 0, GEODESIC,
      BASE | {"geodisc.geodesics", "geodisc.metrics"}),
+    (["-m", "geodisc.cli", "verify-lempert", "--a", "0.8", "--b", "0.8", "--samples", "3"], 0, VERIFY,
+     BASE | {"geodisc.geodesics", "geodisc.metrics"}),
+    (["-m", "geodisc.cli", "sweep", "--a-min", "0.8", "--a-max", "0.8", "--a-steps", "1", "--b-min", "0.8",
+      "--b-max", "0.8", "--b-steps", "1", "--samples", "3"], 0, SWEEP, BASE | {"geodisc.geodesics", "geodisc.metrics"}),
 ], ids=["classify", "normalize", "transport", "ball-cstar", "ball-auto", "ball-extremal", "import", "validation-error",
-        "lens", "geodesic"])
+        "lens", "geodesic", "verify-lempert", "sweep"])
 def test_startup_loads_no_numpy(argv, code, stdout, modules):
     env = dict(os.environ, PYTHONPATH=str(SRC))
     proc = subprocess.run([sys.executable, "-X", "importtime", *argv], env=env, capture_output=True, text=True)
@@ -176,3 +184,35 @@ def test_geodesic_certificate_loads_no_mpmath():
     env = dict(os.environ, PYTHONPATH=str(SRC))
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert (proc.returncode, proc.stdout) == (0, "False\n")
+
+
+def _imports(path):
+    """(level, module) of each import statement in the file; level 0 is absolute."""
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            yield from ((0, alias.name) for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            if node.module:
+                yield node.level, node.module
+            else:
+                yield from ((node.level, alias.name) for alias in node.names)
+
+
+def test_runtime_imports_only_the_standard_library():
+    # oracle, the numpy checker of the tests and the benchmark, is on no runtime path
+    bad = []
+    for path in sorted((SRC / "geodisc").glob("*.py")):
+        if path.name == "oracle.py":
+            continue
+        for level, module in _imports(path):
+            top = module.split(".")[0]
+            if (level == 0 and top not in sys.stdlib_module_names) or "oracle" in module.split("."):
+                bad.append(f"{path.name}: {'.' * level}{module}")
+    assert bad == []
+
+
+def test_pyproject_declares_no_runtime_dependency():
+    tomllib = pytest.importorskip("tomllib")
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
+    assert project["dependencies"] == []
+    assert "numpy" in project["optional-dependencies"]["test"]
