@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from operator import mul
 
 from .discgeom import require_disc_point
@@ -100,21 +100,19 @@ def ball_automorphism(a, z) -> Vec:
     return tuple([(ai - p * ui - s * (zi - p * ui)) / den for ai, ui, zi in zip(a, u, z)])
 
 
-@dataclass(frozen=True)
-class ComplexLine:
-    """Affine complex line base + lambda * direction, direction normalized."""
+class ComplexLine(namedtuple("ComplexLine", "base direction")):
+    """Affine complex line base + lambda * direction, direction normalized.
+    A named tuple: it compares equal to the plain tuple of its fields."""
 
-    base: tuple[complex, ...]
-    direction: tuple[complex, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        base, d = _vec(self.base), _vec(self.direction)
+    def __new__(cls, base: Vec, direction: Vec):
+        base, d = _vec(base), _vec(direction)
         if len(base) != len(d):
             raise DomainError("dimension mismatch")
         if not all(map(cmath.isfinite, base + d)):
             raise DomainError("non-finite coordinates")
-        object.__setattr__(self, "direction", _unit(d, "direction"))
-        object.__setattr__(self, "base", base)
+        return tuple.__new__(cls, (base, _unit(d, "direction")))
 
 
 def minimal_norm_point(l: ComplexLine) -> Vec:
@@ -155,14 +153,13 @@ def _householder_unitary(r: Vec) -> tuple[Vec, ...]:
     return tuple(rows)
 
 
-@dataclass(frozen=True)
-class BallExtremal:
+class BallExtremal(namedtuple("BallExtremal", "minimal_point direction")):
     """psi_l(z) = s <z, d> / (1 - <z, a>), s = sqrt(1 - |a|^2), for the line l with
     foot a and unit direction d.  It is <U Phi_a(z), e1> for Rudin's involution
-    Phi_a and a unitary U with row 0 equal to -conj(d): <a, d> = <P_a z, d> = 0."""
+    Phi_a and a unitary U with row 0 equal to -conj(d): <a, d> = <P_a z, d> = 0.
+    A named tuple: it compares equal to the plain tuple of its fields."""
 
-    minimal_point: tuple[complex, ...]
-    direction: tuple[complex, ...]
+    __slots__ = ()
 
     def __call__(self, z) -> complex:
         (a, na), (z, _) = _ball_pair(self.minimal_point, z)
@@ -183,7 +180,7 @@ class BallExtremal:
 
 def psi_l(l: ComplexLine) -> BallExtremal:
     """Extremal for the geodesic cut by the line: see ``BallExtremal``."""
-    return BallExtremal(minimal_point=minimal_norm_point(l), direction=l.direction)
+    return BallExtremal(minimal_norm_point(l), l.direction)
 
 
 def universal_member_B2(a) -> BallExtremal:
@@ -197,7 +194,7 @@ def universal_member_B2(a) -> BallExtremal:
     if len(a) != 2:
         raise DomainError("two-ball member needs a in dimension 2")
     u1, u2 = _unit(a, "parameter")
-    return psi_l(ComplexLine(base=a, direction=(-u2.conjugate(), u1.conjugate())))
+    return psi_l(ComplexLine(a, (-u2.conjugate(), u1.conjugate())))
 
 
 def universal_member_linear(a1: float, a2: complex) -> BallExtremal:
@@ -207,9 +204,10 @@ def universal_member_linear(a1: float, a2: complex) -> BallExtremal:
     a2 = complex(a2)
     if a1 < 0.0:
         raise DomainError("first coefficient must be nonnegative")
-    if abs(a1 * a1 + abs(a2) ** 2 - 1.0) > 1e-12:
+    # false for NaN, so a non-finite coefficient fails here
+    if not abs(a1 * a1 + abs(a2) ** 2 - 1.0) <= 1e-12:
         raise DomainError("coefficients must satisfy a1^2 + |a2|^2 = 1")
-    return psi_l(ComplexLine(base=(0.0, 0.0), direction=(a1, a2.conjugate())))
+    return psi_l(ComplexLine((0.0, 0.0), (a1, a2.conjugate())))
 
 
 def F_left_inverse(z) -> complex:
@@ -261,7 +259,8 @@ def boundary_modulus_locus(z) -> bool:
     z = _vec(z)
     if len(z) != 2:
         raise DomainError("defined on dimension 2")
-    if abs(math.sqrt(_norm2(z)) - 1.0) > 1e-6:
+    # false for NaN, so a non-finite point is off the sphere
+    if not abs(math.sqrt(_norm2(z)) - 1.0) <= 1e-6:
         raise DomainError("point must lie on the unit sphere")
     return locus_value(*z)[1]
 

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import DomainError, ZeroPolynomial
 
@@ -89,41 +89,42 @@ def gamma_disc(w: complex, X: complex) -> float:
     return abs(X) / (1.0 - abs(w) ** 2)
 
 
-@dataclass(frozen=True)
-class MobiusMap:
-    """The involutive family lam -> rotation * (nu - lam) / (1 - conj(nu) lam)."""
+class MobiusMap(namedtuple("MobiusMap", "nu rotation")):
+    """The involutive family lam -> rotation * (nu - lam) / (1 - conj(nu) lam).
+    A named tuple: it compares equal to the plain tuple of its fields."""
 
-    nu: complex
-    rotation: complex = 1.0 + 0.0j
+    __slots__ = ()
 
-    def __post_init__(self):
-        require_disc_point(self.nu)
-        if abs(abs(self.rotation) - 1.0) > BOUNDARY_TOL:
-            raise DomainError(f"rotation {self.rotation!r} is not unimodular")
+    def __new__(cls, nu: complex, rotation: complex = 1.0 + 0.0j):
+        nu = require_disc_point(nu)
+        if not abs(abs(rotation) - 1.0) <= BOUNDARY_TOL:
+            raise DomainError(f"rotation {rotation!r} is not unimodular")
+        return tuple.__new__(cls, (nu, rotation))
 
     def __call__(self, lam: complex) -> complex:
         return self.rotation * (self.nu - lam) / (1.0 - self.nu.conjugate() * lam)
 
 
-@dataclass(frozen=True)
-class Quadratic:
-    """Polynomial a2*lam^2 + a1*lam + a0."""
+class Quadratic(namedtuple("Quadratic", "a2 a1 a0")):
+    """Polynomial a2*lam^2 + a1*lam + a0.  A named tuple: it compares equal to
+    the plain tuple of its fields."""
 
-    a2: complex
-    a1: complex
-    a0: complex
+    __slots__ = ()
 
-    def __post_init__(self):
-        for c in (self.a2, self.a1, self.a0):
+    def __new__(cls, a2: complex, a1: complex, a0: complex):
+        cs = []
+        for c in (a2, a1, a0):
             c = complex(c)
             if not (math.isfinite(c.real) and math.isfinite(c.imag)):
                 raise DomainError(f"non-finite coefficient {c!r}")
+            cs.append(c)
+        return tuple.__new__(cls, cs)
 
     def __call__(self, lam: complex) -> complex:
         return (self.a2 * lam + self.a1) * lam + self.a0
 
     def coeffs(self) -> tuple[complex, complex, complex]:
-        return (complex(self.a2), complex(self.a1), complex(self.a0))
+        return self[:]
 
 
 def schur_roots_outside(q: Quadratic) -> bool:

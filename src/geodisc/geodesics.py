@@ -25,8 +25,8 @@ from __future__ import annotations
 
 import cmath
 import math
+from collections import namedtuple
 from collections.abc import Mapping
-from dataclasses import dataclass
 from types import MappingProxyType
 from typing import NamedTuple
 
@@ -46,17 +46,21 @@ PLUS = "plus"
 MINUS = "minus"
 
 
-@dataclass(frozen=True)
-class Lens:
+class Lens(namedtuple("Lens", "a b")):
     """Tangent-parameter region: |g1| < 1 and |a g1 + 1| < b on the line
-    a g1 + b g2 + 1 = 0; an intersection of two discs."""
+    a g1 + b g2 + 1 = 0; an intersection of two discs.  A named tuple: it
+    compares equal to the plain tuple of its fields."""
 
-    a: float
-    b: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not (0.0 < self.a < math.inf and 0.0 < self.b < math.inf):
-            raise DomainError(f"lens parameters ({self.a}, {self.b}) must be positive and finite")
+    def __new__(cls, a: float, b: float):
+        try:
+            ok = 0.0 < a < math.inf and 0.0 < b < math.inf
+        except TypeError:
+            ok = False
+        if not ok:
+            raise DomainError(f"lens parameters ({a}, {b}) must be positive and finite")
+        return tuple.__new__(cls, (a, b))
 
     @property
     def nonempty(self) -> bool:
@@ -388,8 +392,8 @@ def blaschke_family(L: Lens, gamma: complex, omega: complex):
     disc's residual vanishes identically for every omega, and no residual
     check is made.
     """
-    require_disc_point(gamma)
-    if abs(abs(omega) - 1.0) > BOUNDARY_TOL:
+    gamma = require_disc_point(gamma)
+    if not abs(abs(omega) - 1.0) <= BOUNDARY_TOL:
         raise DomainError("omega must be unimodular")
     q, r = _family_qr(L, gamma, omega)
     if not schur_roots_outside(r):
@@ -419,7 +423,7 @@ def admissible_arc(L: Lens, gamma: complex) -> list[tuple[float, float]]:
     solve of one arccos.  DomainError unless gamma lies in the open disc,
     as for `blaschke_family`.
     """
-    require_disc_point(gamma)
+    gamma = require_disc_point(gamma)
     v, w, R = _arc_terms(L, gamma)
     if R <= 0.0:
         return []

@@ -13,8 +13,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
-from typing import Callable, NamedTuple, Sequence
+from collections import namedtuple
+from typing import NamedTuple, Sequence
 
 from .discgeom import MobiusMap, _pseudo_dist, _residual_within, gamma_disc, require_disc_point, rho
 from .errors import (
@@ -327,29 +327,16 @@ def permuted_parameters(a: float, b: float, perm: tuple[int, int, int]) -> tuple
     return (alpha[perm[0]] / c, alpha[perm[1]] / c)
 
 
-@dataclass(frozen=True)
-class LempertReport:
-    a: float
-    b: float
-    samples: int
-    seed: int
-    failures: int
-    worst_match: float
-    worst_residual: float
-    failed: tuple = ()
+class LempertReport(
+    namedtuple("LempertReport", "a b samples seed failures worst_match worst_residual failed", defaults=((),))
+):
+    """The verifier's summary, with a dict for each failed sample.  A named
+    tuple: it compares equal to the plain tuple of its fields."""
+
+    __slots__ = ()
 
     def to_json(self) -> dict:
-        return {
-            "a": self.a,
-            "b": self.b,
-            "samples": self.samples,
-            "seed": self.seed,
-            "failures": self.failures,
-            "worst_match": self.worst_match,
-            "worst_residual": self.worst_residual,
-            "failed": list(self.failed),
-            "tolerance": MATCH_TOL,
-        }
+        return {**self._asdict(), "failed": list(self.failed), "tolerance": MATCH_TOL}
 
     def dumps(self) -> str:
         return json.dumps(self.to_json(), sort_keys=True)
@@ -436,25 +423,26 @@ def lempert_verify(d: DomainDab, samples: int, seed: int) -> LempertReport:
     )
 
 
-@dataclass(frozen=True)
-class UniversalMember:
-    """Scalar disc-valued function with an exact gradient contract."""
+class UniversalMember(namedtuple("UniversalMember", "name value gradient")):
+    """Scalar disc-valued function with an exact gradient contract.  A named
+    tuple: it compares equal to the plain tuple of its fields."""
 
-    name: str
-    value: Callable
-    gradient: Callable
+    __slots__ = ()
 
     def __call__(self, z):
         return self.value(z)
 
 
-@dataclass(frozen=True)
-class UniversalSet:
-    members: tuple[UniversalMember, ...]
+class UniversalSet(namedtuple("UniversalSet", "members")):
+    """A nonempty tuple of universal members.  A named tuple: it compares
+    equal to the plain tuple of its fields."""
 
-    def __post_init__(self):
-        if not self.members:
+    __slots__ = ()
+
+    def __new__(cls, members: tuple[UniversalMember, ...]):
+        if not members:
             raise DomainError("universal set must be nonempty")
+        return tuple.__new__(cls, (members,))
 
 
 def dab_universal_set(d: DomainDab) -> UniversalSet:

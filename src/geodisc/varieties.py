@@ -19,7 +19,7 @@ import cmath
 import functools
 import itertools
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from operator import mul, sub
 
 from .discgeom import MobiusMap, _residual_within, _strict_triangle, require_disc_point
@@ -49,35 +49,36 @@ def _moduli_in_range(fn):
     return checked
 
 
-@dataclass(frozen=True)
-class Alpha:
-    a1: complex
-    a2: complex
-    a3: complex
+class Alpha(namedtuple("Alpha", "a1 a2 a3")):
+    """Coefficients of the defining equation, finite and not all zero.  A
+    named tuple: it compares equal to the plain tuple of its fields."""
 
-    def __post_init__(self):
-        vals = self.coeffs()
+    __slots__ = ()
+
+    def __new__(cls, a1: complex, a2: complex, a3: complex):
+        vals = complex(a1), complex(a2), complex(a3)
         if not all(map(cmath.isfinite, vals)):
             bad = next(c for c in vals if not cmath.isfinite(c))
             raise DomainError(f"non-finite coefficient {bad!r}")
         if not any(vals):
             raise DomainError("alpha must not be the zero triple")
+        return tuple.__new__(cls, vals)
 
     def coeffs(self) -> tuple[complex, complex, complex]:
-        return (complex(self.a1), complex(self.a2), complex(self.a3))
+        return self[:]
 
     def permuted(self, perm: tuple[int, int, int]) -> "Alpha":
-        c = self.coeffs()
-        return Alpha(c[perm[0]], c[perm[1]], c[perm[2]])
+        return Alpha(self[perm[0]], self[perm[1]], self[perm[2]])
 
     def to_json(self) -> dict:
-        return {"alpha": [[c.real, c.imag] for c in self.coeffs()]}
+        return {"alpha": [[c.real, c.imag] for c in self]}
 
 
-@dataclass(frozen=True)
-class TriClass:
-    retract: bool
-    axis: int | None = None  # 1-based graph coordinate when retract
+class TriClass(namedtuple("TriClass", "retract axis", defaults=(None,))):
+    """Class of a triple; axis is the 1-based graph coordinate when retract.
+    A named tuple: it compares equal to the plain tuple of its fields."""
+
+    __slots__ = ()
 
     def to_json(self) -> dict:
         if self.retract:
@@ -95,7 +96,7 @@ def classify(alpha: Alpha) -> TriClass:
     the triple's own order, as `Lens.nonempty` decides (a, b, 1); a
     transport that is correct to rounding can still move a triple across it.
     """
-    m = [abs(c) for c in alpha.coeffs()]
+    m = [abs(c) for c in alpha]
     if _strict_triangle(*m):
         return TriClass(retract=False)
     return TriClass(retract=True, axis=m.index(max(m)) + 1)
@@ -114,7 +115,7 @@ def _membership(
 def membership_residual(alpha: Alpha, z: tuple[complex, complex, complex]) -> complex:
     """Defining-equation residual; zero iff z lies on the surface."""
     z1, z2, z3 = map(require_disc_point, z)
-    return _membership(*alpha.coeffs(), z1, z2, z3)[0]
+    return _membership(*alpha, z1, z2, z3)[0]
 
 
 def graph_value(alpha: Alpha, z1: complex, z2: complex) -> complex:
@@ -122,7 +123,7 @@ def graph_value(alpha: Alpha, z1: complex, z2: complex) -> complex:
 
     Needs alpha3 != 0; callers must permute coordinates first otherwise.
     """
-    a1, a2, a3 = alpha.coeffs()
+    a1, a2, a3 = alpha
     if a3 == 0:
         raise Unsupported("graph over (z1, z2) needs alpha3 != 0; permute first")
     den = a3 - a2.conjugate() * z1 - a1.conjugate() * z2
@@ -131,17 +132,15 @@ def graph_value(alpha: Alpha, z1: complex, z2: complex) -> complex:
     return (a3.conjugate() * z1 * z2 - a1 * z1 - a2 * z2) / den
 
 
-@dataclass(frozen=True)
-class NormalForm:
+class NormalForm(namedtuple("NormalForm", "a b rotations")):
     """Positive parameters (a, b) and the diagonal rotation matching them.
 
     A point z lies on the original surface iff (u1 z1, u2 z2, u3 z3) lies on
-    the surface of the real triple (a, b, 1).
+    the surface of the real triple (a, b, 1).  A named tuple: it compares
+    equal to the plain tuple of its fields.
     """
 
-    a: float
-    b: float
-    rotations: tuple[complex, complex, complex]
+    __slots__ = ()
 
     def apply(self, z):
         return tuple(u * w for u, w in zip(self.rotations, z))
@@ -163,7 +162,7 @@ def normalize(alpha: Alpha) -> NormalForm:
     with a1 or a2 equal to zero have no positive normal form, and DomainError
     is raised where a or b overflows or underflows to 0.
     """
-    a1, a2, a3 = alpha.coeffs()
+    a1, a2, a3 = alpha
     if a3 == 0:
         raise Unsupported("normalize needs alpha3 != 0; permute first")
     if a1 == 0 or a2 == 0:
@@ -190,32 +189,30 @@ _TRANSPOSE = {
 _AXIS_PAIRS = tuple(tuple((f, f | s) for f in range(8) if not f & s) for s in (4, 2, 1))
 
 
-@dataclass(frozen=True)
-class TridiscAutomorphism:
+class TridiscAutomorphism(namedtuple("TridiscAutomorphism", "perm maps")):
     """Coordinate permutation followed by per-coordinate Mobius maps.
 
-    Acts as w_j = maps[j](z[perm[j]]); perm is 0-based.
+    Acts as w_j = maps[j](z[perm[j]]); perm is 0-based.  A named tuple: it
+    compares equal to the plain tuple of its fields.
     """
 
-    perm: tuple[int, int, int]
-    maps: tuple[MobiusMap, MobiusMap, MobiusMap]
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, perm: tuple[int, int, int], maps: tuple[MobiusMap, MobiusMap, MobiusMap]):
         try:
-            perm = tuple(self.perm)
-            ok = perm in _TRANSPOSE
+            p = tuple(perm)
+            ok = p in _TRANSPOSE
         except TypeError:
             ok = False
         if not ok:
-            raise DomainError(f"perm {self.perm!r} is not a permutation of (0,1,2)")
+            raise DomainError(f"perm {perm!r} is not a permutation of (0,1,2)")
         try:
-            maps = tuple(self.maps)
+            s = tuple(maps)
         except TypeError:
-            maps = ()
-        if len(maps) != 3 or not all(isinstance(s, MobiusMap) for s in maps):
-            raise DomainError(f"maps {self.maps!r} are not three MobiusMap slots")
-        object.__setattr__(self, "perm", perm)
-        object.__setattr__(self, "maps", maps)
+            s = ()
+        if len(s) != 3 or not all(isinstance(f, MobiusMap) for f in s):
+            raise DomainError(f"maps {maps!r} are not three MobiusMap slots")
+        return tuple.__new__(cls, (p, s))
 
     def __call__(self, z):
         return tuple(m(z[p]) for m, p in zip(self.maps, self.perm))
@@ -223,13 +220,13 @@ class TridiscAutomorphism:
     @classmethod
     def moving_to_origin(cls, p, perm=(0, 1, 2)) -> "TridiscAutomorphism":
         """The automorphism z -> (m_{p_sigma(j)}(z_sigma(j)))_j sending p to 0."""
-        return cls(perm=perm, maps=tuple(MobiusMap(p[q]) for q in perm))
+        return cls(perm, tuple(MobiusMap(p[q]) for q in perm))
 
 
 def _equation_tensor(alpha: Alpha) -> tuple[complex, ...]:
     """The defining equation as the flat 8-tuple: entry 4i + 2j + k is the
     coefficient of z1^i z2^j z3^k."""
-    a1, a2, a3 = alpha.coeffs()
+    a1, a2, a3 = alpha
     return (0j, a3, a2, -a1.conjugate(), a1, -a2.conjugate(), -a3.conjugate(), 0j)
 
 
@@ -270,7 +267,7 @@ def transport(alpha: Alpha, m: TridiscAutomorphism) -> Alpha:
     base = [0j, 0j, 0j]
     for p, s in zip(m.perm, m.maps):
         base[p] = s.nu
-    res, S = _membership(*alpha.coeffs(), *base)
+    res, S = _membership(*alpha, *base)
     if not _residual_within(abs(res), TRANSPORT_TOL, min(1.0, S), S):
         raise InvalidAutomorphism("m does not move a surface point to the origin")
 
@@ -299,16 +296,20 @@ def transport(alpha: Alpha, m: TridiscAutomorphism) -> Alpha:
     return beta
 
 
-@dataclass(frozen=True)
-class DomainDab:
-    """The planar-pair domain of all bidisc points with rational image in the disc."""
+class DomainDab(namedtuple("DomainDab", "a b")):
+    """The planar-pair domain of all bidisc points with rational image in the disc.
+    A named tuple: it compares equal to the plain tuple of its fields."""
 
-    a: float
-    b: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not (0.0 < self.a < math.inf and 0.0 < self.b < math.inf):
-            raise DomainError(f"parameters a, b = {self.a}, {self.b} must be positive and finite")
+    def __new__(cls, a: float, b: float):
+        try:
+            ok = 0.0 < a < math.inf and 0.0 < b < math.inf
+        except TypeError:
+            ok = False
+        if not ok:
+            raise DomainError(f"parameters a, b = {a}, {b} must be positive and finite")
+        return tuple.__new__(cls, (a, b))
 
     def f(self, z1: complex, z2: complex) -> complex:
         """The defining rational map (a z1 + b z2 - z1 z2)/(a z2 + b z1 - 1)."""

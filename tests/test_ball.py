@@ -215,6 +215,9 @@ def test_universal_member_linear():
         universal_member_linear(0.5, 0.5)  # fails the unit constraint
     with pytest.raises(DomainError):
         universal_member_linear(-1.0, 0.0)
+    for a1, a2 in ((math.nan, 0.0), (0.6, complex(math.nan, 0.8)), (math.inf, 0.0)):
+        with pytest.raises(DomainError, match="must satisfy"):
+            universal_member_linear(a1, a2)
 
 
 def test_F_examples():
@@ -308,6 +311,9 @@ def test_boundary_locus_examples():
         boundary_modulus((1.0, 0.0))
     with pytest.raises(DomainError):
         boundary_modulus_locus((0.5, 0.0))  # not on the sphere
+    for z in ((math.nan, 1.0), (0.0, complex(1.0, math.nan)), (math.inf, 0.0)):
+        with pytest.raises(DomainError, match="unit sphere"):
+            boundary_modulus_locus(z)
 
 
 def test_boundary_locus_agrees_with_modulus():

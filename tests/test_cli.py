@@ -334,6 +334,17 @@ def test_ball_F_outside_ball_is_computational_error(capsys):
     assert json.loads(out)["error"]["type"] == "DomainError"
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("transport", "--alpha", "0.8,0", "0.8,0", "1,0", "--nu", "0,0", "0,0", "0,0",
+      "--rotation", "nan,0", "1,0", "1,0"), "rotation (nan+0j) is not unimodular"),
+    (("ball", "locus", "--z", "nan,0", "1,0"), "point must lie on the unit sphere"),
+], ids=["transport-rotation", "ball-locus"])
+def test_nan_inputs_are_named_domain_errors(capsys, argv, message):
+    code, out = run_cli(capsys, *argv)
+    assert code == 1
+    assert json.loads(out) == {"error": {"type": "DomainError", "message": message}}
+
+
 def test_transport_degenerate_image_exit_code(capsys):
     code, out = run_cli(capsys, "transport", "--alpha", "1,0", "1,0", "0,0",
                         "--perm", "1", "2", "3", "--nu", "0,0", "0,0", "0,0")

@@ -297,6 +297,18 @@ def test_admissible_arc_and_family_need_gamma_in_the_disc(gamma):
         blaschke_family(L88, gamma, 1.0 + 0j)
 
 
+def test_family_and_arc_use_the_checked_gamma():
+    omega = cmath.exp(0.35j)
+    assert blaschke_family(L88, "-0.625", omega) == blaschke_family(L88, -0.625 + 0j, omega)
+    assert admissible_arc(L88, "-0.625") == admissible_arc(L88, -0.625 + 0j)
+
+
+def test_blaschke_family_needs_omega_on_the_circle():
+    for omega in (complex(math.nan, 0.0), complex(0.0, math.nan), 1.5 + 0j):
+        with pytest.raises(DomainError, match="omega must be unimodular"):
+            blaschke_family(Lens(0.8, 0.8), -0.5, omega)
+
+
 def test_admissible_arc_degenerates_at_boundary():
     # marching toward the |gamma2| -> 1 boundary (g -> -0.25 on the real
     # axis) drives the bound b^2 - |a g + 1|^2 to zero and the arc with it

@@ -1,5 +1,6 @@
 """The package namespace resolves its names on demand, and the runtime needs
-nothing beyond the standard library: every CLI path starts without numpy."""
+nothing beyond the standard library: every CLI path starts without numpy,
+and the CLI module loads neither dataclasses nor typing."""
 
 import ast
 import importlib
@@ -209,6 +210,21 @@ def test_runtime_imports_only_the_standard_library():
             if (level == 0 and top not in sys.stdlib_module_names) or "oracle" in module.split("."):
                 bad.append(f"{path.name}: {'.' * level}{module}")
     assert bad == []
+
+
+def test_no_module_imports_dataclasses():
+    # the value types are checked named tuples; dataclasses would load inspect, ast, dis and tokenize
+    bad = [f"{path.name}: {module}" for path in sorted((SRC / "geodisc").glob("*.py"))
+           for _, module in _imports(path) if module.split(".")[0] == "dataclasses"]
+    assert bad == []
+
+
+def test_cli_start_loads_neither_dataclasses_nor_typing():
+    # -S: no site hook loads a module before the package does
+    code = "import sys, geodisc.cli; print(sorted({'dataclasses', 'typing', 'inspect'} & set(sys.modules)))"
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout) == (0, "[]\n")
 
 
 def test_pyproject_declares_no_runtime_dependency():
