@@ -86,7 +86,7 @@ def cmd_transport(args) -> int:
 def cmd_distance(args) -> int:
     from .metrics import c_dab, c_polydisc
 
-    if args.domain == "dab":
+    if args.kind == "dab":
         d = DomainDab(args.a, args.b)
         _emit_json({"c": c_dab(d, tuple(args.z), tuple(args.w))})
     else:
@@ -274,160 +274,146 @@ def cmd_plotdata(args) -> int:
 _NEG_VALUE = re.compile(r"^-\d|^-\.\d")
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser, and the parser class of its subcommands, that
+    reads a token like -0.625,0 as a value."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = _NEG_VALUE
+
+
+def _count(s: str) -> int:
+    try:
+        n = int(s)
+    except ValueError:
+        n = 0
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {s!r}")
+    return n
+
+
+def _ab(sp, **kwargs) -> None:
+    sp.add_argument("--a", type=float, **kwargs)
+    sp.add_argument("--b", type=float, **kwargs)
+
+
+def _vectors(sp, *names, nargs="+", required=True) -> None:
+    for name in names:
+        sp.add_argument(f"--{name}", type=_complex, nargs=nargs, required=required)
+
+
+def _command(sub, name, fn, help):
+    sp = sub.add_parser(name, help=help)
+    sp.set_defaults(fn=fn)
+    return sp
+
+
+def _kinds(sub, name, fn, help):
+    """The sub-parsers of a command whose first argument names a kind; each
+    kind's parser declares only the options that kind reads."""
+    return _command(sub, name, fn, help).add_subparsers(dest="kind", required=True)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(prog="geodisc", description=__doc__)
-    p._negative_number_matcher = _NEG_VALUE
+    p = _Parser(prog="geodisc", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
 
-    sp = sub.add_parser("classify", help="triangle-inequality classification of a triple")
+    sp = _command(sub, "classify", cmd_classify, "triangle-inequality classification of a triple")
     sp.add_argument("--alpha", type=_complex, nargs=3, required=True)
-    sp.set_defaults(fn=cmd_classify)
 
-    sp = sub.add_parser("normalize", help="positive normal form and rotations")
+    sp = _command(sub, "normalize", cmd_normalize, "positive normal form and rotations")
     sp.add_argument("--alpha", type=_complex, nargs=3, required=True)
-    sp.set_defaults(fn=cmd_normalize)
 
-    sp = sub.add_parser("transport", help="image triple under a tridisc automorphism")
+    sp = _command(sub, "transport", cmd_transport, "image triple under a tridisc automorphism")
     sp.add_argument("--alpha", type=_complex, nargs=3, required=True)
     sp.add_argument("--perm", type=int, nargs=3, default=[1, 2, 3], help="1-based permutation")
     sp.add_argument("--nu", type=_complex, nargs=3, required=True, help="Mobius pole per slot")
     sp.add_argument(
         "--rotation", type=_complex, nargs=3, default=[complex(-1.0)] * 3,
-        help="unimodular rotation per slot (default: identity maps)",
+        help="unimodular rotation per slot (default: -1, the maps lam -> (lam - nu)/(1 - conj(nu) lam))",
     )
-    sp.set_defaults(fn=cmd_transport)
 
-    sp = sub.add_parser("distance", help="invariant distance between two points")
-    sp.add_argument("domain", choices=["dab", "polydisc"])
-    sp.add_argument("--a", type=float)
-    sp.add_argument("--b", type=float)
-    sp.add_argument("--z", type=_complex, nargs="+", required=True)
-    sp.add_argument("--w", type=_complex, nargs="+", required=True)
-    sp.set_defaults(fn=cmd_distance)
+    kinds = _kinds(sub, "distance", cmd_distance, "invariant distance between two points")
+    sp = kinds.add_parser("dab", help="Caratheodory distance on D(a, b)")
+    _ab(sp, required=True)
+    _vectors(sp, "z", "w", nargs=2)
+    _vectors(kinds.add_parser("polydisc", help="Caratheodory distance on the polydisc"), "z", "w")
 
-    sp = sub.add_parser("geodesic", help="certificate geodesic through the origin and a point")
-    sp.add_argument("--a", type=float, required=True)
-    sp.add_argument("--b", type=float, required=True)
+    sp = _command(sub, "geodesic", cmd_geodesic, "certificate geodesic through the origin and a point")
+    _ab(sp, required=True)
     sp.add_argument("--z", type=_complex, nargs="+", required=True, help="domain pair or lifted triple")
-    sp.set_defaults(fn=cmd_geodesic)
 
-    sp = sub.add_parser("lens", help="lens corners and branch solutions")
-    sp.add_argument("--a", type=float, required=True)
-    sp.add_argument("--b", type=float, required=True)
+    sp = _command(sub, "lens", cmd_lens, "lens corners and branch solutions")
+    _ab(sp, required=True)
     sp.add_argument("--gamma", type=_complex, default=None)
-    sp.set_defaults(fn=cmd_lens)
 
-    sp = sub.add_parser("verify-lempert", help="sampled equality check of the extremal problems")
-    sp.add_argument("--a", type=float, required=True)
-    sp.add_argument("--b", type=float, required=True)
-    sp.add_argument("--samples", type=int, default=100)
+    sp = _command(sub, "verify-lempert", cmd_verify_lempert,
+                  "sampled equality check of the extremal problems")
+    _ab(sp, required=True)
+    sp.add_argument("--samples", type=_count, default=100)
     sp.add_argument("--seed", type=int, default=0)
-    sp.set_defaults(fn=cmd_verify_lempert)
 
-    sp = sub.add_parser("convexity", help="linear-convexity witness quadratic roots")
-    sp.add_argument("--a", type=float, required=True)
-    sp.add_argument("--b", type=float, required=True)
-    sp.set_defaults(fn=cmd_convexity)
+    sp = _command(sub, "convexity", cmd_convexity, "linear-convexity witness quadratic roots")
+    _ab(sp, required=True)
 
-    sp = sub.add_parser("universal", help="universal-set distance or infinitesimal value")
-    sp.add_argument("--a", type=float, required=True)
-    sp.add_argument("--b", type=float, required=True)
-    sp.add_argument("--z", type=_complex, nargs=2)
-    sp.add_argument("--w", type=_complex, nargs=2)
-    sp.add_argument("--at", type=_complex, nargs=2, default=None)
-    sp.add_argument("--X", type=_complex, nargs=2, default=None)
-    sp.set_defaults(fn=cmd_universal)
+    sp = _command(sub, "universal", cmd_universal, "universal-set distance or infinitesimal value")
+    _ab(sp, required=True)
+    _vectors(sp, "z", "w", "at", "X", nargs=2, required=False)
 
-    sp = sub.add_parser("ball", help="unit-ball constructions")
-    sp.add_argument("kind", choices=["cstar", "auto", "extremal", "F", "ft", "locus"])
-    sp.add_argument("--z", type=_complex, nargs="+", default=None)
-    sp.add_argument("--w", type=_complex, nargs="+", default=None)
-    sp.add_argument("--base", type=_complex, nargs="+", default=None)
-    sp.add_argument("--direction", type=_complex, nargs="+", default=None)
+    kinds = _kinds(sub, "ball", cmd_ball, "unit-ball constructions")
+    _vectors(kinds.add_parser("cstar", help="tanh of the ball distance of --w and --z"), "z", "w")
+    _vectors(kinds.add_parser("auto", help="involution swapping --base and the origin, at --z"), "base", "z")
+    sp = kinds.add_parser("extremal", help="extremal psi_l of a complex line, and its value at --z")
+    _vectors(sp, "base", "direction")
+    _vectors(sp, "z", required=False)
+    _vectors(kinds.add_parser("F", help="the two-ball map F at --z"), "z", nargs=2)
+    sp = kinds.add_parser("ft", help="the geodesic f_t at --lam")
     sp.add_argument("--t", type=float, default=0.0)
     sp.add_argument("--lam", type=_complex, default=0.0j)
-    sp.set_defaults(fn=cmd_ball)
+    _vectors(kinds.add_parser("locus", help="whether --z lies on the boundary modulus locus"), "z", nargs=2)
 
-    sp = sub.add_parser("sweep", help="grid verification sweep, CSV output")
+    sp = _command(sub, "sweep", cmd_sweep, "grid verification sweep, CSV output")
     sp.add_argument("--a-min", type=float, required=True)
     sp.add_argument("--a-max", type=float, required=True)
-    sp.add_argument("--a-steps", type=int, default=5)
+    sp.add_argument("--a-steps", type=_count, default=5)
     sp.add_argument("--b-min", type=float, required=True)
     sp.add_argument("--b-max", type=float, required=True)
-    sp.add_argument("--b-steps", type=int, default=5)
-    sp.add_argument("--samples", type=int, default=50)
+    sp.add_argument("--b-steps", type=_count, default=5)
+    sp.add_argument("--samples", type=_count, default=50)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--allow-degenerate", action="store_true")
-    sp.set_defaults(fn=cmd_sweep)
 
-    sp = sub.add_parser("plotdata", help="CSV point clouds for external plotting")
-    sp.add_argument("kind", choices=["lens", "arc", "indicatrix", "locus"])
-    sp.add_argument("--a", type=float, default=0.8)
-    sp.add_argument("--b", type=float, default=0.8)
+    kinds = _kinds(sub, "plotdata", cmd_plotdata, "CSV point clouds for external plotting")
+    sp = kinds.add_parser("lens", help="lens boundary")
+    _ab(sp, default=0.8)
+    sp.add_argument("--n", type=_count, default=64)
+    sp = kinds.add_parser("arc", help="admissible arc of --gamma")
+    _ab(sp, default=0.8)
     sp.add_argument("--gamma", type=_complex, default=0.0j)
-    sp.add_argument("--n", type=int, default=64)
-    sp.set_defaults(fn=cmd_plotdata)
-
-    for sp in sub.choices.values():
-        sp._negative_number_matcher = _NEG_VALUE
+    sp = kinds.add_parser("indicatrix", help="indicatrix of D(a, b) at the origin")
+    _ab(sp, default=0.8)
+    sp.add_argument("--n", type=_count, default=64)
+    kinds.add_parser("locus", help="boundary modulus locus on the sphere").add_argument(
+        "--n", type=_count, default=64
+    )
     return p
-
-
-# options a subcommand needs for a given positional choice, which argparse's
-# `required` cannot express
-_NEEDS = {
-    ("distance", "dab"): ("a", "b"),
-    ("ball", "cstar"): ("z", "w"),
-    ("ball", "auto"): ("base", "z"),
-    ("ball", "extremal"): ("base", "direction"),
-    ("ball", "F"): ("z",),
-    ("ball", "locus"): ("z",),
-}
-
-# vector options that must have the same number of entries when given
-_SAME_LENGTH = {
-    ("distance", "dab"): ("z", "w"),
-    ("distance", "polydisc"): ("z", "w"),
-    ("ball", "cstar"): ("z", "w"),
-    ("ball", "auto"): ("base", "z"),
-    ("ball", "extremal"): ("base", "direction", "z"),
-}
-
-
-# subcommands whose --z has a fixed number of coordinates
-_Z_LENGTH = {
-    ("distance", "dab"): 2,
-    ("ball", "F"): 2,
-    ("ball", "locus"): 2,
-}
-
-# count options that must be at least 1 when present
-_COUNTS = ("samples", "a_steps", "b_steps", "n")
 
 
 def _argument_problem(args) -> str | None:
     """Why the parsed arguments cannot run, or None: the validation argparse
-    leaves to the subcommand."""
-    key = (args.command, getattr(args, "domain", None) or getattr(args, "kind", None))
-    missing = [f"--{n}" for n in _NEEDS.get(key, ()) if getattr(args, n) is None]
-    if args.command == "universal":
-        used, unused = (("z", "w"), ("at",)) if args.X is None else ((), ("z", "w"))
-        missing = [f"--{n}" for n in used if getattr(args, n) is None]
-        if any(getattr(args, n) is not None for n in unused):
-            return "universal takes --z and --w, or --X with an optional --at"
-    if missing:
-        return f"{' '.join(k for k in key if k)} requires {' and '.join(missing)}"
-    if key in _Z_LENGTH and len(args.z) != _Z_LENGTH[key]:
-        return f"{' '.join(key)} takes --z of {_Z_LENGTH[key]} coordinates"
-    for name in _COUNTS:
-        value = getattr(args, name, None)
-        if value is not None and value < 1:
-            return f"--{name.replace('_', '-')} must be at least 1"
+    cannot express."""
+    if args.command == "universal" and not (
+        (args.X is None and args.at is None and args.z is not None and args.w is not None)
+        or (args.X is not None and args.z is None and args.w is None)
+    ):
+        return "universal takes --z and --w, or --X with an optional --at"
     if args.command == "geodesic" and len(args.z) not in (2, 3):
         return "geodesic --z takes a domain pair or a lifted triple"
-    names = [n for n in _SAME_LENGTH.get(key, ()) if getattr(args, n) is not None]
-    if len({len(getattr(args, n)) for n in names}) > 1:
-        return f"{' '.join(key)}: {' and '.join('--' + n for n in names)} differ in length"
+    # every vector option of one command has the same number of entries
+    vectors = {name: len(value) for name, value in vars(args).items() if isinstance(value, list)}
+    if len(set(vectors.values())) > 1:
+        return f"{' and '.join('--' + name for name in vectors)} differ in length"
     return None
 
 

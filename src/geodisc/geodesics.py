@@ -26,9 +26,7 @@ from __future__ import annotations
 import cmath
 import math
 from collections import namedtuple
-from collections.abc import Mapping
 from types import MappingProxyType
-from typing import NamedTuple
 
 from .discgeom import (
     BOUNDARY_TOL,
@@ -110,14 +108,12 @@ class Lens(namedtuple("Lens", "a b")):
         return out
 
 
-class OmegaEta(NamedTuple):
+class OmegaEta(namedtuple("OmegaEta", "omega eta branch")):
     """A pair (omega, eta) for the disc of a tangent parameter, with its
     branch label PLUS or MINUS.  A named tuple: it compares equal to the
-    plain tuple (omega, eta, branch)."""
+    plain tuple of its fields."""
 
-    omega: complex
-    eta: complex
-    branch: str
+    __slots__ = ()
 
 
 def _ik_data(L: Lens, gamma1: complex):
@@ -175,14 +171,12 @@ def solve_omega_eta(L: Lens, gamma1: complex) -> tuple[OmegaEta, OmegaEta]:
     return (OmegaEta(wp, (-q - r1 * wp) / r2, PLUS), OmegaEta(wm, (-q - r1 * wm) / r2, MINUS))
 
 
-class RationalMap(NamedTuple):
-    """Quotient of polynomials; coefficients descending in the argument.
+class RationalMap(namedtuple("RationalMap", "num den")):
+    """Quotient of polynomials, num / den, each a tuple of complex
+    coefficients descending in the argument.  A named tuple: it compares
+    equal to the plain tuple of its fields."""
 
-    A named tuple: it compares equal to the plain tuple (num, den).
-    """
-
-    num: tuple[complex, ...]
-    den: tuple[complex, ...]
+    __slots__ = ()
 
     def __call__(self, lam: complex) -> complex:
         """Value at lam."""
@@ -206,16 +200,16 @@ def _horner(cs, lam):
 IDENTITY_MAP = RationalMap((0.0j, 1.0 + 0.0j, 0.0j), (0.0j, 0.0j, 1.0 + 0.0j))
 
 
-class AnalyticDisc(NamedTuple):
+class AnalyticDisc(namedtuple("AnalyticDisc", "components tag params", defaults=(MappingProxyType({}),))):
     """Disc -> polydisc map with rational components; serializable and exact.
 
-    `params` maps names to JSON scalars and [re, im] pairs.  A named tuple:
-    it compares equal to the plain tuple (components, tag, params).
+    `components` is a tuple of RationalMap, `tag` PhiGamma or
+    BlaschkeFamily, and `params` maps names to JSON scalars and [re, im]
+    pairs.  A named tuple: it compares equal to the plain tuple of its
+    fields.
     """
 
-    components: tuple[RationalMap, ...]
-    tag: str  # PhiGamma | BlaschkeFamily
-    params: Mapping = MappingProxyType({})
+    __slots__ = ()
 
     def __call__(self, lam: complex) -> tuple[complex, ...]:
         return tuple(c(lam) for c in self.components)

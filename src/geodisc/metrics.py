@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 import math
 from collections import namedtuple
-from typing import NamedTuple, Sequence
+from collections.abc import Sequence
 
 from .discgeom import MobiusMap, _pseudo_dist, _residual_within, gamma_disc, require_disc_point, rho
 from .errors import (
@@ -31,7 +31,6 @@ from .errors import (
 from .geodesics import (
     PLUS,
     MINUS,
-    AnalyticDisc,
     Lens,
     OmegaEta,
     _ik_data,
@@ -73,7 +72,13 @@ def kappa_dab_origin(d: DomainDab, X) -> float:
     return max(abs(X1), abs(X2), abs(d.a * X1 + d.b * X2))
 
 
-class GeodesicCertificate(NamedTuple):
+class GeodesicCertificate(
+    namedtuple(
+        "GeodesicCertificate",
+        "disc param_at_target residual caratheodory_value lempert_value gamma1 branch alternates",
+        defaults=((),),
+    )
+):
     """A disc through the origin and, within `tol` of `geodesic_through`,
     the target, which it meets at param_at_target.
 
@@ -85,17 +90,10 @@ class GeodesicCertificate(NamedTuple):
     `residual` itself can exceed RESIDUAL_TOL by rounding on a thin lens.
     `alternates` lists (branch, gamma1) of the other candidates whose discs
     certify.  A named tuple: it compares equal to the plain tuple of its
-    eight fields.
+    fields.
     """
 
-    disc: AnalyticDisc
-    param_at_target: complex
-    residual: float
-    caratheodory_value: float
-    lempert_value: float
-    gamma1: complex
-    branch: str
-    alternates: tuple = ()
+    __slots__ = ()
 
     def to_json(self) -> dict:
         disc, x, residual, c_value, l_value, g, branch, alternates = self
@@ -327,6 +325,10 @@ def permuted_parameters(a: float, b: float, perm: tuple[int, int, int]) -> tuple
     return (alpha[perm[0]] / c, alpha[perm[1]] / c)
 
 
+def _finite(x: float) -> float | None:
+    return x if math.isfinite(x) else None
+
+
 class LempertReport(
     namedtuple("LempertReport", "a b samples seed failures worst_match worst_residual failed", defaults=((),))
 ):
@@ -336,7 +338,11 @@ class LempertReport(
     __slots__ = ()
 
     def to_json(self) -> dict:
-        return {**self._asdict(), "failed": list(self.failed), "tolerance": MATCH_TOL}
+        """The report with each non-finite number as None, so that it dumps to strict JSON."""
+        failed = [{**f, "match": _finite(f["match"]), "residual": _finite(f["residual"])}
+                  for f in self.failed]
+        return {**self._asdict(), "worst_match": _finite(self.worst_match),
+                "worst_residual": _finite(self.worst_residual), "failed": failed, "tolerance": MATCH_TOL}
 
     def dumps(self) -> str:
         return json.dumps(self.to_json(), sort_keys=True)

@@ -298,6 +298,12 @@ def test_json_numbers_round_trip(capsys):
         ("universal", "--a", "0.8", "--b", "0.8", "--z", "0,0", "0,0", "--w", "0.5,0", "0,0",
          "--X", "1,0", "0,0"),
         ("geodesic", "--a", "0.8", "--b", "0.8", "--z", "0.5,0"),
+        # options the kind does not read
+        ("ball", "cstar", "--z", "0.1,0", "0,0", "--w", "0,0", "0,0", "--t", "7"),
+        ("ball", "F", "--z", "0.1,0", "0.2,0", "--w", "1,1"),
+        ("ball", "ft", "--t", "1", "--lam", "0.5,0", "--z", "9,9"),
+        ("distance", "polydisc", "--z", "0,0", "--w", "0.5,0", "--a", "3"),
+        ("plotdata", "locus", "--n", "2", "--a", "5"),
     ],
 )
 def test_missing_or_mismatched_arguments_exit_code(capsys, argv):
@@ -319,6 +325,9 @@ def test_missing_or_mismatched_arguments_exit_code(capsys, argv):
         ("ball", "locus", "--z", "0.5,0"),
         ("ball", "F", "--z", "0.9,0.9"),
         ("ball", "extremal", "--base", "0.5,0", "0,0", "--direction", "0,0", "1,0", "--z", "0.1,0"),
+        # complex values that do not parse
+        ("classify", "--alpha", "1", "2", "3"),
+        ("classify", "--alpha", "1,x", "0,0", "0,0"),
     ],
 )
 def test_bad_counts_and_dimensions_exit_code(capsys, argv):
@@ -338,11 +347,28 @@ def test_ball_F_outside_ball_is_computational_error(capsys):
     (("transport", "--alpha", "0.8,0", "0.8,0", "1,0", "--nu", "0,0", "0,0", "0,0",
       "--rotation", "nan,0", "1,0", "1,0"), "rotation (nan+0j) is not unimodular"),
     (("ball", "locus", "--z", "nan,0", "1,0"), "point must lie on the unit sphere"),
-], ids=["transport-rotation", "ball-locus"])
+    # a lifted target outside the tridisc
+    (("geodesic", "--a", "0.8", "--b", "0.8", "--z", "0,0", "nan,0", "0.1,0"), "non-finite point (nan+0j)"),
+    (("geodesic", "--a", "0.8", "--b", "0.8", "--z", "1.5,0", "0,0", "0,0"),
+     "point (1.5+0j) is not in the open unit disc"),
+], ids=["transport-rotation", "ball-locus", "geodesic-nan", "geodesic-outside"])
 def test_nan_inputs_are_named_domain_errors(capsys, argv, message):
     code, out = run_cli(capsys, *argv)
     assert code == 1
     assert json.loads(out) == {"error": {"type": "DomainError", "message": message}}
+
+
+# f of D(0.8, 0.8) has its pole at (0.625, 0.625): the denominator is exactly 0
+@pytest.mark.parametrize("argv, error", [
+    (("distance", "dab", "--a", "0.8", "--b", "0.8", "--z", "0.625,0", "0.625,0", "--w", "0,0", "0,0"),
+     "NotInDomain"),
+    (("geodesic", "--a", "0.8", "--b", "0.8", "--z", "0.625,0", "0.625,0"), "NotInDomain"),
+    (("universal", "--a", "0.8", "--b", "0.8", "--z", "0.625,0", "0.625,0", "--w", "0,0", "0,0"), "PoleError"),
+], ids=["distance", "geodesic", "universal"])
+def test_pole_of_f_exit_code(capsys, argv, error):
+    code, out = run_cli(capsys, *argv)
+    assert code == 1
+    assert json.loads(out)["error"]["type"] == error
 
 
 def test_transport_degenerate_image_exit_code(capsys):
@@ -379,6 +405,21 @@ def test_sampling_failure_exit_code(capsys, monkeypatch):
     code, out = run_cli(capsys, "verify-lempert", "--a", "0.8", "--b", "0.8", "--samples", "3")
     assert code == 1
     assert json.loads(out)["error"]["type"] == "SamplingExhausted"
+
+
+def test_failed_sample_report_is_strict_json(capsys, monkeypatch):
+    from geodisc import metrics
+    from geodisc.errors import ConvergenceFailure
+
+    def failing(*args, **kwargs):
+        raise ConvergenceFailure("no candidate", best_residual=math.inf)
+
+    monkeypatch.setattr(metrics, "geodesic_through", failing)
+    code, out = run_cli(capsys, "verify-lempert", "--a", "0.8", "--b", "0.8", "--samples", "2")
+    assert code == 1
+    obj = json.loads(out, parse_constant=lambda c: pytest.fail(f"non-strict JSON {c}"))
+    assert (obj["failures"], obj["worst_match"], obj["worst_residual"]) == (2, None, None)
+    assert [(f["match"], f["residual"]) for f in obj["failed"]] == [(None, None), (None, None)]
 
 
 @pytest.mark.parametrize("argv", [
@@ -453,9 +494,19 @@ def test_unread_tolerance_flag_exit_code(capsys, argv):
     assert capsys.readouterr().out == ""
 
 
+def _parsers(parser, path=()):
+    """(command path, parser) of the parser and of every sub-parser below it."""
+    yield path, parser
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sp in action.choices.items():
+                yield from _parsers(sp, path + (name,))
+
+
 def test_no_subcommand_takes_a_tolerance():
-    subparsers = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
-    flags = {(name, opt) for name, sp in subparsers.choices.items()
+    flags = {(" ".join(path), opt) for path, sp in _parsers(build_parser())
              for action in sp._actions for opt in action.option_strings}
-    assert len({name for name, _ in flags}) == 12
+    assert len({name.split()[0] for name, _ in flags if name}) == 12
+    # the walk reaches the options of each kind of ball, distance and plotdata
+    assert len({name for name, opt in flags if opt not in ("-h", "--help")}) == 21
     assert [(name, opt) for name, opt in sorted(flags) if opt.startswith("--tol")] == []

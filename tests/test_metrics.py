@@ -505,6 +505,39 @@ def test_no_candidate_raises_convergence_failure(monkeypatch):
     assert info.value.best_residual == math.inf
 
 
+@pytest.mark.parametrize("z, message", [
+    ((1.5, 0, 0), "point (1.5+0j) is not in the open unit disc"),
+    ((0, math.nan, 0.1), "non-finite point (nan+0j)"),
+    ((0.1, 0.1, math.inf), "non-finite point (inf+0j)"),
+])
+def test_target_outside_the_tridisc_is_named(z, message):
+    with pytest.raises(DomainError) as info:
+        geodesic_through(0.8, 0.8, z)
+    assert str(info.value) == message
+
+
+def test_failed_samples_dump_to_strict_json(monkeypatch):
+    # a failure with no candidate in the lens carries best_residual inf, one
+    # with no residual at all NaN; both, and a NaN match, are written as null
+    errors = iter([ConvergenceFailure("no candidate", best_residual=math.inf), NotOnVariety("off M")])
+    real = metrics.geodesic_through
+
+    def failing(*args, **kwargs):
+        error = next(errors, None)
+        if error is not None:
+            raise error
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(metrics, "geodesic_through", failing)
+    rep = lempert_verify(D88, samples=3, seed=0)
+    assert rep.failures == 2 and math.isnan(rep.failed[0]["match"]) and rep.failed[0]["residual"] == math.inf
+    obj = json.loads(rep.dumps(), parse_constant=lambda c: pytest.fail(f"non-strict JSON {c}"))
+    assert [(f["index"], f["match"], f["residual"]) for f in obj["failed"]] == [(0, None, None), (1, None, None)]
+    assert obj["failed"][0]["reason"] == "ConvergenceFailure: no candidate"
+    # the one passing sample keeps its finite numbers
+    assert obj["worst_match"] == 0.0 and 0.0 < obj["worst_residual"] < 1e-9
+
+
 def test_unit_ratio_has_no_candidate():
     # |t1| = |z1 / x| = 1 collapses the first hyperbolic circle to its center
     assert metrics._intersection_candidates(L88, 0.5 + 0j, 0.5 + 0j) == []

@@ -227,6 +227,14 @@ def test_cli_start_loads_neither_dataclasses_nor_typing():
     assert (proc.returncode, proc.stdout) == (0, "[]\n")
 
 
+def test_certificate_path_loads_no_typing():
+    # the geodesic, lens, verify-lempert and sweep commands load metrics and geodesics
+    code = "import sys, geodisc.metrics; print(sorted({'dataclasses', 'typing', 'inspect'} & set(sys.modules)))"
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout) == (0, "[]\n")
+
+
 def test_pyproject_declares_no_runtime_dependency():
     tomllib = pytest.importorskip("tomllib")
     project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]

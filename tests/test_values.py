@@ -10,8 +10,8 @@ import pytest
 from geodisc.ball import BallExtremal, ComplexLine
 from geodisc.discgeom import MobiusMap, Quadratic
 from geodisc.errors import DomainError
-from geodisc.geodesics import Lens
-from geodisc.metrics import LempertReport, UniversalMember, UniversalSet
+from geodisc.geodesics import IDENTITY_MAP, AnalyticDisc, Lens, OmegaEta, RationalMap
+from geodisc.metrics import GeodesicCertificate, LempertReport, UniversalMember, UniversalSet
 from geodisc.varieties import Alpha, DomainDab, NormalForm, TriClass, TridiscAutomorphism
 
 nan, inf = math.nan, math.inf
@@ -79,6 +79,8 @@ CONTRACT = {
     UniversalSet: (((MEMBER,),), ((MEMBER,),), {}, [
         (((),), "universal set must be nonempty"),
     ]),
+    OmegaEta: ((1j, -1j, "plus"), (1j, -1j, "plus"), {}, []),
+    RationalMap: (((1j, 0j), (0j, 1 + 0j)), ((1j, 0j), (0j, 1 + 0j)), {}, []),
 }
 TYPES = list(CONTRACT)
 
@@ -118,3 +120,21 @@ def test_checked_fields_hold_the_checked_values():
 def test_values_with_equal_fields_compare_equal_across_types():
     assert Lens(0.8, 0.8) == DomainDab(0.8, 0.8) == (0.8, 0.8)
     assert hash(Lens(0.8, 0.8)) == hash(DomainDab(0.8, 0.8))
+
+
+DISC = AnalyticDisc((IDENTITY_MAP,), "PhiGamma", {"a": 0.8})
+
+
+# these hold a mapping, so they do not hash
+@pytest.mark.parametrize("cls, args, defaults", [
+    (AnalyticDisc, ((IDENTITY_MAP,), "PhiGamma", {"a": 0.8}), {"params": {}}),
+    (GeodesicCertificate, (DISC, 0.5j, 1e-16, 0.8, 0.8, -0.6j, "plus", (("minus", 0.6j),)), {"alternates": ()}),
+], ids=["AnalyticDisc", "GeodesicCertificate"])
+def test_value_types_holding_a_mapping(cls, args, defaults):
+    x = cls(*args)
+    assert x == args and tuple(x) == args
+    assert cls(**dict(zip(cls._fields, args))) == x
+    assert {k: getattr(cls(*args[:-1]), k) for k in defaults} == defaults
+    with pytest.raises(AttributeError):
+        x.extra = 0
+    assert "A named tuple: it compares equal to the plain tuple of its fields." in " ".join(cls.__doc__.split())

@@ -1,6 +1,7 @@
 import cmath
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -369,3 +370,13 @@ def test_lift_examples():
     assert abs(membership_residual(Alpha(0.8, 0.8, 1.0), z)) < 1e-14
     with pytest.raises(NotInDomain):
         lift_to_M(d, (0.99, 0.99))
+
+
+def test_pole_of_f_is_outside_the_domain():
+    # 0.8 * 0.625 + 0.8 * 0.625 - 1 is exactly 0: f has its pole at this point
+    d = DomainDab(0.8, 0.8)
+    with pytest.raises(PoleError, match=re.escape("denominator vanishes at ((0.625+0j), (0.625+0j))")):
+        d.f(0.625 + 0j, 0.625 + 0j)
+    assert not dab_contains(d, (0.625, 0.625))
+    with pytest.raises(NotInDomain):
+        lift_to_M(d, (0.625, 0.625))
