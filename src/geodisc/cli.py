@@ -7,9 +7,13 @@ space-separated.  Output is JSON (sorted keys, shortest round-trip floats);
 1 computational failure (machine-readable error object on stdout),
 2 validation error.
 
+``verify-lempert`` and ``sweep`` pass a sample when its disc certifies and
+meets the lifted point z; a non-finite residual is null in the report and
+an empty field in the CSV.
+
 No option sets a tolerance.  Each check uses the one value of the module
-that makes it: ``metrics.MATCH_TOL`` for the verifier's match (echoed as the
-report's ``tolerance``), ``geodesics.RESIDUAL_TOL`` for the disc certificate,
+that makes it: ``metrics.MATCH_TOL`` for the miss of a certificate's disc
+at z, ``geodesics.RESIDUAL_TOL`` for the disc certificate,
 ``varieties.TRANSPORT_TOL`` for ``transport`` and ``ball.LOCUS_TOL`` for the
 boundary locus of ``ball locus`` and ``plotdata locus``.  Every residual gate
 (the disc certificate, the membership test of ``geodesic`` and the base point
@@ -218,13 +222,13 @@ def cmd_sweep(args) -> int:
                     f"grid cell ({a:.6g}, {b:.6g}) leaves the triangle-inequality "
                     "regime; pass --allow-degenerate to mark such cells"
                 )
-            return (idx, a, b, "retract-regime", 0, 0, "", "")
+            return (idx, a, b, "retract-regime", 0, 0, "")
         rep = lempert_verify(d, samples=args.samples, seed=args.seed * 1000003 + idx)
         status = "ok" if rep.failures == 0 else "fail"
-        return (idx, a, b, status, args.samples, rep.failures, rep.worst_match, rep.worst_residual)
+        return (idx, a, b, status, args.samples, rep.failures, rep.to_json()["worst_residual"])
 
     rows = [run_cell(c) for c in cells]
-    header = ["index", "a", "b", "status", "samples", "failures", "worst_match", "worst_residual"]
+    header = ["index", "a", "b", "status", "samples", "failures", "worst_residual"]
     _emit_csv(header, rows)
     return 1 if any(r[3] == "fail" for r in rows) else 0
 
@@ -276,11 +280,13 @@ _NEG_VALUE = re.compile(r"^-\d|^-\.\d")
 
 class _Parser(argparse.ArgumentParser):
     """An argument parser, and the parser class of its subcommands, that
-    reads a token like -0.625,0 as a value."""
+    reads a token like -0.625,0 as a value, and sets the parsed arguments'
+    ``parser`` to the innermost parser that read them."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self._negative_number_matcher = _NEG_VALUE
+        self.set_defaults(parser=self)
 
 
 def _count(s: str) -> int:
@@ -422,7 +428,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     problem = _argument_problem(args)
     if problem:
-        parser.error(problem)
+        args.parser.error(problem)
     try:
         return args.fn(args)
     except GeodiscError as exc:

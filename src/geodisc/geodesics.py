@@ -57,7 +57,7 @@ class Lens(namedtuple("Lens", "a b")):
         except TypeError:
             ok = False
         if not ok:
-            raise DomainError(f"lens parameters ({a}, {b}) must be positive and finite")
+            raise DomainError(f"lens parameters ({a!r}, {b!r}) must be positive and finite")
         return tuple.__new__(cls, (a, b))
 
     @property
@@ -337,11 +337,17 @@ def phi_gamma(
 
 
 def _arc_terms(L: Lens, gamma: complex) -> tuple[complex, float, float]:
-    """(v, w, R) of the arc inequality |omega v + w| < R at gamma."""
+    """(v, w, R) of the arc inequality |omega v + w| < R at gamma; DomainError
+    where one leaves the float range, as b^2 does on a large lens."""
     a, b = L.a, L.b
-    T = 1.0 - abs(gamma) ** 2
     v = a * gamma.conjugate() ** 2 + (a * a - b * b + 1.0) * gamma.conjugate() + a
-    return v, -a * b * T, b * b - abs(a * gamma + 1.0) ** 2
+    try:
+        terms = v, -a * b * (1.0 - abs(gamma) ** 2), b * b - abs(a * gamma + 1.0) ** 2
+    except OverflowError:
+        terms = (math.inf,)
+    if not all(map(cmath.isfinite, terms)):
+        raise DomainError(f"arc terms of the lens ({a!r}, {b!r}) at {gamma!r} leave the float range")
+    return terms
 
 
 def admissibility_margin(L: Lens, gamma: complex, omega: complex) -> float:
@@ -415,7 +421,8 @@ def admissible_arc(L: Lens, gamma: complex) -> list[tuple[float, float]]:
     The inequality |omega v + w| < R with v, w fixed defines an arc; its
     endpoints come from the circle-line geometry, accurate to the floating
     solve of one arccos.  DomainError unless gamma lies in the open disc,
-    as for `blaschke_family`.
+    as for `blaschke_family`, and where a term of the inequality leaves the
+    float range.
     """
     gamma = require_disc_point(gamma)
     v, w, R = _arc_terms(L, gamma)

@@ -11,6 +11,7 @@ search is involved.
 
 from __future__ import annotations
 
+import cmath
 import json
 import math
 from collections import namedtuple
@@ -37,11 +38,10 @@ from .geodesics import (
     phi_gamma,
     solve_omega_eta,
 )
-from .varieties import DomainDab, _dab_lift, _membership, dab_contains
+from .varieties import DomainDab, _dab_lift, _membership, _moduli_in_range, dab_contains
 
-# the Lempert verifier's bound on the match, and `geodesic_through`'s default
-# bound on the miss at z; the certificate's residual is gated by
-# `_certify_disc` alone, on the one convention of `discgeom._residual_within`
+# `geodesic_through`'s default bound on the miss at z in each coordinate; the
+# residual is gated by `_certify_disc` alone, on `discgeom._residual_within`
 MATCH_TOL = 1e-9
 
 
@@ -66,22 +66,39 @@ def c_dab(d: DomainDab, z, w) -> float:
     )
 
 
+def _tangent(X) -> tuple[complex, ...]:
+    """The tangent vector X as complex numbers; DomainError unless each is finite."""
+    X = tuple(map(complex, X))
+    if not all(map(cmath.isfinite, X)):
+        raise DomainError(f"non-finite tangent vector {X}")
+    return X
+
+
+def _in_range(value: float) -> float:
+    if value == math.inf:
+        raise DomainError("the infinitesimal value leaves the float range")
+    return value
+
+
+@_moduli_in_range
 def kappa_dab_origin(d: DomainDab, X) -> float:
     """max{|X1|, |X2|, |a X1 + b X2|}: the infinitesimal metric at the origin."""
-    X1, X2 = complex(X[0]), complex(X[1])
-    return max(abs(X1), abs(X2), abs(d.a * X1 + d.b * X2))
+    X1, X2 = _tangent(X[:2])
+    return _in_range(max(abs(X1), abs(X2), abs(d.a * X1 + d.b * X2)))
 
 
 class GeodesicCertificate(
     namedtuple(
         "GeodesicCertificate",
-        "disc param_at_target residual caratheodory_value lempert_value gamma1 branch alternates",
+        "disc param_at_target residual lempert_value gamma1 branch alternates",
         defaults=((),),
     )
 ):
     """A disc through the origin and, within `tol` of `geodesic_through`,
     the target, which it meets at param_at_target.
 
+    `lempert_value` is arctanh|param_at_target|; the parameter is the
+    target's dominant coordinate, so this is also the Caratheodory value.
     `residual` is the relative inverse-kinematics residual
     |r1 omega + r2 eta + q| / |q| of the disc's pair, and `phi_gamma` has
     certified in closed form that the disc lies in M: the residual
@@ -96,12 +113,11 @@ class GeodesicCertificate(
     __slots__ = ()
 
     def to_json(self) -> dict:
-        disc, x, residual, c_value, l_value, g, branch, alternates = self
+        disc, x, residual, l_value, g, branch, alternates = self
         return {
             "disc": disc.to_json(),
             "param_at_target": [x.real, x.imag],
             "residual": residual,
-            "caratheodory_value": c_value,
             "lempert_value": l_value,
             "gamma1": [g.real, g.imag],
             "branch": branch,
@@ -194,9 +210,9 @@ def geodesic_through(
     permuted by `dominant_permutation` (ties to the larger index) and
     `permuted_parameters`, and the disc's components are put back in z's own
     order: disc(param_at_target) = z within `tol`.  `gamma1`, `branch`,
-    `alternates` and `disc.params` refer to the permuted lens.  The moduli
-    |z_j| serve the checks and the values rho(0, z_j) = arctanh|z_j|.  The
-    preimage is closed form: `_intersection_candidates` gives at most two
+    `alternates` and `disc.params` refer to the permuted lens, and the
+    value is rho(0, x) = arctanh|x| of the dominant x.  The preimage is
+    closed form: `_intersection_candidates` gives at most two
     tangent parameters gamma1 inside the lens, each with its unimodular pair
     (omega, eta), computed in unknowns scaled by x so that nothing cancels
     as x tends to 0, and exact on M.  They are ranked by one comparison:
@@ -240,7 +256,6 @@ def geodesic_through(
         perm = dominant_permutation(z)
         L = Lens(*permuted_parameters(a, b, perm))
         z = z1, z2, x = z[perm[0]], z[perm[1]], z[perm[2]]
-        m1, m2, mx = abs(z1), abs(z2), abs(x)
 
     ranked = []  # (minus, residual, gamma1, gamma2, omega, eta): plus first, then the smaller residual
     for g, omega, eta in _intersection_candidates(L, z1, x):
@@ -287,18 +302,9 @@ def geodesic_through(
     if perm is not None:
         disc = disc._replace(components=tuple(disc.components[p] for p in perm))
 
-    # rho(0, w) = atanh|w|, bit for bit
-    lempert = math.atanh(mx)
-    return GeodesicCertificate(
-        disc,
-        x,
-        res,
-        max(math.atanh(m1), math.atanh(m2), lempert),
-        lempert,
-        g,
-        branch,
-        tuple([(br, gg) for gg, br, _, _ in certified[1:]]) if len(certified) > 1 else (),
-    )
+    alternates = tuple([(br, gg) for gg, br, _, _ in certified[1:]]) if len(certified) > 1 else ()
+    # rho(0, x) = atanh|x|, bit for bit
+    return GeodesicCertificate(disc, x, res, math.atanh(abs(x)), g, branch, alternates)
 
 
 _PERMS_TO_THIRD = {0: (2, 1, 0), 1: (0, 2, 1), 2: (0, 1, 2)}
@@ -330,19 +336,20 @@ def _finite(x: float) -> float | None:
 
 
 class LempertReport(
-    namedtuple("LempertReport", "a b samples seed failures worst_match worst_residual failed", defaults=((),))
+    namedtuple("LempertReport", "a b samples seed failures worst_residual failed", defaults=((),))
 ):
-    """The verifier's summary, with a dict for each failed sample.  A named
-    tuple: it compares equal to the plain tuple of its fields."""
+    """The verifier's summary: a sample passes when its disc certifies and
+    meets the sample's lift.  `worst_residual` is the largest finite
+    residual, a certificate's or a failure's best; each failed sample has a
+    dict of its index, residual and reason.  A named tuple: it compares
+    equal to the plain tuple of its fields."""
 
     __slots__ = ()
 
     def to_json(self) -> dict:
         """The report with each non-finite number as None, so that it dumps to strict JSON."""
-        failed = [{**f, "match": _finite(f["match"]), "residual": _finite(f["residual"])}
-                  for f in self.failed]
-        return {**self._asdict(), "worst_match": _finite(self.worst_match),
-                "worst_residual": _finite(self.worst_residual), "failed": failed, "tolerance": MATCH_TOL}
+        failed = [{**f, "residual": _finite(f["residual"])} for f in self.failed]
+        return {**self._asdict(), "worst_residual": _finite(self.worst_residual), "failed": failed}
 
     def dumps(self) -> str:
         return json.dumps(self.to_json(), sort_keys=True)
@@ -386,47 +393,24 @@ def _sample_dab(d: DomainDab, seed: int, index: int) -> tuple[complex, complex]:
     raise SamplingExhausted(f"no point of D({d.a}, {d.b}) in {SAMPLE_DRAWS} draws")
 
 
-def _verify_one(d: DomainDab, seed: int, index: int):
-    w = _sample_dab(d, seed, index)
-    try:
-        cert = geodesic_through(d.a, d.b, (w[0], w[1], d.f(w[0], w[1])))
-    except (ConvergenceFailure, NotOnVariety, DomainError) as exc:
-        best = getattr(exc, "best_residual", float("nan"))
-        return (index, False, float("nan"), best, f"{type(exc).__name__}: {exc}")
-    c = c_dab(d, (0.0j, 0.0j), w)
-    match = abs(c - cert.lempert_value)
-    ok = match < MATCH_TOL
-    return (index, ok, match, cert.residual, "" if ok else "tolerance exceeded")
-
-
 def lempert_verify(d: DomainDab, samples: int, seed: int) -> LempertReport:
-    """Sampled equality check of the two extremal problems on the domain.
-
-    Each sample draws a point, lifts it to the variety, constructs the
-    geodesic through the origin, and compares the coordinate-max distance
-    against the disc-parameter distance; a sample passes when the match is
-    below MATCH_TOL.  The certificate's residual has passed `_certify_disc`
-    and is reported, not tested again, as `worst_residual`.  Each sample is
-    seeded by its index.
-    """
+    """Sampled check of the Lempert equality: each sample, seeded by its
+    index, draws a point of the domain, lifts it to z on the variety, and
+    passes when `geodesic_through` returns a disc that certifies and meets
+    z.  Its parameter at z is z's dominant coordinate, so its length is the
+    Caratheodory value by construction, and the two are not compared."""
     if not Lens(d.a, d.b).nonempty:
         raise DomainError("verification needs the triangle-inequality regime")
-    rows = [_verify_one(d, seed, i) for i in range(samples)]
-    failures = [r for r in rows if not r[1]]
-    finite_match = [r[2] for r in rows if math.isfinite(r[2])]
-    finite_res = [r[3] for r in rows if math.isfinite(r[3])]
-    return LempertReport(
-        a=d.a,
-        b=d.b,
-        samples=samples,
-        seed=seed,
-        failures=len(failures),
-        worst_match=max(finite_match) if finite_match else float("nan"),
-        worst_residual=max(finite_res) if finite_res else float("nan"),
-        failed=tuple(
-            {"index": r[0], "match": r[2], "residual": r[3], "reason": r[4]} for r in failures
-        ),
-    )
+    residuals, failed = [], []
+    for i in range(samples):
+        w = _sample_dab(d, seed, i)
+        try:
+            residuals.append(geodesic_through(d.a, d.b, (w[0], w[1], d.f(w[0], w[1]))).residual)
+        except (ConvergenceFailure, NotOnVariety, DomainError) as exc:
+            residuals.append(getattr(exc, "best_residual", math.nan))
+            failed.append({"index": i, "residual": residuals[-1], "reason": f"{type(exc).__name__}: {exc}"})
+    worst = max((r for r in residuals if math.isfinite(r)), default=math.nan)
+    return LempertReport(d.a, d.b, samples, seed, len(failed), worst, tuple(failed))
 
 
 class UniversalMember(namedtuple("UniversalMember", "name value gradient")):
@@ -489,15 +473,17 @@ def universal_c(U: UniversalSet, z, w) -> float:
     return best
 
 
+@_moduli_in_range
 def universal_gamma(U: UniversalSet, z, X) -> float:
+    X = _tangent(X)
     best = 0.0
     for member in U.members:
         vz = member(z)
         if abs(vz) >= 1.0:
             raise EvaluationOutOfDisc(f"member {member.name} left the disc")
-        push = sum(g * complex(x) for g, x in zip(member.gradient(z), X))
+        push = sum(g * x for g, x in zip(member.gradient(z), X))
         best = max(best, gamma_disc(vz, push))
-    return best
+    return _in_range(best)
 
 
 def linear_convexity_quadratic(d: DomainDab) -> tuple[complex, complex, bool]:

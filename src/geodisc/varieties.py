@@ -41,9 +41,9 @@ TRANSPORT_TOL = 1e-9
 def _moduli_in_range(fn):
     """fn raising DomainError where a modulus of finite parts overflows."""
     @functools.wraps(fn)
-    def checked(*args):
+    def checked(*args, **kwargs):
         try:
-            return fn(*args)
+            return fn(*args, **kwargs)
         except OverflowError:
             raise DomainError(f"{fn.__name__}: a modulus leaves the float range") from None
     return checked
@@ -308,7 +308,7 @@ class DomainDab(namedtuple("DomainDab", "a b")):
         except TypeError:
             ok = False
         if not ok:
-            raise DomainError(f"parameters a, b = {a}, {b} must be positive and finite")
+            raise DomainError(f"parameters a, b = {a!r}, {b!r} must be positive and finite")
         return tuple.__new__(cls, (a, b))
 
     def f(self, z1: complex, z2: complex) -> complex:

@@ -7,6 +7,7 @@ lines as they complete.
 import cmath
 import contextlib
 import io
+import json
 import math
 import time
 
@@ -19,6 +20,7 @@ from geodisc.errors import Tangent
 from geodisc.geodesics import (
     MINUS,
     PLUS,
+    AnalyticDisc,
     Lens,
     admissibility_margin,
     admissible_arc,
@@ -28,10 +30,13 @@ from geodisc.geodesics import (
     solve_omega_eta,
 )
 from geodisc.metrics import (
+    MATCH_TOL,
+    _sample_dab,
     dab_universal_set,
     c_dab,
     compose_with_mobius,
     dominant_permutation,
+    geodesic_through,
     kappa_dab_origin,
     lempert_verify,
     linear_convexity_quadratic,
@@ -47,6 +52,7 @@ from geodisc.varieties import (
     DomainDab,
     TridiscAutomorphism,
     classify,
+    lift_to_M,
     membership_residual,
     transport,
 )
@@ -135,12 +141,21 @@ def test_criterion_2_inequality_chain():
 def test_criterion_3_desk_scale_lempert():
     with criterion(3, "desk-scale equality of the two extremal problems"):
         t0 = time.time()
+        subset = rng_for(1003, 0).choice(500, size=20, replace=False)
         for a in (0.65, 0.8, 0.95):
             for b in (0.65, 0.8, 0.95):
-                rep = lempert_verify(DomainDab(a, b), samples=500, seed=2024)
+                d = DomainDab(a, b)
+                rep = lempert_verify(d, samples=500, seed=2024)
                 assert rep.failures == 0, rep.failed
-                assert rep.worst_match < 1e-9
                 assert rep.worst_residual < 1e-9
+                # the disc each sample got, read back from its JSON, meets the
+                # sample's lift at param_at_target: evaluated by the disc's own
+                # rational maps, not by the closed form geodesic_through checks
+                for i in subset:
+                    z = lift_to_M(d, _sample_dab(d, 2024, int(i)))
+                    cert = geodesic_through(a, b, z)
+                    disc = AnalyticDisc.from_json(json.loads(json.dumps(cert.disc.to_json())))
+                    assert max(abs(u - v) for u, v in zip(disc(cert.param_at_target), z)) <= MATCH_TOL
         assert time.time() - t0 < 60.0
 
 

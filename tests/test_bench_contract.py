@@ -105,10 +105,12 @@ def test_traced_run_reports_every_layer_metric(bench, workload, tmp_path):
 
 # SHA-256 of wl.encode over the first two chunks at seed 1, recorded after
 # the preimage moved to unknowns scaled by the target, which changed the
-# certificates in rounding only (x86-64, Python 3.11, numpy 2.4)
+# certificates in rounding only, and again when the certificate's JSON lost
+# its duplicate "caratheodory_value", which changed nothing else
+# (x86-64, Python 3.11, numpy 2.4)
 FIRST_TWO_CHUNKS_SHA256 = {
-    "verify-fat": "0e3922394298b817f4b5f25a3f0b8d3c54774f46a0f64946d985110eac6f6936",
-    "sweep-wide": "c0aa09f79f137f95ccc1140d75618e5620e60460bb9cff63d39cb4bba2b09910",
+    "verify-fat": "55ee33e878b09406e711ea78911b3cc139a165e1baf0194918bef42a54dc632b",
+    "sweep-wide": "7134f72734c207d317985d9680c5d38c8ff3e64fcc3cf5ae74eb033d638a06a2",
 }
 
 
@@ -123,12 +125,12 @@ def test_first_two_chunks_are_byte_identical(bench, workload):
 
 
 # SHA-256 of wl.encode over one full pass at seed 1 (3 000 and 180 points),
-# recorded after the preimage moved to scaled unknowns, and for
+# recorded after the certificate's JSON lost "caratheodory_value", and for
 # ``automorphisms`` (400 transports, 800 ball items) before the ball kernels
 # reused the norms of their input checks (x86-64, Python 3.11, numpy 2.4)
 FULL_PASS_SHA256 = {
-    "verify-fat": "0c8d39d1e8ea61bda3657bdb0d865a53566050dc70dc9fa87809c7ec1476557f",
-    "sweep-wide": "18ff8cc3e77b76111baff75bd73171e3f781ab369ba15bdeb3f9f1dbe67a6632",
+    "verify-fat": "10e2f3ff798f0b6fdfe929e651d334e60df2458707ac1bb556d665cf10253f31",
+    "sweep-wide": "404ce0cde3bc5573c53cd8277ec6e229fba3cf34f59cb20bb48b1cd12931c75e",
     "automorphisms": "1259d8d1ee51e894cb67666d0780278047630225b65472da621c8e5e597e2937",
 }
 

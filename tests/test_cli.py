@@ -69,7 +69,7 @@ def test_geodesic_command(capsys):
     assert code == 0
     obj = json.loads(out)
     assert obj["residual"] < 1e-9
-    assert obj["caratheodory_value"] == pytest.approx(math.atanh(2.0 / 3.0), abs=1e-12)
+    assert obj["lempert_value"] == pytest.approx(math.atanh(2.0 / 3.0), abs=1e-12)
     assert "permutation" not in obj
 
 
@@ -418,8 +418,53 @@ def test_failed_sample_report_is_strict_json(capsys, monkeypatch):
     code, out = run_cli(capsys, "verify-lempert", "--a", "0.8", "--b", "0.8", "--samples", "2")
     assert code == 1
     obj = json.loads(out, parse_constant=lambda c: pytest.fail(f"non-strict JSON {c}"))
-    assert (obj["failures"], obj["worst_match"], obj["worst_residual"]) == (2, None, None)
-    assert [(f["match"], f["residual"]) for f in obj["failed"]] == [(None, None), (None, None)]
+    assert (obj["failures"], obj["worst_residual"]) == (2, None)
+    assert [f["residual"] for f in obj["failed"]] == [None, None]
+
+
+def test_sweep_writes_an_empty_field_where_the_report_has_null(capsys, monkeypatch):
+    from geodisc import metrics
+    from geodisc.errors import ConvergenceFailure
+
+    def failing(*args, **kwargs):
+        raise ConvergenceFailure("no candidate", best_residual=math.inf)
+
+    monkeypatch.setattr(metrics, "geodesic_through", failing)
+    code, out = run_cli(capsys, "sweep", "--a-min", "0.8", "--a-max", "0.8", "--a-steps", "1",
+                        "--b-min", "0.8", "--b-max", "0.8", "--b-steps", "1", "--samples", "2")
+    assert code == 1
+    assert out == "index,a,b,status,samples,failures,worst_residual\n0,0.8,0.8,fail,2,2,\n"
+
+
+@pytest.mark.parametrize("argv, usage", [
+    (("ball", "cstar", "--z", "0.5,0", "0,0", "--w", "0,0", "0,0", "0,0"), "usage: geodisc ball cstar "),
+    (("universal", "--a", "0.8", "--b", "0.8", "--z", "0.1,0", "0.1,0"), "usage: geodisc universal "),
+    (("geodesic", "--a", "0.8", "--b", "0.8", "--z", "0.5,0"), "usage: geodisc geodesic "),
+], ids=["ball-cstar", "universal", "geodesic"])
+def test_argument_problem_prints_the_command_usage(capsys, argv, usage):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert (out, err.startswith(usage)) == ("", True)
+
+
+@pytest.mark.parametrize("argv", [
+    ("universal", "--a", "20", "--b", "20", "--X", "2,20", "nan,0.5"),
+    ("universal", "--a", "20", "--b", "20", "--X", "inf,inf", "-0,-0"),
+    # finite, but a modulus or the value leaves the float range
+    ("universal", "--a", "0.8", "--b", "0.8", "--X", "1.7e308,1.7e308", "0,0"),
+    ("universal", "--a", "20", "--b", "20", "--X", "1e308,0", "1e308,0"),
+    # b^2, or |a gamma + 1|^2, overflows
+    ("plotdata", "arc", "--b", "1e300"),
+    ("plotdata", "arc", "--a", "1e-300", "--b", "1e300"),
+    ("plotdata", "arc", "--a", "1e300", "--b", "1e300", "--gamma", "0.5,0"),
+])
+def test_values_out_of_the_float_range_are_domain_errors(capsys, argv):
+    code, out = run_cli(capsys, *argv)
+    assert code == 1
+    obj = json.loads(out, parse_constant=lambda c: pytest.fail(f"non-strict JSON {c}"))
+    assert obj["error"]["type"] == "DomainError"
 
 
 @pytest.mark.parametrize("argv", [
@@ -458,10 +503,12 @@ def test_verify_lempert_certifies_a_target_near_the_torus(capsys):
     assert json.loads(out)["failures"] == 0
 
 
-def test_verify_lempert_reads_tol_match(capsys):
+def test_verify_lempert_report_states_no_tolerance(capsys):
+    # MATCH_TOL bounds the certificate's miss at z inside geodesic_through:
+    # no caller can set it, so the report does not repeat it
     code, out = run_cli(capsys, "verify-lempert", "--a", "0.8", "--b", "0.8", "--samples", "3")
     assert code == 0
-    assert json.loads(out)["tolerance"] == 1e-9
+    assert sorted(json.loads(out)) == ["a", "b", "failed", "failures", "samples", "seed", "worst_residual"]
 
 
 def test_ball_reads_tol_boundary(capsys):

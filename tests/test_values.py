@@ -46,7 +46,7 @@ CONTRACT = {
         ((0.0, 1.0), "lens parameters (0.0, 1.0) must be positive and finite"),
         ((0.8, inf), "lens parameters (0.8, inf) must be positive and finite"),
         ((nan, 1.0), "lens parameters (nan, 1.0) must be positive and finite"),
-        (("0.8", 1.0), "lens parameters (0.8, 1.0) must be positive and finite"),
+        (("0.8", 1.0), "lens parameters ('0.8', 1.0) must be positive and finite"),
         ((0.8j, 1.0), "lens parameters (0.8j, 1.0) must be positive and finite"),
     ]),
     Alpha: ((1, 2.0, 3j), (1 + 0j, 2 + 0j, 3j), {}, [
@@ -65,7 +65,7 @@ CONTRACT = {
     DomainDab: ((0.8, 0.9), (0.8, 0.9), {}, [
         ((-1.0, 1.0), "parameters a, b = -1.0, 1.0 must be positive and finite"),
         ((0.8, nan), "parameters a, b = 0.8, nan must be positive and finite"),
-        (("0.8", 1.0), "parameters a, b = 0.8, 1.0 must be positive and finite"),
+        (("0.8", 1.0), "parameters a, b = '0.8', 1.0 must be positive and finite"),
     ]),
     ComplexLine: (((0.1, 0.2), (0, 2)), ((0.1 + 0j, 0.2 + 0j), (0j, 1 + 0j)), {}, [
         (((0.1,), (1, 0)), "dimension mismatch"),
@@ -74,7 +74,7 @@ CONTRACT = {
         (((), (1,)), "expected a complex vector"),
     ]),
     BallExtremal: (((0.1 + 0j, 0j), (0j, 1 + 0j)), ((0.1 + 0j, 0j), (0j, 1 + 0j)), {}, []),
-    LempertReport: ((0.8, 0.8, 3, 0, 1, 0.0, 1e-15, (1,)), (0.8, 0.8, 3, 0, 1, 0.0, 1e-15, (1,)), {"failed": ()}, []),
+    LempertReport: ((0.8, 0.8, 3, 0, 1, 1e-15, (1,)), (0.8, 0.8, 3, 0, 1, 1e-15, (1,)), {"failed": ()}, []),
     UniversalMember: (("z1", _first, _unit_gradient), ("z1", _first, _unit_gradient), {}, []),
     UniversalSet: (((MEMBER,),), ((MEMBER,),), {}, [
         (((),), "universal set must be nonempty"),
@@ -128,7 +128,7 @@ DISC = AnalyticDisc((IDENTITY_MAP,), "PhiGamma", {"a": 0.8})
 # these hold a mapping, so they do not hash
 @pytest.mark.parametrize("cls, args, defaults", [
     (AnalyticDisc, ((IDENTITY_MAP,), "PhiGamma", {"a": 0.8}), {"params": {}}),
-    (GeodesicCertificate, (DISC, 0.5j, 1e-16, 0.8, 0.8, -0.6j, "plus", (("minus", 0.6j),)), {"alternates": ()}),
+    (GeodesicCertificate, (DISC, 0.5j, 1e-16, 0.8, -0.6j, "plus", (("minus", 0.6j),)), {"alternates": ()}),
 ], ids=["AnalyticDisc", "GeodesicCertificate"])
 def test_value_types_holding_a_mapping(cls, args, defaults):
     x = cls(*args)
