@@ -18,7 +18,7 @@ import math
 from collections import namedtuple
 from operator import mul
 
-from .discgeom import require_disc_point
+from .discgeom import _require_finite, require_disc_point
 from .errors import DomainError, Indeterminate, NoIntersection
 
 DEN_GUARD = 1e-13
@@ -63,8 +63,7 @@ def _ball_point(z) -> tuple[Vec, float]:
     v = _vec(z)
     n2 = _norm2(v)
     if not n2 < 1.0:
-        if not all(map(cmath.isfinite, v)):
-            raise DomainError("non-finite coordinates")
+        _require_finite(v, "coordinates")
         raise DomainError("point is not in the open unit ball")
     return v, n2
 
@@ -111,7 +110,7 @@ class ComplexLine(namedtuple("ComplexLine", "base direction")):
         if len(base) != len(d):
             raise DomainError("dimension mismatch")
         if not all(map(cmath.isfinite, base + d)):
-            raise DomainError("non-finite coordinates")
+            _require_finite(base + d, "coordinates")
         return tuple.__new__(cls, (base, _unit(d, "direction")))
 
 
@@ -230,8 +229,7 @@ def f_t_geodesic(t: float, lam: complex) -> tuple[complex, complex]:
     ((1 + lam s^2)/(1 + s^2), s (lam - 1)/(1 + s^2)).
     """
     t = float(t)
-    if not math.isfinite(t):
-        raise DomainError(f"non-finite parameter t = {t!r}")
+    _require_finite((t,), "parameter t")
     lam = require_disc_point(lam)
     tt = t * t
     if math.isinf(tt):

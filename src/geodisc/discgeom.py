@@ -6,6 +6,8 @@ types are immutable values and all operations are pure functions.
 
 from __future__ import annotations
 
+import cmath
+import functools
 import math
 import sys
 from collections import namedtuple
@@ -54,6 +56,38 @@ def _residual_within(residual: float, tol: float, size: float, terms: float) -> 
     return residual <= tol * size + _ROUNDING_K * _EPS * terms
 
 
+def _require_finite(values, what: str) -> None:
+    """DomainError naming the first of the numbers `values` that is not
+    finite; a hot path tests inline and calls this only to raise."""
+    for v in values:
+        if not cmath.isfinite(v):
+            raise DomainError(f"non-finite {what} {v!r}")
+
+
+def _finite_value(value) -> bool:
+    """Whether no float or complex in value, or in its plain tuples and lists,
+    is NaN or infinite; a named tuple is a value type that checked itself."""
+    if type(value) in (tuple, list):
+        return all(map(_finite_value, value))
+    return not isinstance(value, (float, complex)) or cmath.isfinite(value)
+
+
+def _in_float_range(fn):
+    """fn raising DomainError where a value leaves the float range: an
+    OverflowError inside it, or a NaN or infinity in what it returns."""
+    @functools.wraps(fn)
+    def guarded(*args, **kwargs):
+        try:
+            value = fn(*args, **kwargs)
+        except OverflowError:
+            pass
+        else:
+            if _finite_value(value):
+                return value
+        raise DomainError(f"{fn.__qualname__}: a value overflows or is not a number")
+    return guarded
+
+
 def require_disc_point(z: complex) -> complex:
     """z as a complex number of the open unit disc, else DomainError.
 
@@ -63,8 +97,7 @@ def require_disc_point(z: complex) -> complex:
     z = complex(z)
     if abs(z) < 1.0:
         return z
-    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
-        raise DomainError(f"non-finite point {z!r}")
+    _require_finite((z,), "point")
     raise DomainError(f"point {z!r} is not in the open unit disc")
 
 
@@ -112,12 +145,8 @@ class Quadratic(namedtuple("Quadratic", "a2 a1 a0")):
     __slots__ = ()
 
     def __new__(cls, a2: complex, a1: complex, a0: complex):
-        cs = []
-        for c in (a2, a1, a0):
-            c = complex(c)
-            if not (math.isfinite(c.real) and math.isfinite(c.imag)):
-                raise DomainError(f"non-finite coefficient {c!r}")
-            cs.append(c)
+        cs = complex(a2), complex(a1), complex(a0)
+        _require_finite(cs, "coefficient")
         return tuple.__new__(cls, cs)
 
     def __call__(self, lam: complex) -> complex:

@@ -31,6 +31,8 @@ from types import MappingProxyType
 from .discgeom import (
     BOUNDARY_TOL,
     Quadratic,
+    _in_float_range,
+    _require_finite,
     _residual_within,
     _strict_triangle,
     require_disc_point,
@@ -70,6 +72,7 @@ class Lens(namedtuple("Lens", "a b")):
     def contains(self, gamma1: complex) -> bool:
         return abs(gamma1) < 1.0 and abs(self.a * gamma1 + 1.0) < self.b
 
+    @_in_float_range
     def corners(self) -> tuple[complex, complex]:
         """Intersection points of |g1| = 1 and |a g1 + 1| = b (law of cosines).
 
@@ -79,8 +82,6 @@ class Lens(namedtuple("Lens", "a b")):
         """
         a, b = self.a, self.b
         x = ((b - a) * (b + a) - 1.0) / (2.0 * a)
-        if math.isnan(x):
-            raise DomainError(f"lens corners of ({a}, {b}) overflow")
         y2 = 1.0 - x * x
         if y2 < 0.0:
             raise EmptyLens(f"lens of ({self.a}, {self.b}) has no corners")
@@ -152,8 +153,7 @@ def solve_omega_eta(L: Lens, gamma1: complex) -> tuple[OmegaEta, OmegaEta]:
     lo, hi = abs(r1 - r2), r1 + r2
     # false for every NaN, so a non-finite gamma1 takes the failure path
     if not lo + BOUNDARY_TOL < aq < hi - BOUNDARY_TOL:
-        if not cmath.isfinite(gamma1):
-            raise DomainError(f"non-finite tangent parameter {gamma1!r}")
+        _require_finite((gamma1,), "tangent parameter")
         if aq > hi + BOUNDARY_TOL or aq < lo - BOUNDARY_TOL:
             raise Infeasible(
                 f"|q| = {aq:.6g} outside ({lo:.6g}, {hi:.6g}); parameter not in the lens"
@@ -269,9 +269,7 @@ def _certify_disc(L: Lens, gamma1: complex, omega: complex, eta: complex) -> Non
     whose residual on the circle stays far below it.
     """
     if not (cmath.isfinite(gamma1) and cmath.isfinite(omega) and cmath.isfinite(eta)):
-        for c in (gamma1, omega, eta):
-            if not cmath.isfinite(c):
-                raise DomainError(f"non-finite coefficient {c!r}")
+        _require_finite((gamma1, omega, eta), "coefficient")
     g2 = L.gamma2(gamma1)
     m1, m2 = abs(gamma1), abs(g2)
     if not (m1 < 1.0 and m2 < 1.0):
@@ -336,18 +334,13 @@ def phi_gamma(
     )
 
 
+@_in_float_range
 def _arc_terms(L: Lens, gamma: complex) -> tuple[complex, float, float]:
     """(v, w, R) of the arc inequality |omega v + w| < R at gamma; DomainError
     where one leaves the float range, as b^2 does on a large lens."""
     a, b = L.a, L.b
     v = a * gamma.conjugate() ** 2 + (a * a - b * b + 1.0) * gamma.conjugate() + a
-    try:
-        terms = v, -a * b * (1.0 - abs(gamma) ** 2), b * b - abs(a * gamma + 1.0) ** 2
-    except OverflowError:
-        terms = (math.inf,)
-    if not all(map(cmath.isfinite, terms)):
-        raise DomainError(f"arc terms of the lens ({a!r}, {b!r}) at {gamma!r} leave the float range")
-    return terms
+    return v, -a * b * (1.0 - abs(gamma) ** 2), b * b - abs(a * gamma + 1.0) ** 2
 
 
 def admissibility_margin(L: Lens, gamma: complex, omega: complex) -> float:

@@ -11,13 +11,13 @@ search is involved.
 
 from __future__ import annotations
 
-import cmath
 import json
 import math
 from collections import namedtuple
 from collections.abc import Sequence
 
-from .discgeom import MobiusMap, _pseudo_dist, _residual_within, gamma_disc, require_disc_point, rho
+from .discgeom import (MobiusMap, _in_float_range, _pseudo_dist, _require_finite, _residual_within, gamma_disc,
+                       require_disc_point, rho)
 from .errors import (
     ConvergenceFailure,
     DomainError,
@@ -38,7 +38,7 @@ from .geodesics import (
     phi_gamma,
     solve_omega_eta,
 )
-from .varieties import DomainDab, _dab_lift, _membership, _moduli_in_range, dab_contains
+from .varieties import DomainDab, _dab_lift, _membership, dab_contains
 
 # `geodesic_through`'s default bound on the miss at z in each coordinate; the
 # residual is gated by `_certify_disc` alone, on `discgeom._residual_within`
@@ -66,25 +66,12 @@ def c_dab(d: DomainDab, z, w) -> float:
     )
 
 
-def _tangent(X) -> tuple[complex, ...]:
-    """The tangent vector X as complex numbers; DomainError unless each is finite."""
-    X = tuple(map(complex, X))
-    if not all(map(cmath.isfinite, X)):
-        raise DomainError(f"non-finite tangent vector {X}")
-    return X
-
-
-def _in_range(value: float) -> float:
-    if value == math.inf:
-        raise DomainError("the infinitesimal value leaves the float range")
-    return value
-
-
-@_moduli_in_range
+@_in_float_range
 def kappa_dab_origin(d: DomainDab, X) -> float:
     """max{|X1|, |X2|, |a X1 + b X2|}: the infinitesimal metric at the origin."""
-    X1, X2 = _tangent(X[:2])
-    return _in_range(max(abs(X1), abs(X2), abs(d.a * X1 + d.b * X2)))
+    X1, X2 = X = tuple(map(complex, X[:2]))
+    _require_finite(X, "tangent vector")
+    return max(abs(X1), abs(X2), abs(d.a * X1 + d.b * X2))
 
 
 class GeodesicCertificate(
@@ -473,9 +460,10 @@ def universal_c(U: UniversalSet, z, w) -> float:
     return best
 
 
-@_moduli_in_range
+@_in_float_range
 def universal_gamma(U: UniversalSet, z, X) -> float:
-    X = _tangent(X)
+    X = tuple(map(complex, X))
+    _require_finite(X, "tangent vector")
     best = 0.0
     for member in U.members:
         vz = member(z)
@@ -483,9 +471,10 @@ def universal_gamma(U: UniversalSet, z, X) -> float:
             raise EvaluationOutOfDisc(f"member {member.name} left the disc")
         push = sum(g * x for g, x in zip(member.gradient(z), X))
         best = max(best, gamma_disc(vz, push))
-    return _in_range(best)
+    return best
 
 
+@_in_float_range
 def linear_convexity_quadratic(d: DomainDab) -> tuple[complex, complex, bool]:
     """Roots of b w^2 - (b^2 + 1 - a^2) w + b and their unimodularity flag.
 
@@ -498,15 +487,11 @@ def linear_convexity_quadratic(d: DomainDab) -> tuple[complex, complex, bool]:
     """
     a, b = d.a, d.b
     h = ((b - a) * (b + a) + 1.0) / (2.0 * b)
-    if not math.isfinite(h):
-        raise DomainError(f"witness quadratic of D({a}, {b}) overflows")
     if abs(h) < 1.0:
         s = math.sqrt(1.0 - h * h)
         r1, r2 = complex(h, s), complex(h, -s)
     else:
         big = 2.0 * h if math.isinf(h * h) else h + math.copysign(math.sqrt(h * h - 1.0), h)
-        if math.isinf(big):
-            raise DomainError(f"witness quadratic of D({a}, {b}) overflows")
         r1, r2 = complex(big), complex(1.0 / big)
     uni = all(abs(abs(r) - 1.0) < 1e-10 for r in (r1, r2))
     return (r1, r2, uni)

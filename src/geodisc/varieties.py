@@ -16,13 +16,13 @@ Everything here computes on Python ``complex``, :func:`transport` included.
 from __future__ import annotations
 
 import cmath
-import functools
 import itertools
 import math
 from collections import namedtuple
 from operator import mul, sub
 
-from .discgeom import MobiusMap, _residual_within, _strict_triangle, require_disc_point
+from .discgeom import (MobiusMap, _in_float_range, _require_finite, _residual_within, _strict_triangle,
+                       require_disc_point)
 from .errors import (
     DegenerateImage,
     DomainError,
@@ -38,17 +38,6 @@ POLE_GUARD = 1e-13
 TRANSPORT_TOL = 1e-9
 
 
-def _moduli_in_range(fn):
-    """fn raising DomainError where a modulus of finite parts overflows."""
-    @functools.wraps(fn)
-    def checked(*args, **kwargs):
-        try:
-            return fn(*args, **kwargs)
-        except OverflowError:
-            raise DomainError(f"{fn.__name__}: a modulus leaves the float range") from None
-    return checked
-
-
 class Alpha(namedtuple("Alpha", "a1 a2 a3")):
     """Coefficients of the defining equation, finite and not all zero.  A
     named tuple: it compares equal to the plain tuple of its fields."""
@@ -57,9 +46,8 @@ class Alpha(namedtuple("Alpha", "a1 a2 a3")):
 
     def __new__(cls, a1: complex, a2: complex, a3: complex):
         vals = complex(a1), complex(a2), complex(a3)
-        if not all(map(cmath.isfinite, vals)):
-            bad = next(c for c in vals if not cmath.isfinite(c))
-            raise DomainError(f"non-finite coefficient {bad!r}")
+        if not all(map(cmath.isfinite, vals)):  # inline on success: transport builds one per call
+            _require_finite(vals, "coefficient")
         if not any(vals):
             raise DomainError("alpha must not be the zero triple")
         return tuple.__new__(cls, vals)
@@ -86,7 +74,7 @@ class TriClass(namedtuple("TriClass", "retract axis", defaults=(None,))):
         return {"class": "NonRetract"}
 
 
-@_moduli_in_range
+@_in_float_range
 def classify(alpha: Alpha) -> TriClass:
     """Non-retract iff the moduli satisfy all three strict triangle inequalities.
 
@@ -153,7 +141,7 @@ class NormalForm(namedtuple("NormalForm", "a b rotations")):
         }
 
 
-@_moduli_in_range
+@_in_float_range
 def normalize(alpha: Alpha) -> NormalForm:
     """Diagonal-rotation normal form with a = |a1|/|a3|, b = |a2|/|a3|.
 
@@ -230,7 +218,7 @@ def _equation_tensor(alpha: Alpha) -> tuple[complex, ...]:
     return (0j, a3, a2, -a1.conjugate(), a1, -a2.conjugate(), -a3.conjugate(), 0j)
 
 
-@_moduli_in_range
+@_in_float_range
 def transport(alpha: Alpha, m: TridiscAutomorphism) -> Alpha:
     """Image triple beta with m(surface of alpha) = surface of beta.
 
