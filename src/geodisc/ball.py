@@ -18,7 +18,7 @@ import math
 from collections import namedtuple
 from operator import mul
 
-from .discgeom import _require_finite, require_disc_point
+from .discgeom import _in_float_range, _require_finite, require_disc_point
 from .errors import DomainError, Indeterminate, NoIntersection
 
 DEN_GUARD = 1e-13
@@ -49,7 +49,10 @@ def _norm2(z: Vec) -> float:
 
 def _unit(z: Vec, name: str) -> Vec:
     """z / |z|, taken through z / max|z_j| so that |z|^2 neither underflows nor overflows."""
-    m = max(map(abs, z))
+    try:
+        m = max(map(abs, z))
+    except OverflowError:  # a modulus beyond the float range: scale by the largest part
+        m = max(max(abs(c.real), abs(c.imag)) for c in z)
     if m == 0.0:
         raise DomainError(f"{name} must be nonzero")
     z = tuple([c / m for c in z])
@@ -196,6 +199,7 @@ def universal_member_B2(a) -> BallExtremal:
     return psi_l(ComplexLine(a, (-u2.conjugate(), u1.conjugate())))
 
 
+@_in_float_range
 def universal_member_linear(a1: float, a2: complex) -> BallExtremal:
     """Unit linear functional z -> a1 z1 + a2 z2 with a1 >= 0 real: psi_l of the
     line through 0 with direction (a1, conj(a2))."""
@@ -246,27 +250,41 @@ def c_star_ball(w, z) -> float:
     return math.sqrt(max(val, 0.0))
 
 
+def _c_star_distance(w, z) -> tuple[float, float]:
+    """(c*, the ball distance): arctanh c* while c* < 1, and where c* rounds
+    to 1, log1p(c*) - log(P)/2 with P = (1-|w|^2)(1-|z|^2)/|1-<w,z>|^2 = 1 - c*^2."""
+    c = c_star_ball(w, z)
+    if c < 1.0:
+        return c, math.atanh(c)
+    (w, nw), (z, nz) = _ball_pair(w, z)
+    return c, math.log1p(c) - 0.5 * math.log((1.0 - nw) * (1.0 - nz) / abs(1.0 - _herm(w, z)) ** 2)
+
+
 def locus_value(z1: complex, z2: complex) -> tuple[float, bool]:
     """Im(z2 (1 - conj(z1))) and whether it vanishes to within LOCUS_TOL."""
     im = (z2 * (1.0 - z1.conjugate())).imag
     return im, abs(im) <= LOCUS_TOL
 
 
-def boundary_modulus_locus(z) -> bool:
-    """Whether a unit-sphere point lies on the locus of `locus_value`."""
+def _sphere_point(z) -> Vec:
+    """z as two complex numbers on the unit sphere, to within 1e-6, else DomainError."""
     z = _vec(z)
     if len(z) != 2:
         raise DomainError("defined on dimension 2")
     # false for NaN, so a non-finite point is off the sphere
     if not abs(math.sqrt(_norm2(z)) - 1.0) <= 1e-6:
         raise DomainError("point must lie on the unit sphere")
-    return locus_value(*z)[1]
+    return z
+
+
+def boundary_modulus_locus(z) -> bool:
+    """Whether a unit-sphere point lies on the locus of `locus_value`."""
+    return locus_value(*_sphere_point(z))[1]
 
 
 def boundary_modulus(z) -> float:
     """|F| at a sphere point; Indeterminate at the common zero of both parts."""
-    z = _vec(z)
-    z1, z2 = z[0], z[1]
+    z1, z2 = _sphere_point(z)
     den = 2.0 * (1.0 - z1) - z2 * z2
     num = 2.0 * z1 * (1.0 - z1) - z2 * z2
     if abs(den) < DEN_GUARD:

@@ -5,7 +5,9 @@ Complex numbers on the command line are ``re,im`` pairs; vectors are
 space-separated.  Output is JSON (sorted keys, shortest round-trip floats);
 ``sweep`` and ``plotdata`` print CSV.  Exit codes: 0 success,
 1 computational failure (machine-readable error object on stdout),
-2 validation error.
+2 validation error.  A number that is not finite, or a value that leaves
+the float range, is a typed error with exit 1, never a traceback or a NaN
+in the output: ``discgeom`` owns both checks.
 
 ``verify-lempert`` and ``sweep`` pass a sample when its disc certifies and
 meets the lifted point z; a non-finite residual is null in the report and
@@ -179,8 +181,8 @@ def cmd_ball(args) -> int:
 
     kind = args.kind
     if kind == "cstar":
-        val = ball_mod.c_star_ball(args.w, args.z)
-        _emit_json({"cstar": val, "distance": math.atanh(val)})
+        val, dist = ball_mod._c_star_distance(args.w, args.z)
+        _emit_json({"cstar": val, "distance": dist})
     elif kind == "auto":
         img = ball_mod.ball_automorphism(args.base, args.z)
         _emit_json({"image": [_cjson(c) for c in img]})

@@ -2,6 +2,10 @@
 
 Everything here is exact scalar arithmetic on ``complex``; no arrays.  All
 types are immutable values and all operations are pure functions.
+
+It owns the package's scalar contract: `_require_finite` is the one test
+that input numbers are finite, and `_in_float_range` the one guard on a value
+that leaves the float range; each raises DomainError.
 """
 
 from __future__ import annotations
@@ -45,15 +49,16 @@ _EPS = sys.float_info.epsilon
 
 
 def _residual_within(residual: float, tol: float, size: float, terms: float) -> bool:
-    """residual <= tol * size + k * eps * terms, false for NaN: the one
-    backward-error gate on a residual.
+    """residual <= tol * size + k * eps * terms, false for NaN and where that
+    bound overflows: the one backward-error gate on a residual.
 
     `tol * size` is the stated tolerance on its own scale; `terms` is the
     sum of the moduli of the terms whose sum the residual is, and k eps
     times it bounds the rounding of that sum, so that a residual which is
-    rounding only always passes.
+    rounding only always passes.  A sum of terms beyond the float range
+    bounds nothing, so it passes no residual.
     """
-    return residual <= tol * size + _ROUNDING_K * _EPS * terms
+    return residual <= tol * size + _ROUNDING_K * _EPS * terms < math.inf
 
 
 def _require_finite(values, what: str) -> None:
@@ -95,27 +100,42 @@ def require_disc_point(z: complex) -> complex:
     only a failure is diagnosed as non-finite or outside the disc.
     """
     z = complex(z)
-    if abs(z) < 1.0:
-        return z
+    try:
+        if abs(z) < 1.0:
+            return z
+    except OverflowError:  # |z| of finite parts beyond the float range
+        pass
     _require_finite((z,), "point")
     raise DomainError(f"point {z!r} is not in the open unit disc")
 
 
-def _pseudo_dist(z: complex, w: complex) -> float:
-    """|(z-w)/(1-conj(w)z)| of two complex points the caller has checked."""
+def mobius_dist(z: complex, w: complex) -> float:
+    """Pseudodistance |(z-w)/(1-conj(w)z)| in [0, 1)."""
+    z, w = require_disc_point(z), require_disc_point(w)
     return abs((z - w) / (1.0 - w.conjugate() * z))
 
 
-def mobius_dist(z: complex, w: complex) -> float:
-    """Pseudodistance |(z-w)/(1-conj(w)z)| in [0, 1)."""
-    return _pseudo_dist(require_disc_point(z), require_disc_point(w))
+def _distance(z: complex, w: complex) -> float:
+    """rho(z, w) of two disc points the caller has checked: arctanh p of the
+    pseudodistance p, and where p rounds to 1, log1p(p) - log(1 - p^2)/2 with
+    1 - p^2 as (1 - |z|)(1 + |z|)(1 - |w|)(1 + |w|) / |1 - conj(w) z|^2, which
+    does not cancel."""
+    den = 1.0 - w.conjugate() * z
+    p = abs((z - w) / den)
+    if p < 1.0:
+        return math.atanh(p)
+    az, aw = abs(z), abs(w)
+    return math.log1p(p) - 0.5 * math.log((1.0 - az) * (1.0 + az) * (1.0 - aw) * (1.0 + aw) / abs(den) ** 2)
 
 
 def rho(z: complex, w: complex) -> float:
-    """Hyperbolic distance arctanh of the Mobius pseudodistance."""
-    return math.atanh(mobius_dist(z, w))
+    """Hyperbolic distance arctanh of the Mobius pseudodistance, by `_distance`
+    where the pseudodistance rounds to 1."""
+    p = mobius_dist(z, w)
+    return math.atanh(p) if p < 1.0 else _distance(complex(z), complex(w))
 
 
+@_in_float_range
 def gamma_disc(w: complex, X: complex) -> float:
     """Infinitesimal hyperbolic length |X| / (1 - |w|^2) at w."""
     w = require_disc_point(w)
@@ -130,7 +150,11 @@ class MobiusMap(namedtuple("MobiusMap", "nu rotation")):
 
     def __new__(cls, nu: complex, rotation: complex = 1.0 + 0.0j):
         nu = require_disc_point(nu)
-        if not abs(abs(rotation) - 1.0) <= BOUNDARY_TOL:
+        try:
+            off = abs(abs(rotation) - 1.0)
+        except OverflowError:  # |rotation| of finite parts beyond the float range
+            off = math.inf
+        if not off <= BOUNDARY_TOL:
             raise DomainError(f"rotation {rotation!r} is not unimodular")
         return tuple.__new__(cls, (nu, rotation))
 
@@ -156,6 +180,7 @@ class Quadratic(namedtuple("Quadratic", "a2 a1 a0")):
         return self[:]
 
 
+@_in_float_range
 def schur_roots_outside(q: Quadratic) -> bool:
     """True iff every root of q lies strictly outside the closed unit disc.
 

@@ -93,7 +93,10 @@ class Lens(namedtuple("Lens", "a b")):
 
         In the triangle-inequality regime the unit-circle arc passes through
         -1 and the pair-circle arc through its point closest to the origin.
+        EmptyLens outside it, where the lens has no boundary to trace.
         """
+        if not self.nonempty:
+            raise EmptyLens(f"lens of ({self.a}, {self.b}) is empty")
         c_up, c_dn = self.corners()
         out: list[tuple[str, complex]] = [("corner", c_up)]
         th = cmath.phase(c_up)  # in (0, pi); c_dn is the conjugate
@@ -130,6 +133,7 @@ def _ik_data(L: Lens, gamma1: complex):
     return g2, r1, r2, a * g2 + b * gamma1 + gamma1 * g2
 
 
+@_in_float_range
 def solvability_gaps(L: Lens, gamma1: complex) -> tuple[float, float]:
     """Margins of the two-sided inequality |r1-r2| < |q| < r1+r2.
 
@@ -343,6 +347,7 @@ def _arc_terms(L: Lens, gamma: complex) -> tuple[complex, float, float]:
     return v, -a * b * (1.0 - abs(gamma) ** 2), b * b - abs(a * gamma + 1.0) ** 2
 
 
+@_in_float_range
 def admissibility_margin(L: Lens, gamma: complex, omega: complex) -> float:
     """Slack of the arc inequality; positive exactly on the admissible arc.
 
@@ -408,14 +413,15 @@ def blaschke_family(L: Lens, gamma: complex, omega: complex):
     )
 
 
+@_in_float_range
 def admissible_arc(L: Lens, gamma: complex) -> list[tuple[float, float]]:
     """Open angle intervals of admissible omega = exp(i theta), closed form.
 
     The inequality |omega v + w| < R with v, w fixed defines an arc; its
     endpoints come from the circle-line geometry, accurate to the floating
     solve of one arccos.  DomainError unless gamma lies in the open disc,
-    as for `blaschke_family`, and where a term of the inequality leaves the
-    float range.
+    as for `blaschke_family`, and where a term of the inequality, or its
+    square in the arccos, leaves the float range.
     """
     gamma = require_disc_point(gamma)
     v, w, R = _arc_terms(L, gamma)

@@ -16,7 +16,7 @@ import math
 from collections import namedtuple
 from collections.abc import Sequence
 
-from .discgeom import (MobiusMap, _in_float_range, _pseudo_dist, _require_finite, _residual_within, gamma_disc,
+from .discgeom import (MobiusMap, _distance, _in_float_range, _require_finite, _residual_within, gamma_disc,
                        require_disc_point, rho)
 from .errors import (
     ConvergenceFailure,
@@ -59,11 +59,7 @@ def c_dab(d: DomainDab, z, w) -> float:
     if wl is None:
         raise NotInDomain("both points must lie in the domain")
     # rho of each lifted coordinate, which _dab_lift has checked
-    return max(
-        math.atanh(_pseudo_dist(zl[0], wl[0])),
-        math.atanh(_pseudo_dist(zl[1], wl[1])),
-        math.atanh(_pseudo_dist(zl[2], wl[2])),
-    )
+    return max(_distance(zl[0], wl[0]), _distance(zl[1], wl[1]), _distance(zl[2], wl[2]))
 
 
 @_in_float_range
@@ -71,7 +67,8 @@ def kappa_dab_origin(d: DomainDab, X) -> float:
     """max{|X1|, |X2|, |a X1 + b X2|}: the infinitesimal metric at the origin."""
     X1, X2 = X = tuple(map(complex, X[:2]))
     _require_finite(X, "tangent vector")
-    return max(abs(X1), abs(X2), abs(d.a * X1 + d.b * X2))
+    # the sum first: max keeps a NaN only in its first place
+    return max(abs(d.a * X1 + d.b * X2), abs(X1), abs(X2))
 
 
 class GeodesicCertificate(
@@ -222,7 +219,10 @@ def geodesic_through(
     L = Lens(a, b)  # a and b positive and finite
     z1, z2, x = z
     z = z1, z2, x = complex(z1), complex(z2), complex(x)
-    m1, m2, mx = abs(z1), abs(z2), abs(x)
+    try:
+        m1, m2, mx = abs(z1), abs(z2), abs(x)
+    except OverflowError:  # a modulus beyond the float range
+        m1 = m2 = mx = math.inf
     # false for NaN and infinity: require_disc_point diagnoses a failure
     if not (m1 < 1.0 and m2 < 1.0 and mx < 1.0):
         for w in z:
@@ -380,6 +380,7 @@ def _sample_dab(d: DomainDab, seed: int, index: int) -> tuple[complex, complex]:
     raise SamplingExhausted(f"no point of D({d.a}, {d.b}) in {SAMPLE_DRAWS} draws")
 
 
+@_in_float_range
 def lempert_verify(d: DomainDab, samples: int, seed: int) -> LempertReport:
     """Sampled check of the Lempert equality: each sample, seeded by its
     index, draws a point of the domain, lifts it to z on the variety, and
@@ -450,6 +451,7 @@ def compose_with_mobius(member: UniversalMember, m: MobiusMap) -> UniversalMembe
     return UniversalMember(f"{member.name}|mobius", value, gradient)
 
 
+@_in_float_range
 def universal_c(U: UniversalSet, z, w) -> float:
     best = 0.0
     for member in U.members:

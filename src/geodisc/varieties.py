@@ -106,6 +106,7 @@ def membership_residual(alpha: Alpha, z: tuple[complex, complex, complex]) -> co
     return _membership(*alpha, z1, z2, z3)[0]
 
 
+@_in_float_range
 def graph_value(alpha: Alpha, z1: complex, z2: complex) -> complex:
     """Third coordinate solving the defining equation over (z1, z2).
 
@@ -268,7 +269,7 @@ def transport(alpha: Alpha, m: TridiscAutomorphism) -> Alpha:
             q[lo] = x0 + nu * x1
             q[hi] = rc * (nuc * x0 + x1)
     F = -q[1]
-    if abs(F) < 1e-12 * max(map(abs, q)):
+    if not F or abs(F) < 1e-12 * max(map(abs, q)):  # the scaled bound underflows to 0 on a tiny triple
         raise DegenerateImage("image surface has F = 0; not a graph over (z1, z2)")
     C, D, E = q[6] / F, -q[5] / F, -q[3] / F
     if abs(C) < 1e-9:
@@ -306,9 +307,13 @@ class DomainDab(namedtuple("DomainDab", "a b")):
             raise PoleError(f"denominator vanishes at ({z1!r}, {z2!r})")
         return (self.a * z1 + self.b * z2 - z1 * z2) / den
 
+    @_in_float_range
     def f_gradient(self, z1: complex, z2: complex) -> tuple[complex, complex]:
+        """The gradient of `f`; PoleError where f has its pole."""
         num = self.a * z1 + self.b * z2 - z1 * z2
         den = self.a * z2 + self.b * z1 - 1.0
+        if abs(den) < POLE_GUARD:
+            raise PoleError(f"denominator vanishes at ({z1!r}, {z2!r})")
         d1 = ((self.a - z2) * den - num * self.b) / (den * den)
         d2 = ((self.b - z1) * den - num * self.a) / (den * den)
         return (d1, d2)
@@ -317,11 +322,11 @@ class DomainDab(namedtuple("DomainDab", "a b")):
 def _dab_lift(d: DomainDab, z) -> tuple[complex, complex, complex] | None:
     """(z1, z2, f(z)) when z lies in the domain, else None; f is evaluated once."""
     z1, z2 = complex(z[0]), complex(z[1])
-    if abs(z1) >= 1.0 or abs(z2) >= 1.0:
-        return None
     try:
+        if abs(z1) >= 1.0 or abs(z2) >= 1.0:
+            return None
         fz = d.f(z1, z2)
-    except PoleError:
+    except (OverflowError, PoleError):  # |z1| or |z2| beyond the float range, or the pole of f
         return None
     return (z1, z2, fz) if abs(fz) < 1.0 else None
 

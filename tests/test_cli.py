@@ -1,10 +1,15 @@
 import argparse
+import contextlib
+import csv
+import io
 import json
 import math
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
-from geodisc.cli import build_parser, main
+from geodisc.cli import _complex, _count, build_parser, main
 from geodisc.geodesics import AnalyticDisc
 
 
@@ -557,3 +562,146 @@ def test_no_subcommand_takes_a_tolerance():
     # the walk reaches the options of each kind of ball, distance and plotdata
     assert len({name for name, opt in flags if opt not in ("-h", "--help")}) == 21
     assert [(name, opt) for name, opt in sorted(flags) if opt.startswith("--tol")] == []
+
+
+# the pseudo-distance rounds to 1: arctanh of it was a ValueError traceback
+@pytest.mark.parametrize("argv, key, x", [
+    (("distance", "polydisc", "--z", "0.9999999999999999,0", "--w", "-0.9999999999999999,0"), "c",
+     0.9999999999999999),
+    # z lies in D(0.4, 0.4): f_ab stays in the disc, and the z1 member is far
+    (("universal", "--a", "0.4", "--b", "0.4", "--z", "0.9999999999,0", "0,0", "--w", "-0.9999999999,0", "0,0"),
+     "c", 0.9999999999),
+    (("distance", "dab", "--a", "0.4", "--b", "0.4", "--z", "0.9999999999,0", "0,0", "--w", "-0.9999999999,0",
+      "0,0"), "c", 0.9999999999),
+    (("ball", "cstar", "--z", "0.99999999999,0", "0,0", "--w", "-0.99999999999,0", "0,0"), "distance",
+     0.99999999999),
+], ids=["polydisc", "universal", "dab", "ball"])
+def test_a_distance_whose_pseudo_distance_rounds_to_one_is_finite(capsys, argv, key, x):
+    code, out = run_cli(capsys, *argv)
+    assert code == 0
+    obj = json.loads(out, parse_constant=lambda c: pytest.fail(f"non-strict JSON {c}"))
+    # rho(x, -x) = log((1 + x) / (1 - x)); 1 - x is exact
+    assert obj[key] == pytest.approx(math.log((1.0 + x) / (1.0 - x)), rel=1e-12)
+
+
+def test_universal_distance_of_a_point_outside_the_domain_is_typed(capsys):
+    # f_ab(0.9999999999, 0) = -4 on D(0.8, 0.8); the z1 member took arctanh(1.0) first
+    code, out = run_cli(capsys, "universal", "--a", "0.8", "--b", "0.8", "--z", "0.9999999999,0", "0,0",
+                        "--w", "-0.9999999999,0", "0,0")
+    assert code == 1
+    assert json.loads(out)["error"]["type"] == "EvaluationOutOfDisc"
+
+
+@pytest.mark.parametrize("argv, error", [
+    # the lens is nonempty, but the arccos squares terms near 1e308
+    (("plotdata", "arc", "--a", "1e154", "--b", "1e154", "--gamma", "0.5,0"), "DomainError"),
+    # empty lenses: no boundary to trace
+    (("plotdata", "lens", "--a", "5e-324", "--b", "1", "--n", "2"), "EmptyLens"),
+    (("plotdata", "lens", "--a", "1e-300", "--b", "1", "--n", "2"), "EmptyLens"),
+], ids=["arc", "lens-subnormal", "lens-tiny"])
+def test_plotdata_without_a_finite_answer_is_a_typed_error(capsys, argv, error):
+    code, out = run_cli(capsys, *argv)
+    assert code == 1
+    obj = json.loads(out, parse_constant=lambda c: pytest.fail(f"non-strict JSON {c}"))
+    assert obj["error"]["type"] == error
+
+
+# |x + yi| overflows for finite parts x, y >= 1.3e308: abs raised OverflowError
+@pytest.mark.parametrize("argv, error", [
+    (("geodesic", "--a", "0.8", "--b", "0.8", "--z", "1.7e308,1.7e308", "0,0", "0,0"), "DomainError"),
+    (("geodesic", "--a", "0.8", "--b", "0.8", "--z", "1.7e308,1.7e308", "0,0"), "NotInDomain"),
+    (("distance", "dab", "--a", "0.8", "--b", "0.8", "--z", "1.7e308,1.7e308", "0,0", "--w", "0,0", "0,0"),
+     "NotInDomain"),
+    (("universal", "--a", "0.8", "--b", "0.8", "--z", "1.7e308,1.7e308", "0,0", "--w", "0,0", "0,0"), "DomainError"),
+    (("ball", "ft", "--t", "1", "--lam", "1.7e308,1.7e308"), "DomainError"),
+    (("transport", "--alpha", "0.8,0", "0.8,0", "1,0", "--nu", "0,0", "0,0", "0,0",
+      "--rotation", "1.7e308,1.7e308", "1,0", "1,0"), "DomainError"),
+    # |a z2 + b z1 - 1| of the sampler
+    (("verify-lempert", "--a", "1.7e308", "--b", "1.7e308", "--samples", "1"), "DomainError"),
+    # F = 0 and its bound 1e-12 max|Q| underflows to 0: a ZeroDivisionError
+    (("transport", "--alpha", "5e-324,0", "0,0", "0,0", "--nu", "0,0", "0,0", "0,0"), "DegenerateImage"),
+], ids=["geodesic-triple", "geodesic-pair", "distance", "universal", "ball-ft", "transport-rotation",
+        "verify-lempert", "transport-tiny"])
+def test_a_modulus_beyond_the_float_range_is_a_typed_error(capsys, argv, error):
+    code, out = run_cli(capsys, *argv)
+    assert code == 1
+    assert json.loads(out)["error"]["type"] == error
+
+
+def test_a_direction_whose_modulus_overflows_is_normalized(capsys):
+    code, out = run_cli(capsys, "ball", "extremal", "--base", "0,0", "0,0", "--direction", "1.7e308,1.7e308", "0,0")
+    assert code == 0
+    assert json.loads(out)["direction"] == [pytest.approx([math.sqrt(0.5)] * 2, rel=1e-15), [0.0, 0.0]]
+
+
+# The CLI contract on hostile values: the pool of the property test below,
+# with 1.7e308, whose modulus with a second such part overflows
+POOL = ["0", "1", "-1", "0.999999999", "1e300", "1e-300", "5e-324", "nan", "inf", "-inf", "-0",
+        "0.9999999999999999", "-0.9999999999999999", "0.99999999999", "-0.99999999999", "1e154", "0.5", "1.7e308"]
+# what each option type draws; a count above 3 would print n^3 rows or run as many samples
+_VALUES = {
+    float: st.sampled_from(POOL),
+    _complex: st.builds("{},{}".format, st.sampled_from(POOL), st.sampled_from(POOL)),
+    _count: st.sampled_from(POOL + ["2", "3"]),
+    int: st.sampled_from(POOL + ["2", "3"]),
+}
+_LEAVES = [(path, sp) for path, sp in _parsers(build_parser())
+           if not any(isinstance(a, argparse._SubParsersAction) for a in sp._actions)]
+
+
+@st.composite
+def _argvs(draw):
+    """An invocation of one leaf parser: its required options and a draw of
+    the others, each vector of nargs "+" with the same number of entries."""
+    path, parser = draw(st.sampled_from(_LEAVES))
+    n = draw(st.integers(1, 3))
+    argv = list(path)
+    for action in parser._actions:
+        if isinstance(action, argparse._HelpAction) or not (action.required or draw(st.booleans())):
+            continue
+        opt = action.option_strings[0]
+        if action.nargs == 0:
+            argv.append(opt)
+        elif action.nargs is None:
+            # --opt=value, so that a value such as -inf is not read as an option
+            argv.append(f"{opt}={draw(_VALUES[action.type])}")
+        else:
+            argv += [opt] + [draw(_VALUES[action.type]) for _ in range(n if action.nargs == "+" else action.nargs)]
+    return argv
+
+
+def _finite_csv_field(field: str) -> bool:
+    try:
+        return math.isfinite(float(field))
+    except ValueError:
+        return True
+
+
+@example(["distance", "polydisc", "--z", "0.9999999999999999,0", "--w", "-0.9999999999999999,0"])
+@example(["universal", "--a", "0.8", "--b", "0.8", "--z", "0.9999999999,0", "0,0", "--w", "-0.9999999999,0", "0,0"])
+@example(["ball", "cstar", "--z", "0.99999999999,0", "0,0", "--w", "-0.99999999999,0", "0,0"])
+@example(["plotdata", "arc", "--a", "1e154", "--b", "1e154", "--gamma", "0.5,0"])
+@example(["plotdata", "lens", "--a", "5e-324", "--b", "1", "--n", "2"])
+@example(["plotdata", "lens", "--a", "1e-300", "--b", "1", "--n", "2"])
+@settings(max_examples=400, derandomize=True, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(_argvs())
+def test_cli_contract_on_hostile_values(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    out = out.getvalue()
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert out == ""
+    elif out.startswith("{"):
+        json.loads(out, parse_constant=lambda c: pytest.fail(f"non-strict JSON {c}"))
+    else:
+        assert argv[0] in ("sweep", "plotdata")
+        header, *rows = csv.reader(io.StringIO(out))
+        assert all(len(row) == len(header) for row in rows)
+        if code == 0:
+            assert all(_finite_csv_field(field) for row in rows for field in row)
