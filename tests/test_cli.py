@@ -564,7 +564,7 @@ def test_no_subcommand_takes_a_tolerance():
     assert [(name, opt) for name, opt in sorted(flags) if opt.startswith("--tol")] == []
 
 
-# the pseudo-distance rounds to 1: arctanh of it was a ValueError traceback
+# the pseudo-distance p rounds to 1, where arctanh(p) has no float value
 @pytest.mark.parametrize("argv, key, x", [
     (("distance", "polydisc", "--z", "0.9999999999999999,0", "--w", "-0.9999999999999999,0"), "c",
      0.9999999999999999),
@@ -585,7 +585,7 @@ def test_a_distance_whose_pseudo_distance_rounds_to_one_is_finite(capsys, argv, 
 
 
 def test_universal_distance_of_a_point_outside_the_domain_is_typed(capsys):
-    # f_ab(0.9999999999, 0) = -4 on D(0.8, 0.8); the z1 member took arctanh(1.0) first
+    # f_ab(0.9999999999, 0) = -4 on D(0.8, 0.8): z is not in the domain
     code, out = run_cli(capsys, "universal", "--a", "0.8", "--b", "0.8", "--z", "0.9999999999,0", "0,0",
                         "--w", "-0.9999999999,0", "0,0")
     assert code == 1
@@ -606,7 +606,7 @@ def test_plotdata_without_a_finite_answer_is_a_typed_error(capsys, argv, error):
     assert obj["error"]["type"] == error
 
 
-# |x + yi| overflows for finite parts x, y >= 1.3e308: abs raised OverflowError
+# |x + yi| overflows for finite parts x, y >= 1.3e308
 @pytest.mark.parametrize("argv, error", [
     (("geodesic", "--a", "0.8", "--b", "0.8", "--z", "1.7e308,1.7e308", "0,0", "0,0"), "DomainError"),
     (("geodesic", "--a", "0.8", "--b", "0.8", "--z", "1.7e308,1.7e308", "0,0"), "NotInDomain"),
@@ -618,7 +618,7 @@ def test_plotdata_without_a_finite_answer_is_a_typed_error(capsys, argv, error):
       "--rotation", "1.7e308,1.7e308", "1,0", "1,0"), "DomainError"),
     # |a z2 + b z1 - 1| of the sampler
     (("verify-lempert", "--a", "1.7e308", "--b", "1.7e308", "--samples", "1"), "DomainError"),
-    # F = 0 and its bound 1e-12 max|Q| underflows to 0: a ZeroDivisionError
+    # F = 0, and its bound 1e-12 max|Q| underflows to 0
     (("transport", "--alpha", "5e-324,0", "0,0", "0,0", "--nu", "0,0", "0,0", "0,0"), "DegenerateImage"),
 ], ids=["geodesic-triple", "geodesic-pair", "distance", "universal", "ball-ft", "transport-rotation",
         "verify-lempert", "transport-tiny"])

@@ -146,7 +146,7 @@ def test_an_answer_has_no_nan_or_is_a_typed_error(name, data):
     assert _nans(answer) == []
 
 
-# each returned NaN or raised an untyped error before the contract
+# calls without a finite answer
 @pytest.mark.parametrize("call, error", [
     (lambda: discgeom.gamma_disc(0.1, nan), DomainError),
     (lambda: geodesics.solvability_gaps(Lens(0.8, 0.8), nan), DomainError),
@@ -168,8 +168,8 @@ def test_a_value_without_a_finite_answer_is_a_typed_error(call, error):
 
 def test_a_residual_gate_whose_bound_overflows_passes_nothing():
     assert not discgeom._residual_within(1.0, 1e-10, 1.0, inf)
-    # the sum of the term moduli of kappa and kappa' overflows on this lens, so
-    # the gate passed a pair that is no solution: |kappa| = 1.1e308
+    # the sum of the term moduli of kappa and kappa' overflows on this lens;
+    # a gate without the finite-bound test passes this pair, |kappa| = 1.1e308
     with pytest.raises(DomainError, match="misses the variety"):
         geodesics._certify_disc(Lens(1e308, 1e308), -0.5 + 0j, 1j, 1 + 0j)
 
