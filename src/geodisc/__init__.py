@@ -12,7 +12,7 @@ __version__ = "0.1.0"
 
 # submodule -> the names the package exports from it
 _EXPORTS = {
-    "discgeom": ("MobiusMap", "Quadratic", "gamma_disc", "mobius_dist", "rho", "schur_roots_outside"),
+    "discgeom": ("MobiusMap", "Quadratic", "gamma_disc", "rho", "schur_roots_outside"),
     "varieties": ("Alpha", "DomainDab", "NormalForm", "TriClass", "TridiscAutomorphism", "classify",
                   "dab_contains", "graph_value", "lift_to_M", "membership_residual", "normalize",
                   "transport"),

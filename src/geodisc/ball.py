@@ -44,7 +44,13 @@ def _herm(z: Vec, w: Vec) -> complex:
 
 
 def _norm2(z: Vec) -> float:
-    return _herm(z, z).real
+    """|z|^2: the real parts of z_j conj(z_j), added left to right from 0.0.
+    A sum's real part is the sum of the real parts, so this is the real part
+    of `_herm(z, z)` bit for bit, without its imaginary sums."""
+    n = 0.0
+    for c in z:
+        n += (c * c.conjugate()).real
+    return n
 
 
 def _unit(z: Vec, name: str) -> Vec:
@@ -61,11 +67,20 @@ def _unit(z: Vec, name: str) -> Vec:
 
 
 def _ball_point(z) -> tuple[Vec, float]:
-    """(v, |v|^2) for v = z as a tuple of complex, checked to be finite and in
-    the open unit ball; |v|^2 is the value the check compared with 1."""
-    v = _vec(z)
-    n2 = _norm2(v)
-    if not n2 < 1.0:
+    """(v, |v|^2) for v = z as a tuple of complex, checked as `_vec` checks
+    it, and to be finite and in the open unit ball; |v|^2 is `_norm2`'s sum,
+    the value the check compared with 1.  Both are inlined: every kernel
+    call checks its points here."""
+    try:
+        v = tuple(map(complex, z))
+    except (TypeError, ValueError):
+        raise DomainError("expected a complex vector") from None
+    n2 = 0.0
+    for c in v:
+        n2 += (c * c.conjugate()).real
+    if not (n2 < 1.0 and v):
+        if not v:
+            raise DomainError("expected a complex vector")
         _require_finite(v, "coordinates")
         raise DomainError("point is not in the open unit ball")
     return v, n2
@@ -118,7 +133,8 @@ class ComplexLine(namedtuple("ComplexLine", "base direction")):
 
 
 def minimal_norm_point(l: ComplexLine) -> Vec:
-    """Orthogonal foot of the origin on the line; must land inside the ball."""
+    """Orthogonal foot of the origin on the line, base - <base, d> d for the
+    unit direction d; must land inside the ball."""
     p = _herm(l.base, l.direction)
     foot = tuple([b - p * c for b, c in zip(l.base, l.direction)])
     if not _norm2(foot) < 1.0:
@@ -126,19 +142,17 @@ def minimal_norm_point(l: ComplexLine) -> Vec:
     return foot
 
 
-def _pairs(v: Vec) -> list[list[float]]:
-    return [[c.real, c.imag] for c in v]
-
-
-def _householder_unitary(r: Vec) -> tuple[Vec, ...]:
-    """-t (I - 2 v v* / |v|^2), v = e1 + t conj(r): a unitary with row 0 the unit vector r.
+def _householder_unitary(r: Vec) -> list[list[list[float]]]:
+    """-t (I - 2 v v* / |v|^2), v = e1 + t conj(r): a unitary with row 0 the
+    unit vector r, as rows of [re, im] pairs.
 
     t is the phase of r0, so v_0 = 1 + |r0| cannot cancel; it is read from
     r0 / max(|Re|, |Im|), since r0 / |r0| is not unimodular for a subnormal r0.
-    Entry (i, j) is -t ((i == j) - (k v_i) conj(v_j)), k = 2 / |v|^2: the
-    product is subtracted from the integer 0 or 1, not negated, so its zero
-    parts become +0 before the factor -t.  Each row is built off the diagonal
-    first and its diagonal entry set afterwards.
+    Entry (i, j) is -t ((i == j) - (k v_i) conj(v_j)), k = 2 / |v|^2 by
+    `_norm2`, evaluated in that order: the product is subtracted from the
+    integer 0 or 1, not negated, so its zero parts become +0 before the
+    factor -t.  Each row is built off the diagonal first and its diagonal
+    entry set afterwards, and each entry is split into its pair at once.
     """
     m = max(abs(r[0].real), abs(r[0].imag))
     t = r[0] / m if m else 1.0 + 0j
@@ -149,10 +163,14 @@ def _householder_unitary(r: Vec) -> tuple[Vec, ...]:
     rows = []
     for i, vi in enumerate(v):
         kvi = k * vi
-        row = [nt * (0 - kvi * c) for c in vc]
-        row[i] = nt * (1 - kvi * vc[i])
-        rows.append(tuple(row))
-    return tuple(rows)
+        row = []
+        for c in vc:
+            e = nt * (0 - kvi * c)
+            row.append([e.real, e.imag])
+        e = nt * (1 - kvi * vc[i])
+        row[i] = [e.real, e.imag]
+        rows.append(row)
+    return rows
 
 
 class BallExtremal(namedtuple("BallExtremal", "minimal_point direction")):
@@ -170,19 +188,21 @@ class BallExtremal(namedtuple("BallExtremal", "minimal_point direction")):
     def to_json(self) -> dict:
         """Foot, direction, and a unitary U with psi_l(z) = <U Phi_a(z), e1> for
         Phi_a = ``ball_automorphism``, the identity at a = 0: row 0 of U is -conj(d),
-        or conj(d) for a foot of exactly 0, completed by a Householder reflection."""
-        sign = -1.0 if any(self.minimal_point) else 1.0
-        r = [sign * c.conjugate() for c in self.direction]
+        or conj(d) for a foot of exactly 0, completed by a Householder reflection.
+        Every number is an [re, im] pair; U is the rows `_householder_unitary`
+        builds from r = sign * conj(d), entry by entry in the order it states."""
+        a, d = self
+        sign = -1.0 if any(a) else 1.0
         return {
-            "minimal_point": _pairs(self.minimal_point),
-            "direction": _pairs(self.direction),
-            "unitary": [_pairs(row) for row in _householder_unitary(r)],
+            "minimal_point": [[c.real, c.imag] for c in a],
+            "direction": [[c.real, c.imag] for c in d],
+            "unitary": _householder_unitary([sign * c.conjugate() for c in d]),
         }
 
 
 def psi_l(l: ComplexLine) -> BallExtremal:
     """Extremal for the geodesic cut by the line: see ``BallExtremal``."""
-    return BallExtremal(minimal_norm_point(l), l.direction)
+    return tuple.__new__(BallExtremal, (minimal_norm_point(l), l.direction))
 
 
 def universal_member_B2(a) -> BallExtremal:

@@ -5,7 +5,10 @@ types are immutable values and all operations are pure functions.
 
 It owns the package's scalar contract: `_require_finite` is the one test
 that input numbers are finite, and `_in_float_range` the one guard on a value
-that leaves the float range; each raises DomainError.
+that leaves the float range; each raises DomainError.  A function on the
+verifier's per-sample path keeps the statements that can overflow in a
+``try`` instead, free on success, and raises `_out_of_range` on an
+OverflowError.
 """
 
 from __future__ import annotations
@@ -77,6 +80,11 @@ def _finite_value(value) -> bool:
     return not isinstance(value, (float, complex)) or cmath.isfinite(value)
 
 
+def _out_of_range(name: str) -> DomainError:
+    """The error of a value that leaves the float range inside `name`."""
+    return DomainError(f"{name}: a value overflows or is not a number")
+
+
 def _in_float_range(fn):
     """fn raising DomainError where a value leaves the float range: an
     OverflowError inside it, or a NaN or infinity in what it returns."""
@@ -89,7 +97,7 @@ def _in_float_range(fn):
         else:
             if _finite_value(value):
                 return value
-        raise DomainError(f"{fn.__qualname__}: a value overflows or is not a number")
+        raise _out_of_range(fn.__qualname__)
     return guarded
 
 
@@ -109,12 +117,6 @@ def require_disc_point(z: complex) -> complex:
     raise DomainError(f"point {z!r} is not in the open unit disc")
 
 
-def mobius_dist(z: complex, w: complex) -> float:
-    """Pseudodistance |(z-w)/(1-conj(w)z)| in [0, 1)."""
-    z, w = require_disc_point(z), require_disc_point(w)
-    return abs((z - w) / (1.0 - w.conjugate() * z))
-
-
 def _distance(z: complex, w: complex) -> float:
     """rho(z, w) of two disc points the caller has checked: arctanh p of the
     pseudodistance p, and where p rounds to 1, log1p(p) - log(1 - p^2)/2 with
@@ -129,10 +131,8 @@ def _distance(z: complex, w: complex) -> float:
 
 
 def rho(z: complex, w: complex) -> float:
-    """Hyperbolic distance arctanh of the Mobius pseudodistance, by `_distance`
-    where the pseudodistance rounds to 1."""
-    p = mobius_dist(z, w)
-    return math.atanh(p) if p < 1.0 else _distance(complex(z), complex(w))
+    """Hyperbolic distance: `_distance` of z and w, checked to lie in the disc."""
+    return _distance(require_disc_point(z), require_disc_point(w))
 
 
 @_in_float_range

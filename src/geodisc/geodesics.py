@@ -32,6 +32,7 @@ from .discgeom import (
     BOUNDARY_TOL,
     Quadratic,
     _in_float_range,
+    _out_of_range,
     _require_finite,
     _residual_within,
     _strict_triangle,
@@ -150,10 +151,14 @@ def solve_omega_eta(L: Lens, gamma1: complex) -> tuple[OmegaEta, OmegaEta]:
     The two branches are the two triangle configurations; `plus` carries the
     positive oriented angle from -q to r1*omega.  Raises Tangent when |q|
     meets r1+r2 or |r1-r2| within BOUNDARY_TOL, Infeasible when it leaves
-    the interval by more than that, and DomainError for a non-finite gamma1.
+    the interval by more than that, and DomainError for a non-finite gamma1
+    or where |q| leaves the float range.
     """
     _, r1, r2, q = _ik_data(L, gamma1)
-    aq = abs(q)
+    try:
+        aq = abs(q)
+    except OverflowError:  # |q| of finite parts can leave the float range on a huge lens
+        raise _out_of_range("solve_omega_eta") from None
     lo, hi = abs(r1 - r2), r1 + r2
     # false for every NaN, so a non-finite gamma1 takes the failure path
     if not lo + BOUNDARY_TOL < aq < hi - BOUNDARY_TOL:
@@ -270,28 +275,32 @@ def _certify_disc(L: Lens, gamma1: complex, omega: complex, eta: complex) -> Non
     up to rounding.  The forward supremum of the residual over the closed
     disc is at most (|k| + |k'|) / ((1 - |g1 omega|)(1 - |g2 eta|)), which
     is not tested: near the lens boundary it exceeds RESIDUAL_TOL on discs
-    whose residual on the circle stays far below it.
+    whose residual on the circle stays far below it.  DomainError where a
+    modulus leaves the float range.
     """
-    if not (cmath.isfinite(gamma1) and cmath.isfinite(omega) and cmath.isfinite(eta)):
-        _require_finite((gamma1, omega, eta), "coefficient")
-    g2 = L.gamma2(gamma1)
-    m1, m2 = abs(gamma1), abs(g2)
-    if not (m1 < 1.0 and m2 < 1.0):
-        raise DomainError(f"tangent parameters {gamma1!r}, {g2!r} are not in the open unit disc")
-    _, r1, r2, q = _ik_data(L, gamma1)
-    if not (abs(gamma1 * omega) < 1.0 and abs(g2 * eta) < 1.0):
-        raise DomainError("component denominator has a root in the closed disc")
-    off = max(abs(abs(omega) - 1.0), abs(abs(eta) - 1.0))
-    if off > RESIDUAL_TOL:
-        raise DomainError(f"pair (omega, eta) is off the unit circle by {off:.3e}")
-    kappa = r1 * omega + r2 * eta + q
-    kappa2 = r1 * eta + r2 * omega + omega * eta * q.conjugate()
-    worst = max(abs(kappa), abs(kappa2))
-    # the moduli of the seven terms kappa and kappa' expand to, with |omega| = |eta| = 1
-    a, b = L.a, L.b
-    terms = a * (1.0 + m1 * m1) + b * (1.0 + m2 * m2) + a * m2 + b * m1 + m1 * m2
-    if not _residual_within(worst, RESIDUAL_TOL, abs(q), terms):
-        raise DomainError(f"constructed disc misses the variety: coefficient {worst:.3e}, |q| {abs(q):.3e}")
+    try:  # a modulus of finite parts can leave the float range on a huge lens
+        if not (cmath.isfinite(gamma1) and cmath.isfinite(omega) and cmath.isfinite(eta)):
+            _require_finite((gamma1, omega, eta), "coefficient")
+        g2 = L.gamma2(gamma1)
+        m1, m2 = abs(gamma1), abs(g2)
+        if not (m1 < 1.0 and m2 < 1.0):
+            raise DomainError(f"tangent parameters {gamma1!r}, {g2!r} are not in the open unit disc")
+        _, r1, r2, q = _ik_data(L, gamma1)
+        if not (abs(gamma1 * omega) < 1.0 and abs(g2 * eta) < 1.0):
+            raise DomainError("component denominator has a root in the closed disc")
+        off = max(abs(abs(omega) - 1.0), abs(abs(eta) - 1.0))
+        if off > RESIDUAL_TOL:
+            raise DomainError(f"pair (omega, eta) is off the unit circle by {off:.3e}")
+        kappa = r1 * omega + r2 * eta + q
+        kappa2 = r1 * eta + r2 * omega + omega * eta * q.conjugate()
+        worst = max(abs(kappa), abs(kappa2))
+        # the moduli of the seven terms kappa and kappa' expand to, with |omega| = |eta| = 1
+        a, b = L.a, L.b
+        terms = a * (1.0 + m1 * m1) + b * (1.0 + m2 * m2) + a * m2 + b * m1 + m1 * m2
+        if not _residual_within(worst, RESIDUAL_TOL, abs(q), terms):
+            raise DomainError(f"constructed disc misses the variety: coefficient {worst:.3e}, |q| {abs(q):.3e}")
+    except OverflowError:
+        raise _out_of_range("_certify_disc") from None
 
 
 def phi_gamma(
@@ -419,9 +428,21 @@ def admissible_arc(L: Lens, gamma: complex) -> list[tuple[float, float]]:
 
     The inequality |omega v + w| < R with v, w fixed defines an arc; its
     endpoints come from the circle-line geometry, accurate to the floating
-    solve of one arccos.  DomainError unless gamma lies in the open disc,
-    as for `blaschke_family`, and where a term of the inequality, or its
-    square in the arccos, leaves the float range.
+    solve of one arccos.  Its argument is
+
+        c0 = (R^2 - |v|^2 - |w|^2) / (2 |v| |w|)
+           = ((R - |w|) / (2 |v|)) ((R + |w|) / |w|) - |v| / (2 |w|),
+
+    which squares none of the terms.  With |w| = a b (1 - |g|^2),
+    R -+ |w| = (b -+ a)(b +- a |g|^2) - (2 a Re g + 1), so neither is the
+    difference of two rounded terms near R: on a large lens, R and |w| agree
+    to far beyond their rounding and R - |w| is of the order of a.
+    (R + |w|) / |w| is divided through term by term, as R + |w| leaves the
+    float range on lenses near a = b = 1.3e154, where R does not.  The
+    phase of v conj(w) is taken as a difference of phases, as the product
+    can overflow.  DomainError unless gamma lies in the open disc, as for
+    `blaschke_family`, and where a term of the inequality leaves the float
+    range.
     """
     gamma = require_disc_point(gamma)
     v, w, R = _arc_terms(L, gamma)
@@ -432,13 +453,16 @@ def admissible_arc(L: Lens, gamma: complex) -> list[tuple[float, float]]:
         return [(0.0, 2.0 * math.pi)] if aw < R else []
     if aw < 1e-15:
         return [(0.0, 2.0 * math.pi)] if av < R else []
-    c0 = (R * R - av * av - aw * aw) / (2.0 * av * aw)
+    a, b, m = L.a, L.b, gamma.real * gamma.real + gamma.imag * gamma.imag
+    t = 2.0 * a * gamma.real + 1.0
+    R_minus = (b - a) * (b + a * m) - t
+    c0 = R_minus / (2.0 * av) * ((b + a) / aw * (b - a * m) - t / aw) - av / (2.0 * aw)
     if c0 >= 1.0:
         return [(0.0, 2.0 * math.pi)]
     if c0 <= -1.0:
         return []
     alpha = math.acos(c0)
-    phi0 = cmath.phase(v * w.conjugate())
+    phi0 = cmath.phase(v) - cmath.phase(w)
     lo = alpha - phi0
     hi = 2.0 * math.pi - alpha - phi0
     lo %= 2.0 * math.pi

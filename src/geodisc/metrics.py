@@ -16,8 +16,8 @@ import math
 from collections import namedtuple
 from collections.abc import Sequence
 
-from .discgeom import (MobiusMap, _distance, _in_float_range, _require_finite, _residual_within, gamma_disc,
-                       require_disc_point, rho)
+from .discgeom import (MobiusMap, _distance, _in_float_range, _out_of_range, _require_finite, _residual_within,
+                       gamma_disc, require_disc_point, rho)
 from .errors import (
     ConvergenceFailure,
     DomainError,
@@ -301,14 +301,18 @@ def dominant_permutation(z) -> tuple[int, int, int]:
     """Permutation placing the dominant-modulus coordinate third.
 
     Ties pick the largest index, so an already-dominant third slot stays put.
+    DomainError where a modulus leaves the float range.
     """
-    k, top = 0, abs(z[0])
-    m = abs(z[1])
-    if m >= top:
-        k, top = 1, m
-    if abs(z[2]) >= top:
-        k = 2
-    return _PERMS_TO_THIRD[k]
+    try:  # a modulus of finite parts can leave the float range
+        k, top = 0, abs(z[0])
+        m = abs(z[1])
+        if m >= top:
+            k, top = 1, m
+        if abs(z[2]) >= top:
+            k = 2
+        return _PERMS_TO_THIRD[k]
+    except OverflowError:
+        raise _out_of_range("dominant_permutation") from None
 
 
 def permuted_parameters(a: float, b: float, perm: tuple[int, int, int]) -> tuple[float, float]:

@@ -5,9 +5,9 @@ package imports it, and it is the only one that imports numpy.
 
 The code here deliberately shares no evaluation paths with the primary
 implementations it is used to check: roots come from the explicit quadratic
-formula, distances from direct definitions, derivatives from central
-differences.  Randomness is counter-based (Philox) keyed by (seed, index) so
-sampling is reproducible regardless of call order.
+formula and distances from direct definitions.  Randomness is counter-based
+(Philox) keyed by (seed, index) so sampling is reproducible regardless of
+call order.
 """
 
 from __future__ import annotations
@@ -154,19 +154,6 @@ def _invert_mobius_coeffs(num, den, target):
     if abs(a) < 1e-15 * max(abs(b), 1.0):
         return None
     return -b / a
-
-
-def finite_diff_derivative(f, z, direction, h: float = 1e-6) -> complex:
-    """Central difference (f(z + h e) - f(z - h e)) / (2h) along `direction`."""
-    if h <= 0:
-        raise ValueError("h must be positive")
-    if isinstance(z, (tuple, list)):
-        zp = tuple(a + h * e for a, e in zip(z, direction))
-        zm = tuple(a - h * e for a, e in zip(z, direction))
-    else:
-        zp = z + h * direction
-        zm = z - h * direction
-    return (f(zp) - f(zm)) / (2.0 * h)
 
 
 def surface_samples(alpha: Alpha, n: int, seed: int = 20240) -> list:

@@ -19,7 +19,6 @@ import cmath
 import itertools
 import math
 from collections import namedtuple
-from operator import mul, sub
 
 from .discgeom import (MobiusMap, _in_float_range, _require_finite, _residual_within, _strict_triangle,
                        require_disc_point)
@@ -199,7 +198,8 @@ class TridiscAutomorphism(namedtuple("TridiscAutomorphism", "perm maps")):
             s = tuple(maps)
         except TypeError:
             s = ()
-        if len(s) != 3 or not all(isinstance(f, MobiusMap) for f in s):
+        if not (len(s) == 3 and isinstance(s[0], MobiusMap) and isinstance(s[1], MobiusMap)
+                and isinstance(s[2], MobiusMap)):
             raise DomainError(f"maps {maps!r} are not three MobiusMap slots")
         return tuple.__new__(cls, (p, s))
 
@@ -279,7 +279,9 @@ def transport(alpha: Alpha, m: TridiscAutomorphism) -> Alpha:
         c = -c
     beta = Alpha(c * E.conjugate(), c * D.conjugate(), -c.conjugate())
     scale = beta.a3 / -F
-    worst = sum(map(abs, map(sub, map(mul, q, itertools.repeat(scale)), _equation_tensor(beta))))
+    worst = 0.0
+    for x, y in zip(q, _equation_tensor(beta)):
+        worst += abs(x * scale - y)
     if not worst <= TRANSPORT_TOL:
         raise DegenerateImage(f"transported coefficients miss by {worst:.3e}, above tolerance")
     return beta

@@ -460,11 +460,26 @@ def test_scalar_kernels_match_reference(case):
 
 
 # The ball kernels as first written on tuples: generator expressions, each norm
-# recomputed where it is used, and every Householder entry -t ((i == j) - k v_i
-# conj(v_j)) built in one nested expression.  The kernels must agree with them
-# bit for bit, signed zeros included.
+# the real part of a Hermitian sum recomputed where it is used, and every
+# Householder entry -t ((i == j) - k v_i conj(v_j)) built in one nested
+# expression.  The kernels must agree with them bit for bit, signed zeros
+# included.
 def gen_herm(z, w):
     return sum(map(mul, z, map(complex.conjugate, w)))
+
+
+def gen_unit(d):
+    d = tuple(map(complex, d))
+    m = max(map(abs, d))
+    d = tuple(c / m for c in d)
+    n = math.sqrt(gen_herm(d, d).real)
+    return tuple(c / n for c in d)
+
+
+def gen_foot(base, d):
+    base = tuple(map(complex, base))
+    p = gen_herm(base, d)
+    return tuple(b - p * c for b, c in zip(base, d))
 
 
 def gen_automorphism(a, z):
@@ -518,14 +533,18 @@ def assert_same_bits(got, want):
 def assert_kernels_match_generator_forms(a, z, w, base, direction):
     assert_same_bits(c_star_ball(w, z), gen_c_star(w, z))
     assert_same_bits(ball_automorphism(a, z), gen_automorphism(a, z))
-    psi = psi_l(ComplexLine(base=base, direction=direction))
+    line = ComplexLine(base=base, direction=direction)
+    unit = gen_unit(direction)
+    assert_same_bits(line.direction, unit)
+    assert_same_bits(minimal_norm_point(line), gen_foot(base, unit))
+    psi = psi_l(line)
     for p in (z, w):
         assert_same_bits(psi(p), gen_psi_value(psi, p))
     sign = -1.0 if any(psi.minimal_point) else 1.0
     r = tuple(sign * c.conjugate() for c in psi.direction)
-    want = gen_householder(r)
+    want = [[[c.real, c.imag] for c in row] for row in gen_householder(r)]
     assert_same_bits(_householder_unitary(r), want)
-    assert_same_bits(psi.to_json()["unitary"], [[[c.real, c.imag] for c in row] for row in want])
+    assert_same_bits(psi.to_json()["unitary"], want)
 
 
 @settings(max_examples=300, deadline=None)

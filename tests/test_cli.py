@@ -592,13 +592,24 @@ def test_universal_distance_of_a_point_outside_the_domain_is_typed(capsys):
     assert json.loads(out)["error"]["type"] == "EvaluationOutOfDisc"
 
 
+def test_plotdata_arc_of_a_huge_nonempty_lens(capsys):
+    # R and |w| are near 7.5e307 and differ by about a = 1e154, far below
+    # their rounding; the arc's cosine is -0.8 and phase(v conj(w)) is pi
+    code, out = run_cli(capsys, "plotdata", "arc", "--a", "1e154", "--b", "1e154", "--gamma", "0.5,0")
+    assert code == 0
+    header, *rows = out.strip().split("\n")
+    assert header == "theta_lo,theta_hi"
+    alpha = math.acos(-0.8)
+    got = [[float(x) for x in row.split(",")] for row in rows]
+    assert got == [[0.0, pytest.approx(math.pi - alpha, rel=1e-12)],
+                   [pytest.approx(math.pi + alpha, rel=1e-12), 2.0 * math.pi]]
+
+
 @pytest.mark.parametrize("argv, error", [
-    # the lens is nonempty, but the arccos squares terms near 1e308
-    (("plotdata", "arc", "--a", "1e154", "--b", "1e154", "--gamma", "0.5,0"), "DomainError"),
     # empty lenses: no boundary to trace
     (("plotdata", "lens", "--a", "5e-324", "--b", "1", "--n", "2"), "EmptyLens"),
     (("plotdata", "lens", "--a", "1e-300", "--b", "1", "--n", "2"), "EmptyLens"),
-], ids=["arc", "lens-subnormal", "lens-tiny"])
+], ids=["lens-subnormal", "lens-tiny"])
 def test_plotdata_without_a_finite_answer_is_a_typed_error(capsys, argv, error):
     code, out = run_cli(capsys, *argv)
     assert code == 1

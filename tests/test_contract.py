@@ -19,9 +19,9 @@ from geodisc.varieties import Alpha, DomainDab, TridiscAutomorphism
 
 nan, inf = math.nan, math.inf
 
-# the values of the CLI contract test, as numbers, less 1.7e308
+# the values of the CLI contract test, as numbers
 POOL = [0.0, 1.0, -1.0, 1 - 1e-9, 1e300, 1e-300, 5e-324, nan, inf, -inf, -0.0,
-        0.9999999999999999, -0.9999999999999999, 1 - 1e-11, -(1 - 1e-11), 1e154, 0.5]
+        0.9999999999999999, -0.9999999999999999, 1 - 1e-11, -(1 - 1e-11), 1e154, 0.5, 1.7e308]
 R = st.sampled_from(POOL)
 C = st.builds(complex, R, R)
 V = st.lists(C, min_size=1, max_size=3).map(tuple)
@@ -36,7 +36,6 @@ def _psi(base, direction, z):
 # the call, so that their own rejections count as answers too
 CALLS = {
     "discgeom.require_disc_point": (discgeom.require_disc_point, (C,)),
-    "discgeom.mobius_dist": (discgeom.mobius_dist, (C, C)),
     "discgeom.rho": (discgeom.rho, (C, C)),
     "discgeom.gamma_disc": (discgeom.gamma_disc, (C, C)),
     "discgeom.MobiusMap": (MobiusMap, (C, C)),
@@ -159,8 +158,14 @@ def test_an_answer_has_no_nan_or_is_a_typed_error(name, data):
     (lambda: ball.universal_member_linear(0.0, 1e300), DomainError),
     (lambda: discgeom.schur_roots_outside(Quadratic(1, 0, 1e200)), DomainError),
     (lambda: geodesics.blaschke_family(Lens(1e200, 1e200), 0.5, 1), DomainError),
+    # OverflowError: a modulus of finite parts leaves the float range
+    (lambda: geodesics.solve_omega_eta(Lens(1.0, 1.7e308), 1 + 1j), DomainError),
+    (lambda: geodesics.phi_gamma(Lens(1.0, 1.7e308), 1 + 1j), DomainError),
+    (lambda: geodesics._certify_disc(Lens(1.7e308, 1.7e308), -0.5 + 0j, 1j, 1 + 0j), DomainError),
+    (lambda: metrics.dominant_permutation((1.7e308 + 1.7e308j, 0j, 0j)), DomainError),
 ], ids=["gamma_disc", "solvability_gaps", "graph_value", "boundary_modulus", "admissibility_margin",
-        "f_gradient", "universal_member_linear", "schur_roots_outside", "blaschke_family"])
+        "f_gradient", "universal_member_linear", "schur_roots_outside", "blaschke_family",
+        "solve_omega_eta", "phi_gamma", "certify_disc", "dominant_permutation"])
 def test_a_value_without_a_finite_answer_is_a_typed_error(call, error):
     with pytest.raises(error):
         call()

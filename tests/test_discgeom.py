@@ -10,7 +10,6 @@ from geodisc.discgeom import (
     Quadratic,
     _residual_within,
     gamma_disc,
-    mobius_dist,
     rho,
     schur_roots_outside,
 )
@@ -21,23 +20,31 @@ from geodisc.oracle import quadratic_roots, rng_for
 disc_points = st.complex_numbers(max_magnitude=0.95, allow_nan=False, allow_infinity=False)
 
 
+# the Mobius pseudodistance |(z-w)/(1-conj(w)z)| is tanh rho(z, w)
 def test_mobius_dist_examples():
-    assert mobius_dist(0.0, 0.0) == 0.0
+    assert rho(0.0, 0.0) == 0.0
     for t in (0.0, 0.25, 0.5, 0.99):
-        assert mobius_dist(0.0, t) == pytest.approx(t, abs=1e-15)
-    assert mobius_dist(0.5, -0.5) == pytest.approx(0.8, abs=1e-15)
+        assert math.tanh(rho(0.0, t)) == pytest.approx(t, abs=1e-15)
+    assert math.tanh(rho(0.5, -0.5)) == pytest.approx(0.8, abs=1e-15)
 
 
 def test_mobius_dist_rejects_outside():
     with pytest.raises(DomainError):
-        mobius_dist(1.0, 0.0)
+        rho(1.0, 0.0)
     with pytest.raises(DomainError):
-        mobius_dist(0.0, complex(float("nan"), 0.0))
+        rho(0.0, complex(float("nan"), 0.0))
 
 
 def test_rho_examples():
     assert rho(0.0, 0.0) == 0.0
     assert rho(0.0, 0.5) == pytest.approx(math.atanh(0.5), abs=1e-15)
+
+
+@given(disc_points, disc_points)
+def test_rho_is_arctanh_of_the_pseudodistance_bit_for_bit(z, w):
+    p = abs((z - w) / (1.0 - w.conjugate() * z))
+    assert p < 1.0
+    assert rho(z, w) == math.atanh(p)
 
 
 @given(disc_points, disc_points)

@@ -1,6 +1,7 @@
 import cmath
 import json
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings
@@ -287,6 +288,39 @@ def test_admissible_arc_agreement_and_openness():
             if abs(margin) < 1e-10:
                 continue
             assert arc_contains(arcs, th) == (margin > 0)
+
+
+def exact_arc_cosine(a, b, g):
+    """(c0, phase of v conj(w)) of the arc inequality |omega v + w| < R,
+    from the exact values of a, b and g: c0 = (R^2 - |v|^2 - |w|^2) / (2 |v| |w|)."""
+    a, b, x, y = map(Fraction, (a, b, g.real, g.imag))
+    k = a * a - b * b + 1
+    # v = a conj(g)^2 + k conj(g) + a, w = -a b (1 - |g|^2) < 0
+    vr, vi = a * (x * x - y * y) + k * x + a, -2 * a * x * y - k * y
+    aw = a * b * (1 - x * x - y * y)
+    R = b * b - (a * x + 1) ** 2 - (a * y) ** 2
+    v2 = vr * vr + vi * vi
+    c0 = float((R * R - v2 - aw * aw) / (2 * aw)) / math.sqrt(float(v2))
+    return c0, math.atan2(vi, vr) - math.pi
+
+
+@pytest.mark.parametrize("a, b, gamma", [
+    (0.8, 0.8, -0.625), (0.8, 0.9, -0.7 + 0.3j), (20.0, 20.5, -0.9 + 0.05j), (0.3, 1.2, -0.5 - 0.3j),
+    # R and |w| agree far beyond their rounding; R - |w| is about a
+    (1e154, 1e154, 0.5), (1e154, 1e154, 0.5 + 0.3j), (1e154, 1e154, -0.3 - 0.6j),
+    (3e153, 3e153, -0.9 + 0.1j), (1e100, 1e100, 0.2 - 0.7j),
+    # R + |w| overflows though R and |w| do not
+    (1.2e154, 1.2e154, 0.0), (1.34e154, 1.34e154, 0.1j), (1.3e154, 1.3e154, -0.2 + 0.1j),
+])
+def test_admissible_arc_matches_the_exact_cosine(a, b, gamma):
+    c0, phi0 = exact_arc_cosine(a, b, gamma)
+    assert -1.0 < c0 < 1.0
+    arcs = admissible_arc(Lens(a, b), gamma)
+    ends = [t for arc in arcs for t in arc if t not in (0.0, 2.0 * math.pi)]
+    assert len(ends) == 2
+    # each endpoint is +-arccos(c0) - phi0
+    for t in ends:
+        assert math.cos(t + phi0) == pytest.approx(c0, abs=1e-12)
 
 
 @pytest.mark.parametrize("gamma", [complex(math.nan, 0.0), 1.5 + 0j, 1.0 + 0j])

@@ -10,7 +10,6 @@ from geodisc.oracle import (
     _param_for,
     blaschke_degree,
     caratheodory_lower_bound,
-    finite_diff_derivative,
     lempert_upper_bound,
     lens_interior_points,
     quadratic_roots,
@@ -131,21 +130,6 @@ def test_sandwich_on_dab():
     lower = caratheodory_lower_bound(members, (0.0, 0.0, 0.0), z3)
     assert lower <= upper + 1e-12
     assert upper - lower < 1e-9  # equality at desk scale
-
-
-def test_finite_diff_derivative():
-    f1 = lambda z: z[0]
-    assert finite_diff_derivative(f1, (0.1, 0.2), (1.0, 0.0)) == pytest.approx(1.0, abs=1e-9)
-    d = DomainDab(0.8, 0.8)
-    fd = finite_diff_derivative(lambda z: d.f(z[0], z[1]), (0.0, 0.0), (1.0, 0.0))
-    assert abs(fd - d.f_gradient(0.0, 0.0)[0]) < 1e-5
-    # linearity in the direction
-    g = lambda z: z[0] ** 2 + 2.0 * z[1]
-    at = (0.3 + 0.1j, -0.2)
-    d1 = finite_diff_derivative(g, at, (1.0, 0.0))
-    d2 = finite_diff_derivative(g, at, (0.0, 1.0))
-    d12 = finite_diff_derivative(g, at, (1.0, 1.0))
-    assert abs(d12 - d1 - d2) < 1e-6
 
 
 def test_rng_reproducible_and_counterbased():

@@ -2,6 +2,8 @@ import cmath
 import itertools
 import math
 import re
+import sys
+from operator import mul, sub
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ from geodisc.discgeom import MobiusMap
 from geodisc.errors import (
     DegenerateImage,
     DomainError,
+    GeodiscError,
     InvalidAutomorphism,
     NotInDomain,
     PoleError,
@@ -24,6 +27,7 @@ from geodisc.varieties import (
     DomainDab,
     TriClass,
     TridiscAutomorphism,
+    _equation_tensor,
     classify,
     dab_contains,
     graph_value,
@@ -325,6 +329,47 @@ def test_transport_matches_einsum_reference(coeffs, angles, seed):
         ref = _einsum_beta(alpha, m)
         scale = max(map(abs, ref))
         assert max(abs(b - r) for b, r in zip(beta, ref)) <= 1e-12 * scale
+
+
+def locals_at_exit(fn, call):
+    """The local variables of fn's frame as it returns or raises during call()."""
+    seen = {}
+
+    def in_fn(frame, event, arg):
+        if event == "return":
+            seen.update(frame.f_locals)
+        return in_fn
+
+    old = sys.gettrace()
+    sys.settrace(lambda frame, event, arg: in_fn if frame.f_code is fn.__code__ else None)
+    try:
+        call()
+    except GeodiscError:
+        pass
+    finally:
+        sys.settrace(old)
+    return seen
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.tuples(coefficients, coefficients, coefficients),
+    st.permutations((0, 1, 2)),
+    st.lists(st.floats(0.0, 2.0 * math.pi), min_size=3, max_size=3),
+    st.integers(0, 2**32 - 1),
+)
+def test_transport_miss_matches_its_generator_form_bit_for_bit(coeffs, perm, angles, seed):
+    # the coefficient miss as first written: one generator sum over Q rescaled
+    # to beta3 minus the tensor of beta
+    alpha = Alpha(*coeffs)
+    base = surface_samples(alpha, 1, seed=seed)[0]
+    maps = tuple(MobiusMap(base[p], cmath.exp(1j * t)) for p, t in zip(perm, angles))
+    m = TridiscAutomorphism(perm=tuple(perm), maps=maps)
+    seen = locals_at_exit(transport.__wrapped__, lambda: transport(alpha, m))
+    assume("worst" in seen)
+    q, scale, beta = seen["q"], seen["scale"], seen["beta"]
+    want = sum(map(abs, map(sub, map(mul, q, itertools.repeat(scale)), _equation_tensor(beta))))
+    assert seen["worst"].hex() == want.hex()
 
 
 @pytest.mark.parametrize("perm, maps", [
