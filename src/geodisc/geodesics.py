@@ -152,7 +152,7 @@ def solve_omega_eta(L: Lens, gamma1: complex) -> tuple[OmegaEta, OmegaEta]:
     positive oriented angle from -q to r1*omega.  Raises Tangent when |q|
     meets r1+r2 or |r1-r2| within BOUNDARY_TOL, Infeasible when it leaves
     the interval by more than that, and DomainError for a non-finite gamma1
-    or where |q| leaves the float range.
+    or where |q| or r1 + r2 leaves the float range.
     """
     _, r1, r2, q = _ik_data(L, gamma1)
     try:
@@ -160,13 +160,16 @@ def solve_omega_eta(L: Lens, gamma1: complex) -> tuple[OmegaEta, OmegaEta]:
     except OverflowError:  # |q| of finite parts can leave the float range on a huge lens
         raise _out_of_range("solve_omega_eta") from None
     lo, hi = abs(r1 - r2), r1 + r2
-    # false for every NaN, so a non-finite gamma1 takes the failure path
-    if not lo + BOUNDARY_TOL < aq < hi - BOUNDARY_TOL:
+    # false for every NaN, so a non-finite gamma1 takes the failure path, and
+    # where r1 + r2 overflows, as it does near the float maximum
+    if not lo + BOUNDARY_TOL < aq < hi - BOUNDARY_TOL < math.inf:
         _require_finite((gamma1,), "tangent parameter")
         if aq > hi + BOUNDARY_TOL or aq < lo - BOUNDARY_TOL:
             raise Infeasible(
                 f"|q| = {aq:.6g} outside ({lo:.6g}, {hi:.6g}); parameter not in the lens"
             )
+        if hi == math.inf:  # no interval end to be tangent to
+            raise _out_of_range("solve_omega_eta")
         raise Tangent(f"|q| = {aq:.6g} within tolerance of the interval ends")
     u = -q / aq
     # 1 - cos and 1 + cos of the angle at r1*omega, each a product of side
@@ -177,7 +180,9 @@ def solve_omega_eta(L: Lens, gamma1: complex) -> tuple[OmegaEta, OmegaEta]:
     ct = 1.0 - one_minus if one_minus < one_plus else one_plus - 1.0
     st = math.sqrt(max(0.0, one_minus * one_plus))
     wp, wm = u * complex(ct, st), u * complex(ct, -st)
-    return (OmegaEta(wp, (-q - r1 * wp) / r2, PLUS), OmegaEta(wm, (-q - r1 * wm) / r2, MINUS))
+    # tuple.__new__ skips the generated __new__ and its frame
+    return (tuple.__new__(OmegaEta, (wp, (-q - r1 * wp) / r2, PLUS)),
+            tuple.__new__(OmegaEta, (wm, (-q - r1 * wm) / r2, MINUS)))
 
 
 class RationalMap(namedtuple("RationalMap", "num den")):
@@ -225,11 +230,16 @@ class AnalyticDisc(namedtuple("AnalyticDisc", "components tag params", defaults=
 
     def to_json(self) -> dict:
         """The disc in fresh containers: editing them leaves the disc as it is."""
+        # plain loops: CPython 3.11 makes a frame for each comprehension (PEP 709
+        # inlines them from 3.12 on), and this runs once per certificate
         components = []
         for num, den in self.components:
-            components.append(
-                {"num": [[c.real, c.imag] for c in num], "den": [[c.real, c.imag] for c in den]}
-            )
+            n, d = [], []
+            for c in num:
+                n.append([c.real, c.imag])
+            for c in den:
+                d.append([c.real, c.imag])
+            components.append({"num": n, "den": d})
         params = {}
         for k, v in self.params.items():
             params[k] = v[:] if type(v) is list else v
@@ -244,10 +254,11 @@ class AnalyticDisc(namedtuple("AnalyticDisc", "components tag params", defaults=
         )
 
 
-def _certify_disc(L: Lens, gamma1: complex, omega: complex, eta: complex) -> None:
-    """Closed-form check that the disc of (gamma1, omega, eta) lies in M.
+def _certify_disc(L: Lens, gamma1: complex, omega: complex, eta: complex) -> complex:
+    """Closed-form check that the disc of (gamma1, omega, eta) lies in M;
+    returns gamma2 = -(a gamma1 + 1)/b, for the caller that builds the disc.
 
-    With gamma2 = -(a gamma1 + 1)/b and r1, r2, q of `_ik_data`, the disc
+    With r1, r2, q of `_ik_data`, the disc
     lam -> (lam m_g1(omega lam), lam m_g2(eta lam), lam) has, for any omega
     and eta, the residual
 
@@ -276,17 +287,21 @@ def _certify_disc(L: Lens, gamma1: complex, omega: complex, eta: complex) -> Non
     disc is at most (|k| + |k'|) / ((1 - |g1 omega|)(1 - |g2 eta|)), which
     is not tested: near the lens boundary it exceeds RESIDUAL_TOL on discs
     whose residual on the circle stays far below it.  DomainError where a
-    modulus leaves the float range.
+    modulus leaves the float range.  A non-finite coefficient fails the
+    disc or the denominator test, so finiteness is tested on the failure
+    paths only, before any other error is raised.
     """
     try:  # a modulus of finite parts can leave the float range on a huge lens
-        if not (cmath.isfinite(gamma1) and cmath.isfinite(omega) and cmath.isfinite(eta)):
-            _require_finite((gamma1, omega, eta), "coefficient")
-        g2 = L.gamma2(gamma1)
+        try:
+            g2, r1, r2, q = _ik_data(L, gamma1)
+        except Infeasible:  # |gamma1|^2 or |gamma2|^2 overflows: the disc test refuses it
+            g2 = L.gamma2(gamma1)
         m1, m2 = abs(gamma1), abs(g2)
         if not (m1 < 1.0 and m2 < 1.0):
+            _require_finite((gamma1, omega, eta), "coefficient")
             raise DomainError(f"tangent parameters {gamma1!r}, {g2!r} are not in the open unit disc")
-        _, r1, r2, q = _ik_data(L, gamma1)
         if not (abs(gamma1 * omega) < 1.0 and abs(g2 * eta) < 1.0):
+            _require_finite((gamma1, omega, eta), "coefficient")
             raise DomainError("component denominator has a root in the closed disc")
         off = max(abs(abs(omega) - 1.0), abs(abs(eta) - 1.0))
         if off > RESIDUAL_TOL:
@@ -299,8 +314,11 @@ def _certify_disc(L: Lens, gamma1: complex, omega: complex, eta: complex) -> Non
         terms = a * (1.0 + m1 * m1) + b * (1.0 + m2 * m2) + a * m2 + b * m1 + m1 * m2
         if not _residual_within(worst, RESIDUAL_TOL, abs(q), terms):
             raise DomainError(f"constructed disc misses the variety: coefficient {worst:.3e}, |q| {abs(q):.3e}")
+        return g2
     except OverflowError:
-        raise _out_of_range("_certify_disc") from None
+        pass
+    _require_finite((gamma1, omega, eta), "coefficient")
+    raise _out_of_range("_certify_disc")
 
 
 def phi_gamma(
@@ -325,14 +343,14 @@ def phi_gamma(
     else:
         sol = omega_eta
     omega, eta, label = sol
-    _certify_disc(L, gamma1, omega, eta)
-    g2 = L.gamma2(gamma1)
+    g2 = _certify_disc(L, gamma1, omega, eta)
     # lam m_nu(rot lam) = (-rot lam^2 + nu lam) / (1 - conj(nu) rot lam) for
-    # (nu, rot) = (gamma1, omega) and (gamma2, eta)
-    return AnalyticDisc(
+    # (nu, rot) = (gamma1, omega) and (gamma2, eta); the checked parts go
+    # into their records through tuple.__new__, without the generated __new__
+    return tuple.__new__(AnalyticDisc, (
         (
-            RationalMap((-omega, gamma1, 0.0j), (0.0j, -gamma1.conjugate() * omega, 1.0 + 0.0j)),
-            RationalMap((-eta, g2, 0.0j), (0.0j, -g2.conjugate() * eta, 1.0 + 0.0j)),
+            tuple.__new__(RationalMap, ((-omega, gamma1, 0.0j), (0.0j, -gamma1.conjugate() * omega, 1.0 + 0.0j))),
+            tuple.__new__(RationalMap, ((-eta, g2, 0.0j), (0.0j, -g2.conjugate() * eta, 1.0 + 0.0j))),
             IDENTITY_MAP,
         ),
         "PhiGamma",
@@ -344,7 +362,7 @@ def phi_gamma(
             "omega": [omega.real, omega.imag],
             "eta": [eta.real, eta.imag],
         },
-    )
+    ))
 
 
 @_in_float_range

@@ -98,6 +98,11 @@ class GeodesicCertificate(
 
     def to_json(self) -> dict:
         disc, x, residual, l_value, g, branch, alternates = self
+        # a plain loop: CPython 3.11 makes a frame for each comprehension, even
+        # over no alternates (PEP 709 inlines them from 3.12 on)
+        alts = []
+        for br, gg in alternates:
+            alts.append({"branch": br, "gamma1": [gg.real, gg.imag]})
         return {
             "disc": disc.to_json(),
             "param_at_target": [x.real, x.imag],
@@ -105,7 +110,7 @@ class GeodesicCertificate(
             "lempert_value": l_value,
             "gamma1": [g.real, g.imag],
             "branch": branch,
-            "alternates": [{"branch": br, "gamma1": [gg.real, gg.imag]} for br, gg in alternates],
+            "alternates": alts,
         }
 
 
@@ -200,9 +205,13 @@ def geodesic_through(
     tangent parameters gamma1 inside the lens, each with its unimodular pair
     (omega, eta), computed in unknowns scaled by x so that nothing cancels
     as x tends to 0, and exact on M.  They are ranked by one comparison:
-    plus branch first, then the smaller relative inverse-kinematics (IK)
-    residual |r1 omega + r2 eta + q| / |q|, and in the order found on a
-    tie.  The first whose disc `phi_gamma` certifies in closed form
+    plus branch first, by the sign of each pair against its q from
+    `_ik_data`, then the smaller relative inverse-kinematics (IK) residual
+    |r1 omega + r2 eta + q| / |q|, and in the order found on a tie.  The
+    residual is computed only where it is read: for two candidates of one
+    sign (no target is known to give them), for the returned candidate,
+    and for a failure's best residual.  The first whose disc `phi_gamma`
+    certifies in closed form
     (`_certify_disc`: the pair unimodular and both residual coefficients at
     most RESIDUAL_TOL |q| plus their rounding, 8 eps times the sum of their
     term moduli) and whose value at x is within `tol` of z in
@@ -244,18 +253,20 @@ def geodesic_through(
         L = Lens(*permuted_parameters(a, b, perm))
         z = z1, z2, x = z[perm[0]], z[perm[1]], z[perm[2]]
 
-    ranked = []  # (minus, residual, gamma1, gamma2, omega, eta): plus first, then the smaller residual
+    ranked = []  # (minus, gamma1, gamma2, omega, eta, r1, r2, q): plus first, then the smaller residual
     for g, omega, eta in _intersection_candidates(L, z1, x):
         g2, r1, r2, q = _ik_data(L, g)
-        res = abs(r1 * omega + r2 * eta + q) / abs(q) if q else math.inf
         # solve_omega_eta's convention: plus turns positively from -q to r1 omega
         minus = not (omega * -q.conjugate()).imag > 0.0
-        if ranked and (minus < ranked[0][0] or minus == ranked[0][0] and res < ranked[0][1]):
-            ranked.insert(0, (minus, res, g, g2, omega, eta))
+        cand = (minus, g, g2, omega, eta, r1, r2, q)
+        if ranked and (minus < ranked[0][0] or minus == ranked[0][0]
+                       and _ik_residual(*cand[3:]) < _ik_residual(*ranked[0][3:])):
+            ranked.insert(0, cand)
         else:
-            ranked.append((minus, res, g, g2, omega, eta))
-    certified = []  # (gamma1, branch, disc, residual) of each disc that certifies and passes z within tol
-    for minus, res, g, g2, omega, eta in ranked:
+            ranked.append(cand)
+    certified = []  # (candidate, branch, disc) of each disc that certifies and passes z within tol
+    for cand in ranked:
+        minus, g, g2, omega, eta = cand[:5]
         try:
             (wp, ep, bp), (wm, em, bm) = solve_omega_eta(L, g)
         except Infeasible:
@@ -266,7 +277,7 @@ def geodesic_through(
             # the label of the nearer exact solution, plus on a tie
             branch = bm if abs(wm - omega) + abs(em - eta) < abs(wp - omega) + abs(ep - eta) else bp
         try:
-            disc = phi_gamma(L, g, branch, omega_eta=OmegaEta(omega, eta, branch))
+            disc = phi_gamma(L, g, branch, omega_eta=tuple.__new__(OmegaEta, (omega, eta, branch)))
         except DomainError:
             continue
         # the disc's first two components lam (g - w lam)/(1 - conj(g) w lam)
@@ -276,22 +287,30 @@ def geodesic_through(
         miss1 = abs(x * (g - w1) / (1.0 - g.conjugate() * w1) - z1)
         if not max(miss1, abs(x * (g2 - w2) / (1.0 - g2.conjugate() * w2) - z2)) <= tol:
             continue
-        certified.append((g, branch, disc, res))
+        certified.append((cand, branch, disc))
         if not find_alternates:
             break
     if not certified:
-        best = min((c[1] for c in ranked), default=math.inf)
+        best = min((_ik_residual(*c[3:]) for c in ranked), default=math.inf)
         raise ConvergenceFailure(
             f"no certified disc meets the target within {tol:g}; best residual {best:.3e}",
             best_residual=best,
         )
-    g, branch, disc, res = certified[0]
+    cand, branch, disc = certified[0]
     if perm is not None:
         disc = disc._replace(components=tuple(disc.components[p] for p in perm))
 
-    alternates = tuple([(br, gg) for gg, br, _, _ in certified[1:]]) if len(certified) > 1 else ()
-    # rho(0, x) = atanh|x|, bit for bit
-    return GeodesicCertificate(disc, x, res, math.atanh(abs(x)), g, branch, alternates)
+    alternates = tuple([(br, c[1]) for c, br, _ in certified[1:]]) if len(certified) > 1 else ()
+    # rho(0, x) = atanh|x|, bit for bit; tuple.__new__ skips the generated
+    # __new__ and its frame, as for the pair above
+    fields = (disc, x, _ik_residual(*cand[3:]), math.atanh(abs(x)), cand[1], branch, alternates)
+    return tuple.__new__(GeodesicCertificate, fields)
+
+
+def _ik_residual(omega: complex, eta: complex, r1: float, r2: float, q: complex) -> float:
+    """The relative inverse-kinematics residual |r1 omega + r2 eta + q| / |q|
+    of a pair, with r1, r2 and q of `geodesics._ik_data`."""
+    return abs(r1 * omega + r2 * eta + q) / abs(q) if q else math.inf
 
 
 _PERMS_TO_THIRD = {0: (2, 1, 0), 1: (0, 2, 1), 2: (0, 1, 2)}

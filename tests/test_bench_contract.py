@@ -9,7 +9,8 @@ the package that breaks what the benchmark calls fails here instead of at
 benchmark time.  The outputs of the first two chunks of ``verify-fat`` and
 ``sweep-wide`` and of one full pass of every workload are pinned byte for
 byte, and each sample of the first two calls every traced entry point of the
-per-sample path once.
+per-sample path once; a sample of the first reads the inverse-kinematics data
+four times.
 """
 
 import hashlib
@@ -168,3 +169,29 @@ def test_each_sample_builds_and_certifies_one_disc(bench, workload):
     per_sample = (tr.GT, tr.PHI, tr.CERTIFY, "geodesics.solve_omega_eta", "metrics.c_dab", "varieties.lift_to_M")
     for name in per_sample:
         assert [calls[name, (group, i)] for i in range(start, stop)] == [1] * (stop - start), name
+
+
+def test_each_sample_reads_the_ik_data_four_times(bench, monkeypatch):
+    # a counter of the per-sample path: the ranking reads each of the two
+    # candidates, then solve_omega_eta and _certify_disc read the returned
+    # one; replaced through the module globals, as the tracer replaces an
+    # entry point, so that a further call shows as a shifted count
+    wl = bench[0]
+    from geodisc import geodesics
+
+    ik_data, counts, sample = geodesics._ik_data, Counter(), [None]
+
+    def counted(*args):
+        counts[sample[0]] += 1
+        return ik_data(*args)
+
+    holders = [(mod, attr) for name, mod in list(sys.modules.items())
+               if name == "geodisc" or name.startswith("geodisc.")
+               for attr, val in list(vars(mod).items()) if val is ik_data]
+    assert {mod.__name__ for mod, _ in holders} == {"geodisc.geodesics", "geodisc.metrics"}
+    for mod, attr in holders:
+        monkeypatch.setattr(mod, attr, counted)
+    inputs = wl.make_inputs("verify-fat", 1)
+    kind, group, start, stop = wl.chunks("verify-fat", inputs)[0]
+    wl.run_chunk("verify-fat", inputs, (kind, group, start, stop), on_item=lambda s: sample.__setitem__(0, s))
+    assert [counts[group, i] for i in range(start, stop)] == [4] * (stop - start)

@@ -163,9 +163,11 @@ def test_an_answer_has_no_nan_or_is_a_typed_error(name, data):
     (lambda: geodesics.phi_gamma(Lens(1.0, 1.7e308), 1 + 1j), DomainError),
     (lambda: geodesics._certify_disc(Lens(1.7e308, 1.7e308), -0.5 + 0j, 1j, 1 + 0j), DomainError),
     (lambda: metrics.dominant_permutation((1.7e308 + 1.7e308j, 0j, 0j)), DomainError),
+    # r1 + r2 overflows, so no interval end bounds |q| = 1 from above
+    (lambda: geodesics.solve_omega_eta(Lens(1.7e308, 1.7e308), 0j), DomainError),
 ], ids=["gamma_disc", "solvability_gaps", "graph_value", "boundary_modulus", "admissibility_margin",
         "f_gradient", "universal_member_linear", "schur_roots_outside", "blaschke_family",
-        "solve_omega_eta", "phi_gamma", "certify_disc", "dominant_permutation"])
+        "solve_omega_eta", "phi_gamma", "certify_disc", "dominant_permutation", "solve_omega_eta_interval"])
 def test_a_value_without_a_finite_answer_is_a_typed_error(call, error):
     with pytest.raises(error):
         call()

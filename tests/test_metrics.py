@@ -616,23 +616,12 @@ def test_target_off_the_surface_is_met_within_tol_or_fails(a, b, z):
     assert max(abs(u - v) for u, v in zip(disc(cert.param_at_target), z)) <= MATCH_TOL
 
 
-@settings(max_examples=300, deadline=None)
-@given(
-    a=st.floats(0.02, 20.0),
-    d=st.floats(-0.999, 0.999),
-    s=st.floats(0.001, 0.999),
-    t=st.floats(-0.999, 0.999),
-    branch=st.sampled_from((PLUS, MINUS)),
-    r=st.floats(1e-300, 0.95, exclude_max=True),
-    phase=st.floats(0.0, 2.0 * math.pi),
-)
-# near the lens boundary with small |x|: the two candidates lie 7e-8 apart
-@example(a=6.5625, d=0.0, s=0.001, t=0.0, branch=PLUS, r=6.103515625e-05, phase=0.0)
-def test_geodesic_through_recovers_tangent_and_branch(a, d, s, t, branch, r, phase):
-    # a lens point g = u + iv: u runs over the lens's real interval, v over
-    # the chord of both discs above and below it; |x| stays in the normal
-    # floating-point range, since a subnormal x leaves z_j = x (g_j + O(x))
-    # too few digits to carry g
+def _disc_target(a, d, s, t, branch, r, phase):
+    """(L, g, z): a lens point g = u + iv of Lens(a, a + d), and the point z
+    of its `branch` disc at x = r exp(i phase), with z3 dominant; u runs over
+    the lens's real interval, v over the chord of both discs above and below
+    it.  |x| stays in the normal floating-point range, since a subnormal x
+    leaves z_j = x (g_j + O(x)) too few digits to carry g."""
     b = a + d
     assume(a + b > 1.0)
     lo, hi = max(-1.0, -(1.0 + b) / a), min(1.0, (b - 1.0) / a)
@@ -645,7 +634,62 @@ def test_geodesic_through_recovers_tangent_and_branch(a, d, s, t, branch, r, pha
     except GeodiscError:
         reject()  # no certified disc to start from
     assume(abs(z[2]) >= max(abs(z[0]), abs(z[1])))
-    cert = geodesic_through(a, b, z, find_alternates=True)
+    return L, g, z
+
+
+disc_targets = dict(
+    a=st.floats(0.02, 20.0),
+    d=st.floats(-0.999, 0.999),
+    s=st.floats(0.001, 0.999),
+    t=st.floats(-0.999, 0.999),
+    branch=st.sampled_from((PLUS, MINUS)),
+    r=st.floats(1e-300, 0.95, exclude_max=True),
+    phase=st.floats(0.0, 2.0 * math.pi),
+)
+
+
+def _is_minus(L, g, omega):
+    """geodesic_through's sign test: plus turns positively from -q to r1 omega."""
+    q = _ik_data(L, g)[3]
+    return not (omega * -q.conjugate()).imag > 0.0
+
+
+@settings(max_examples=300, deadline=None)
+@given(**disc_targets)
+def test_two_candidates_of_a_target_lie_on_opposite_branches(a, d, s, t, branch, r, phase):
+    # so geodesic_through's residual tie-break between candidates of one
+    # sign is not reached by a target; the next test drives it directly
+    L, _, z = _disc_target(a, d, s, t, branch, r, phase)
+    cands = metrics._intersection_candidates(L, z[0], z[2])
+    assert len(cands) <= 2
+    assert len({_is_minus(L, g, omega) for g, omega, _ in cands}) == len(cands)
+
+
+@pytest.mark.parametrize("worse_first", [True, False], ids=["worse-first", "better-first"])
+def test_candidates_of_one_sign_are_ranked_by_their_residual(monkeypatch, worse_first):
+    # the returned candidate beside a twin whose omega is turned by 1e-13:
+    # both certify and meet z, the twin with the larger residual, so in
+    # either order the smaller residual goes first and the twin is its alternate
+    z = lift_to_M(D88, (0.3 + 0.1j, 0.2 - 0.2j))  # z3 dominant: no permutation
+    cert = geodesic_through(0.8, 0.8, z)
+    [(g, omega, eta)] = [c for c in metrics._intersection_candidates(L88, z[0], z[2]) if c[0] == cert.gamma1]
+    twin = (g, omega * cmath.exp(1e-13j), eta)
+    assert _is_minus(L88, g, twin[1]) == _is_minus(L88, g, omega)
+    _, r1, r2, q = _ik_data(L88, g)
+    assert metrics._ik_residual(twin[1], eta, r1, r2, q) > cert.residual
+    pair = [twin, (g, omega, eta)] if worse_first else [(g, omega, eta), twin]
+    monkeypatch.setattr(metrics, "_intersection_candidates", lambda L, z1, x: pair)
+    tied = geodesic_through(0.8, 0.8, z, find_alternates=True)
+    assert (tied.residual, tied.disc, tied.alternates) == (cert.residual, cert.disc, ((cert.branch, g),))
+
+
+@settings(max_examples=300, deadline=None)
+@given(**disc_targets)
+# near the lens boundary with small |x|: the two candidates lie 7e-8 apart
+@example(a=6.5625, d=0.0, s=0.001, t=0.0, branch=PLUS, r=6.103515625e-05, phase=0.0)
+def test_geodesic_through_recovers_tangent_and_branch(a, d, s, t, branch, r, phase):
+    L, g, z = _disc_target(a, d, s, t, branch, r, phase)
+    cert = geodesic_through(L.a, L.b, z, find_alternates=True)
     found = [(cert.branch, cert.gamma1)] + list(cert.alternates)
     assert any(br == branch and abs(gg - g) < 1e-8 for br, gg in found)
     vals = cert.disc(cert.param_at_target)

@@ -7,10 +7,10 @@ from operator import mul, sub
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from geodisc.discgeom import MobiusMap
+from geodisc.discgeom import MobiusMap, _residual_within
 from geodisc.errors import (
     DegenerateImage,
     DomainError,
@@ -28,6 +28,7 @@ from geodisc.varieties import (
     TriClass,
     TridiscAutomorphism,
     _equation_tensor,
+    _membership,
     classify,
     dab_contains,
     graph_value,
@@ -273,13 +274,16 @@ coefficients = st.complex_numbers(max_magnitude=2.0, allow_nan=False, allow_infi
 )
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200, deadline=None, derandomize=True)
 @given(
     st.tuples(coefficients, coefficients, coefficients),
     st.permutations((0, 1, 2)),
     st.lists(st.floats(0.0, 2.0 * math.pi), min_size=3, max_size=3),
     st.integers(0, 2**32 - 1),
 )
+# beta has |a1|, |a2| near 1.3e3, and the residual on the image reaches
+# 1.5e-10: above 1e-10 absolute, 4e-14 of the sum of its term moduli
+@example((1.9124914837764058j, 1.837890625j, 0.3333333333333333j), (0, 1, 2), [1.0, 0.0, 0.0], 838)
 def test_transport_closed_form_property(coeffs, perm, angles, seed):
     # on a tie of the triangle inequality rounding decides the class
     mods = sorted(abs(c) for c in coeffs)
@@ -290,7 +294,10 @@ def test_transport_closed_form_property(coeffs, perm, angles, seed):
     m = TridiscAutomorphism(perm=tuple(perm), maps=maps)
     beta = transport(alpha, m)
     for z in surface_samples(alpha, 50, seed=seed + 1):
-        assert abs(membership_residual(beta, m(z))) < 1e-10
+        # the image point carries the rounding of m, which scales with beta:
+        # 1e-10 of S, the sum of the moduli of the six terms, plus rounding
+        res, S = _membership(*beta, *m(z))
+        assert _residual_within(abs(res), 1e-10, S, S)
     assert classify(beta).retract == classify(alpha).retract
 
 
