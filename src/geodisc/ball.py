@@ -9,6 +9,14 @@ The kernels compute on tuples of Python ``complex``: the vectors here have two
 or three coordinates, where numpy's per-call overhead outweighs the
 arithmetic.  Inputs may be any sequence of numbers; vectors are returned as
 tuples of ``complex``.
+
+Each kernel builds a vector in one plain loop, which also adds up the
+vector's |.|^2 or pairing as it goes, instead of a comprehension followed by
+a separate pass: before 3.12 (PEP 709), CPython runs every comprehension in a
+function frame of its own, which costs more than the arithmetic on two or
+three coordinates.  The loops add in the order of `_norm2` and `_herm`, left
+to right from 0.0 or 0j, so every output bit is that of the comprehension
+forms.
 """
 
 from __future__ import annotations
@@ -16,7 +24,6 @@ from __future__ import annotations
 import cmath
 import math
 from collections import namedtuple
-from operator import mul
 
 from .discgeom import _in_float_range, _require_finite, require_disc_point
 from .errors import DomainError, Indeterminate, NoIntersection
@@ -39,8 +46,12 @@ def _vec(z) -> Vec:
 
 
 def _herm(z: Vec, w: Vec) -> complex:
-    """<z, w> on tuples of complex of equal length."""
-    return sum(map(mul, z, map(complex.conjugate, w)))
+    """<z, w> on tuples of complex of equal length: the products
+    z_j conj(w_j) added left to right from 0j, as `sum` adds them from 0."""
+    h = 0j
+    for a, b in zip(z, w):
+        h += a * b.conjugate()
+    return h
 
 
 def _norm2(z: Vec) -> float:
@@ -61,9 +72,16 @@ def _unit(z: Vec, name: str) -> Vec:
         m = max(max(abs(c.real), abs(c.imag)) for c in z)
     if m == 0.0:
         raise DomainError(f"{name} must be nonzero")
-    z = tuple([c / m for c in z])
-    n = math.sqrt(_norm2(z))
-    return tuple([c / n for c in z])
+    s, n = [], 0.0
+    for c in z:
+        c /= m
+        s.append(c)
+        n += (c * c.conjugate()).real
+    n = math.sqrt(n)
+    out = []
+    for c in s:
+        out.append(c / n)
+    return tuple(out)
 
 
 def _ball_point(z) -> tuple[Vec, float]:
@@ -71,13 +89,15 @@ def _ball_point(z) -> tuple[Vec, float]:
     it, and to be finite and in the open unit ball; |v|^2 is `_norm2`'s sum,
     the value the check compared with 1.  Both are inlined: every kernel
     call checks its points here."""
+    v, n2 = [], 0.0
     try:
-        v = tuple(map(complex, z))
+        for c in z:
+            c = complex(c)
+            v.append(c)
+            n2 += (c * c.conjugate()).real
     except (TypeError, ValueError):
         raise DomainError("expected a complex vector") from None
-    n2 = 0.0
-    for c in v:
-        n2 += (c * c.conjugate()).real
+    v = tuple(v)
     if not (n2 < 1.0 and v):
         if not v:
             raise DomainError("expected a complex vector")
@@ -110,11 +130,21 @@ def ball_automorphism(a, z) -> Vec:
     if m == 0.0:
         return z
     # P z = <z, u> u / |u|^2 with u = a / m, since |a|^2 underflows below |a| ~ 1e-154
-    u = tuple([c / m for c in a])
-    p = _herm(z, u) / _norm2(u)
+    u, nu, zu, za = [], 0.0, 0j, 0j
+    for ai, zi in zip(a, z):
+        ui = ai / m
+        u.append(ui)
+        nu += (ui * ui.conjugate()).real
+        zu += zi * ui.conjugate()
+        za += zi * ai.conjugate()
+    p = zu / nu
     s = math.sqrt(1.0 - na)
-    den = 1.0 - _herm(z, a)
-    return tuple([(ai - p * ui - s * (zi - p * ui)) / den for ai, ui, zi in zip(a, u, z)])
+    den = 1.0 - za
+    out = []
+    for ai, ui, zi in zip(a, u, z):
+        pu = p * ui
+        out.append((ai - pu - s * (zi - pu)) / den)
+    return tuple(out)
 
 
 class ComplexLine(namedtuple("ComplexLine", "base direction")):
@@ -127,7 +157,7 @@ class ComplexLine(namedtuple("ComplexLine", "base direction")):
         base, d = _vec(base), _vec(direction)
         if len(base) != len(d):
             raise DomainError("dimension mismatch")
-        if not all(map(cmath.isfinite, base + d)):
+        if not (all(map(cmath.isfinite, base)) and all(map(cmath.isfinite, d))):
             _require_finite(base + d, "coordinates")
         return tuple.__new__(cls, (base, _unit(d, "direction")))
 
@@ -135,11 +165,16 @@ class ComplexLine(namedtuple("ComplexLine", "base direction")):
 def minimal_norm_point(l: ComplexLine) -> Vec:
     """Orthogonal foot of the origin on the line, base - <base, d> d for the
     unit direction d; must land inside the ball."""
-    p = _herm(l.base, l.direction)
-    foot = tuple([b - p * c for b, c in zip(l.base, l.direction)])
-    if not _norm2(foot) < 1.0:
+    base, d = l
+    p = _herm(base, d)
+    foot, n = [], 0.0
+    for b, c in zip(base, d):
+        f = b - p * c
+        foot.append(f)
+        n += (f * f.conjugate()).real
+    if not n < 1.0:
         raise NoIntersection("line misses the open unit ball")
-    return foot
+    return tuple(foot)
 
 
 def _householder_unitary(r: Vec) -> list[list[list[float]]]:
@@ -148,27 +183,32 @@ def _householder_unitary(r: Vec) -> list[list[list[float]]]:
 
     t is the phase of r0, so v_0 = 1 + |r0| cannot cancel; it is read from
     r0 / max(|Re|, |Im|), since r0 / |r0| is not unimodular for a subnormal r0.
-    Entry (i, j) is -t ((i == j) - (k v_i) conj(v_j)), k = 2 / |v|^2 by
-    `_norm2`, evaluated in that order: the product is subtracted from the
-    integer 0 or 1, not negated, so its zero parts become +0 before the
-    factor -t.  Each row is built off the diagonal first and its diagonal
-    entry set afterwards, and each entry is split into its pair at once.
+    One loop builds v_j = t conj(r_j) + (j == 0), conj(v_j) and |v|^2 as
+    `_norm2` adds it; k = 2 / |v|^2.  Row i is then built in one loop over
+    j, each entry once, as -t ((i == j) - (k v_i) conj(v_j)) evaluated in
+    that order: the product is subtracted from the integer 0 or 1, not
+    negated, so its zero parts become +0 before the factor -t.  Each entry
+    is split into its [re, im] pair as it is made.
     """
     m = max(abs(r[0].real), abs(r[0].imag))
     t = r[0] / m if m else 1.0 + 0j
     t /= abs(t)
-    v = [t * c.conjugate() + (j == 0) for j, c in enumerate(r)]
-    k = 2.0 / _norm2(v)
-    nt, vc = -t, [c.conjugate() for c in v]
+    v, vc, n = [], [], 0.0
+    for j, c in enumerate(r):
+        vj = t * c.conjugate() + (j == 0)
+        c = vj.conjugate()
+        v.append(vj)
+        vc.append(c)
+        n += (vj * c).real
+    k = 2.0 / n
+    nt = -t
     rows = []
     for i, vi in enumerate(v):
         kvi = k * vi
         row = []
-        for c in vc:
-            e = nt * (0 - kvi * c)
+        for j, c in enumerate(vc):
+            e = nt * ((i == j) - kvi * c)
             row.append([e.real, e.imag])
-        e = nt * (1 - kvi * vc[i])
-        row[i] = [e.real, e.imag]
         rows.append(row)
     return rows
 
@@ -193,11 +233,12 @@ class BallExtremal(namedtuple("BallExtremal", "minimal_point direction")):
         builds from r = sign * conj(d), entry by entry in the order it states."""
         a, d = self
         sign = -1.0 if any(a) else 1.0
-        return {
-            "minimal_point": [[c.real, c.imag] for c in a],
-            "direction": [[c.real, c.imag] for c in d],
-            "unitary": _householder_unitary([sign * c.conjugate() for c in d]),
-        }
+        foot, direction, r = [], [], []
+        for ai, di in zip(a, d):
+            foot.append([ai.real, ai.imag])
+            direction.append([di.real, di.imag])
+            r.append(sign * di.conjugate())
+        return {"minimal_point": foot, "direction": direction, "unitary": _householder_unitary(r)}
 
 
 def psi_l(l: ComplexLine) -> BallExtremal:

@@ -427,7 +427,10 @@ def _argument_problem(args) -> str | None:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    # extras are reported by the parser of the command that was given, with its usage
+    args, extras = parser.parse_known_args(argv)
+    if extras:
+        args.parser.error(f"unrecognized arguments: {' '.join(extras)}")
     problem = _argument_problem(args)
     if problem:
         args.parser.error(problem)

@@ -49,7 +49,19 @@ def c_polydisc(z: Sequence[complex], w: Sequence[complex]) -> float:
     """Coordinate-max distance on the open polydisc."""
     if len(z) != len(w):
         raise DomainError("dimension mismatch")
+    if len(z) == 0:
+        raise DomainError("expected points of dimension at least 1")
     return max(rho(zi, wi) for zi, wi in zip(z, w))
+
+
+def _pair(v, what: str) -> tuple[complex, complex]:
+    """v as a pair of complex numbers, else DomainError: a point or tangent
+    vector of D(a, b) has two coordinates."""
+    try:
+        v1, v2 = v
+        return complex(v1), complex(v2)
+    except (TypeError, ValueError):
+        raise DomainError(f"{what} {v!r} is not a pair of complex numbers") from None
 
 
 def c_dab(d: DomainDab, z, w) -> float:
@@ -65,7 +77,7 @@ def c_dab(d: DomainDab, z, w) -> float:
 @_in_float_range
 def kappa_dab_origin(d: DomainDab, X) -> float:
     """max{|X1|, |X2|, |a X1 + b X2|}: the infinitesimal metric at the origin."""
-    X1, X2 = X = tuple(map(complex, X[:2]))
+    X1, X2 = X = _pair(X, "tangent vector")
     _require_finite(X, "tangent vector")
     # the sum first: max keeps a NaN only in its first place
     return max(abs(d.a * X1 + d.b * X2), abs(X1), abs(X2))
@@ -447,14 +459,15 @@ class UniversalSet(namedtuple("UniversalSet", "members")):
 
 
 def dab_universal_set(d: DomainDab) -> UniversalSet:
-    """The three defining functions with closed-form gradients."""
+    """The three defining functions with closed-form gradients.  Each value
+    takes a point of D(a, b), a pair, and raises DomainError on another length."""
     members = (
-        UniversalMember("z1", lambda z: complex(z[0]), lambda z: (1.0 + 0.0j, 0.0j)),
-        UniversalMember("z2", lambda z: complex(z[1]), lambda z: (0.0j, 1.0 + 0.0j)),
+        UniversalMember("z1", lambda z: _pair(z, "point")[0], lambda z: (1.0 + 0.0j, 0.0j)),
+        UniversalMember("z2", lambda z: _pair(z, "point")[1], lambda z: (0.0j, 1.0 + 0.0j)),
         UniversalMember(
             "f_ab",
-            lambda z: d.f(complex(z[0]), complex(z[1])),
-            lambda z: d.f_gradient(complex(z[0]), complex(z[1])),
+            lambda z: d.f(*_pair(z, "point")),
+            lambda z: d.f_gradient(*_pair(z, "point")),
         ),
     )
     return UniversalSet(members=members)
@@ -487,6 +500,8 @@ def universal_c(U: UniversalSet, z, w) -> float:
 
 @_in_float_range
 def universal_gamma(U: UniversalSet, z, X) -> float:
+    """max over the members of the disc length of their push-forward of X;
+    DomainError where X and a member's gradient differ in length."""
     X = tuple(map(complex, X))
     _require_finite(X, "tangent vector")
     best = 0.0
@@ -494,7 +509,10 @@ def universal_gamma(U: UniversalSet, z, X) -> float:
         vz = member(z)
         if abs(vz) >= 1.0:
             raise EvaluationOutOfDisc(f"member {member.name} left the disc")
-        push = sum(g * x for g, x in zip(member.gradient(z), X))
+        grad = member.gradient(z)
+        if len(grad) != len(X):
+            raise DomainError(f"tangent vector {X!r} and the gradient of member {member.name} differ in length")
+        push = sum(g * x for g, x in zip(grad, X))
         best = max(best, gamma_disc(vz, push))
     return best
 

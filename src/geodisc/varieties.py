@@ -322,14 +322,18 @@ class DomainDab(namedtuple("DomainDab", "a b")):
 
 
 def _dab_lift(d: DomainDab, z) -> tuple[complex, complex, complex] | None:
-    """(z1, z2, f(z)) when z lies in the domain, else None; f is evaluated once."""
-    z1, z2 = complex(z[0]), complex(z[1])
+    """(z1, z2, f(z)) when z lies in the domain, else None; f is evaluated
+    once.  DomainError where z is not a pair of complex numbers."""
     try:
+        z1, z2 = z
+        z1, z2 = complex(z1), complex(z2)
         if abs(z1) >= 1.0 or abs(z2) >= 1.0:
             return None
         fz = d.f(z1, z2)
     except (OverflowError, PoleError):  # |z1| or |z2| beyond the float range, or the pole of f
         return None
+    except (TypeError, ValueError):
+        raise DomainError(f"{z!r} is not a pair of complex numbers") from None
     return (z1, z2, fz) if abs(fz) < 1.0 else None
 
 

@@ -10,7 +10,9 @@ from hypothesis import strategies as st
 
 from geodisc.ball import (
     ComplexLine,
+    _herm,
     _householder_unitary,
+    _unit,
     F_left_inverse,
     ball_automorphism,
     boundary_modulus,
@@ -459,11 +461,14 @@ def test_scalar_kernels_match_reference(case):
     assert all(type(x) is float for x in leaves)
 
 
-# The ball kernels as first written on tuples: generator expressions, each norm
-# the real part of a Hermitian sum recomputed where it is used, and every
-# Householder entry -t ((i == j) - k v_i conj(v_j)) built in one nested
-# expression.  The kernels must agree with them bit for bit, signed zeros
-# included.
+# The ball kernels in their comprehension forms: each vector a generator
+# expression, each norm the real part of a Hermitian `sum` taken in a pass of
+# its own where it is used, and every Householder entry
+# -t ((i == j) - k v_i conj(v_j)) built in one nested expression.  The loop
+# kernels must agree with them bit for bit, signed zeros included: a loop that
+# adds its terms in another order, or from another start, fails here on the
+# three-dimensional cases, which the output digests of the benchmark need not
+# contain.
 def gen_herm(z, w):
     return sum(map(mul, z, map(complex.conjugate, w)))
 
@@ -530,7 +535,17 @@ def assert_same_bits(got, want):
     assert [math.copysign(1.0, x) for x in g] == [math.copysign(1.0, x) for x in w]
 
 
+def pairs(v):
+    return [[c.real, c.imag] for c in v]
+
+
 def assert_kernels_match_generator_forms(a, z, w, base, direction):
+    for x, y in ((z, w), (w, z), (a, z), (base, direction)):
+        x, y = tuple(map(complex, x)), tuple(map(complex, y))
+        assert_same_bits(_herm(x, y), gen_herm(x, y))
+    for v in (a, z, w, direction):
+        if any(v):
+            assert_same_bits(_unit(tuple(map(complex, v)), "v"), gen_unit(v))
     assert_same_bits(c_star_ball(w, z), gen_c_star(w, z))
     assert_same_bits(ball_automorphism(a, z), gen_automorphism(a, z))
     line = ComplexLine(base=base, direction=direction)
@@ -542,13 +557,30 @@ def assert_kernels_match_generator_forms(a, z, w, base, direction):
         assert_same_bits(psi(p), gen_psi_value(psi, p))
     sign = -1.0 if any(psi.minimal_point) else 1.0
     r = tuple(sign * c.conjugate() for c in psi.direction)
-    want = [[[c.real, c.imag] for c in row] for row in gen_householder(r)]
+    want = [pairs(row) for row in gen_householder(r)]
     assert_same_bits(_householder_unitary(r), want)
-    assert_same_bits(psi.to_json()["unitary"], want)
+    obj = psi.to_json()
+    assert list(obj) == ["minimal_point", "direction", "unitary"]
+    assert_same_bits(obj["minimal_point"], pairs(gen_foot(base, unit)))
+    assert_same_bits(obj["direction"], pairs(unit))
+    assert_same_bits(obj["unitary"], want)
+
+
+# a subnormal r0 and a base near 1e-170, in dimensions 2 and 3
+SUBNORMAL_AND_TINY = [
+    ((0.1, 0.2j), (0.3, -0.1), (0.0, 0.5j), (0.2, 0.1), (5e-324 + 5e-324j, 0.7071j)),
+    ((0.1, 0.2j, -0.3), (0.3, -0.1, 0.2j), (0.4j, 0.5, 0.0), (0.2, 0.1, 0.1j), (5e-324j, 0.6 - 0.1j, -0.3)),
+    ((1e-170, 3e-171j), (0.3, -0.1), (0.0, 0.5j), (1e-170, -2e-170j), (0.6, 0.8j)),
+    ((1e-170j, 0.0, -2e-170), (0.3, -0.1, 0.2j), (0.4j, 0.5, 0.0), (1e-170, 3e-170j, -1e-170), (0.3, -0.5j, 0.7)),
+]
 
 
 @settings(max_examples=300, deadline=None)
 @given(ball_case())
+@example(SUBNORMAL_AND_TINY[0])
+@example(SUBNORMAL_AND_TINY[1])
+@example(SUBNORMAL_AND_TINY[2])
+@example(SUBNORMAL_AND_TINY[3])
 def test_kernels_match_generator_forms_bit_for_bit(case):
     a, z, w, base, direction = case
     if not any(direction):
@@ -569,6 +601,9 @@ def test_kernels_match_generator_forms_bit_for_bit(case):
     # a = 0: the automorphism is the identity
     ((0.0, 0.0), (0.3, -0.1j), (0.0, -0.5j), (0.3, 0.1j), (0, 1)),
     ((0.0, -0.0, 0j), (-0.0, 0.2, -0.4j), (0.1, 0.0, -0.0), (0.1, 0.5, -0.3j), (3, 0, 0)),
+    # a foot with |.|^2 below 1 added left to right, and 1.0 added right to left
+    ((0.1, 0.2j, -0.3), (0.3, -0.1, 0.2j), (0.0, 0.5j, 0.0),
+     (0.6406846997642458, 0.6406846997642458, 0.4231385482037726j), (1, -1, 0)),
 ])
 def test_kernels_match_generator_forms_at_exact_zeros(a, z, w, base, direction):
     assert_kernels_match_generator_forms(a, z, w, base, direction)

@@ -445,7 +445,10 @@ def test_sweep_writes_an_empty_field_where_the_report_has_null(capsys, monkeypat
     (("ball", "cstar", "--z", "0.5,0", "0,0", "--w", "0,0", "0,0", "0,0"), "usage: geodisc ball cstar "),
     (("universal", "--a", "0.8", "--b", "0.8", "--z", "0.1,0", "0.1,0"), "usage: geodisc universal "),
     (("geodesic", "--a", "0.8", "--b", "0.8", "--z", "0.5,0"), "usage: geodisc geodesic "),
-], ids=["ball-cstar", "universal", "geodesic"])
+    # an unrecognized argument
+    (("classify", "--alpha", "1,0", "1,0", "1,0", "extra"), "usage: geodisc classify "),
+    (("ball", "cstar", "--z", "0.1,0", "0.1,0", "--w", "0,0", "0,0", "--a", "1"), "usage: geodisc ball cstar "),
+], ids=["ball-cstar", "universal", "geodesic", "classify-extra", "ball-cstar-extra"])
 def test_argument_problem_prints_the_command_usage(capsys, argv, usage):
     with pytest.raises(SystemExit) as exc:
         main(list(argv))

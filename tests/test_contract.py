@@ -25,6 +25,8 @@ POOL = [0.0, 1.0, -1.0, 1 - 1e-9, 1e300, 1e-300, 5e-324, nan, inf, -inf, -0.0,
 R = st.sampled_from(POOL)
 C = st.builds(complex, R, R)
 V = st.lists(C, min_size=1, max_size=3).map(tuple)
+# a point or tangent of D(a, b) or the polydisc, of any length up to 3
+P = st.lists(C, min_size=0, max_size=3).map(tuple)
 
 
 def _psi(base, direction, z):
@@ -52,8 +54,8 @@ CALLS = {
         Alpha(a1, a2, a3), TridiscAutomorphism.moving_to_origin(p)), (C,) * 6),
     "varieties.DomainDab": (DomainDab, (R, R)),
     "varieties.DomainDab.f_gradient": (lambda a, b, *z: DomainDab(a, b).f_gradient(*z), (R, R, C, C)),
-    "varieties.dab_contains": (lambda a, b, *z: varieties.dab_contains(DomainDab(a, b), z), (R, R, C, C)),
-    "varieties.lift_to_M": (lambda a, b, *z: varieties.lift_to_M(DomainDab(a, b), z), (R, R, C, C)),
+    "varieties.dab_contains": (lambda a, b, z: varieties.dab_contains(DomainDab(a, b), z), (R, R, P)),
+    "varieties.lift_to_M": (lambda a, b, z: varieties.lift_to_M(DomainDab(a, b), z), (R, R, P)),
     "geodesics.Lens": (Lens, (R, R)),
     "geodesics.Lens.corners": (lambda a, b: Lens(a, b).corners(), (R, R)),
     "geodesics.Lens.boundary_points": (lambda a, b, n: Lens(a, b).boundary_points(n), (R, R, st.integers(1, 3))),
@@ -66,10 +68,9 @@ CALLS = {
     "geodesics.blaschke_family": (lambda a, b, g, w: geodesics.blaschke_family(Lens(a, b), g, w), (R, R, C, C)),
     "geodesics.admissible_arc": (lambda a, b, g: geodesics.admissible_arc(Lens(a, b), g), (R, R, C)),
     "geodesics.arc_contains": (lambda lo, hi, t: geodesics.arc_contains([(lo, hi)], t), (R, R, R)),
-    "metrics.c_polydisc": (metrics.c_polydisc, (V, V)),
-    "metrics.c_dab": (lambda a, b, z1, z2, w1, w2: metrics.c_dab(DomainDab(a, b), (z1, z2), (w1, w2)),
-                      (R, R, C, C, C, C)),
-    "metrics.kappa_dab_origin": (lambda a, b, *X: metrics.kappa_dab_origin(DomainDab(a, b), X), (R, R, C, C)),
+    "metrics.c_polydisc": (metrics.c_polydisc, (P, P)),
+    "metrics.c_dab": (lambda a, b, z, w: metrics.c_dab(DomainDab(a, b), z, w), (R, R, P, P)),
+    "metrics.kappa_dab_origin": (lambda a, b, X: metrics.kappa_dab_origin(DomainDab(a, b), X), (R, R, P)),
     "metrics.geodesic_through": (lambda a, b, *z: metrics.geodesic_through(a, b, z, find_alternates=True),
                                  (R, R, C, C, C)),
     "metrics.dominant_permutation": (lambda *z: metrics.dominant_permutation(z), (C, C, C)),
@@ -77,10 +78,10 @@ CALLS = {
     "metrics.dab_universal_set": (lambda a, b: metrics.dab_universal_set(DomainDab(a, b)), (R, R)),
     "metrics.compose_with_mobius": (lambda a, b, nu: metrics.compose_with_mobius(
         metrics.dab_universal_set(DomainDab(a, b)).members[2], MobiusMap(nu)), (R, R, C)),
-    "metrics.universal_c": (lambda a, b, z1, z2, w1, w2: metrics.universal_c(
-        metrics.dab_universal_set(DomainDab(a, b)), (z1, z2), (w1, w2)), (R, R, C, C, C, C)),
-    "metrics.universal_gamma": (lambda a, b, z1, z2, x1, x2: metrics.universal_gamma(
-        metrics.dab_universal_set(DomainDab(a, b)), (z1, z2), (x1, x2)), (R, R, C, C, C, C)),
+    "metrics.universal_c": (lambda a, b, z, w: metrics.universal_c(
+        metrics.dab_universal_set(DomainDab(a, b)), z, w), (R, R, P, P)),
+    "metrics.universal_gamma": (lambda a, b, z, X: metrics.universal_gamma(
+        metrics.dab_universal_set(DomainDab(a, b)), z, X), (R, R, P, P)),
     "metrics.linear_convexity_quadratic": (lambda a, b: metrics.linear_convexity_quadratic(DomainDab(a, b)),
                                            (R, R)),
     "ball.require_ball_point": (ball.require_ball_point, (V,)),
@@ -170,6 +171,33 @@ def test_an_answer_has_no_nan_or_is_a_typed_error(name, data):
         "solve_omega_eta", "phi_gamma", "certify_disc", "dominant_permutation", "solve_omega_eta_interval"])
 def test_a_value_without_a_finite_answer_is_a_typed_error(call, error):
     with pytest.raises(error):
+        call()
+
+
+D = DomainDab(0.8, 0.8)
+U = metrics.dab_universal_set(D)
+
+
+# a point or tangent of D(a, b) has two coordinates, a point of the polydisc
+# at least one; a shorter one has no coordinate to read, and a longer one
+# would have its extra coordinates dropped
+@pytest.mark.parametrize("call", [
+    lambda: metrics.c_dab(D, (0.1,), (0.2, 0.1)),
+    lambda: varieties.dab_contains(D, (0.1,)),
+    lambda: metrics.universal_c(U, (0.1,), (0.2, 0.1)),
+    lambda: metrics.universal_gamma(U, (0.1,), (1.0, 0.0)),
+    lambda: metrics.kappa_dab_origin(D, (1.0,)),
+    lambda: metrics.kappa_dab_origin(D, (1.0, 0.5, 7.0)),
+    lambda: metrics.universal_gamma(U, (0.1, 0.1), (1.0,)),
+    lambda: varieties.lift_to_M(D, (0.1, 0.1, 0.9)),
+    lambda: metrics.c_dab(D, (0.1, 0.1), (0.2, 0.1, 0.0)),
+    lambda: metrics.universal_c(U, (0.1, 0.1, 0.5), (0.2, 0.1)),
+    lambda: metrics.c_polydisc((), ()),
+], ids=["c_dab-short", "dab_contains-short", "universal_c-short", "universal_gamma-short-point",
+        "kappa_dab_origin-short", "kappa_dab_origin-long", "universal_gamma-long-tangent", "lift_to_M-long",
+        "c_dab-long", "universal_c-long", "c_polydisc-empty"])
+def test_a_vector_of_the_wrong_length_is_a_domain_error(call):
+    with pytest.raises(DomainError):
         call()
 
 
